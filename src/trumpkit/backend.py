@@ -70,6 +70,11 @@ class ScalarBackend:
     def le(self, a, b) -> bool:
         return self.cmp(a, b) <= 0
 
+    def scaled(self, num, scale):
+        """The scalar num / scale.  Exact mode takes integers and returns a
+        Fraction; float mode divides."""
+        return Fraction(num, scale) if self.exact else num / scale
+
     def format(self, a) -> str:
         return str(a)
 

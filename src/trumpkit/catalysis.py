@@ -17,8 +17,8 @@ from typing import Dict, Optional
 
 from .majorize import majorizes, spectrum_majorizes
 from .mlocc import endpoint_filter_passes, in_Mk
-from .specvec import (ProbVec, Spectrum, direct_sum, make_probvec,
-                      spectrum_of, spectrum_tensor, tensor, tensor_power,
+from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_of,
+                      spectrum_tensor, tensor, tensor_power,
                       tensor_power_spectrum)
 
 

@@ -12,11 +12,10 @@ endpoint values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .backend import ScalarBackend
-from .specvec import ProbVec, Spectrum, spectrum_of
+from .specvec import ProbVec, Spectrum
 
 
 @dataclass(frozen=True)
@@ -83,68 +82,74 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
 
 def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
     """Compressed-spectrum majorization, equivalent to majorizes() on the
-    fully expanded vectors but evaluated only at breakpoints."""
+    fully expanded vectors but evaluated only at breakpoints.
+
+    One linear merge walk over both block lists: each step advances to the
+    next breakpoint of either spectrum and updates both prefix masses as
+    numerators over one common scale.  Exact mode compares integers;
+    float mode uses the same walk with the backend's eps as tolerance.
+    """
     if sx.total_count != sy.total_count:
         raise ValueError("total_count mismatch: %d vs %d"
                          % (sx.total_count, sy.total_count))
     be = sx.backend
-    if not be.eq(sx.total_mass(), sy.total_mass()):
+    tol = 0 if be.exact else be.float_eps
+    scale = math.lcm(sx._scale, sy._scale)
+    mx, my = scale // sx._scale, scale // sy._scale
+    if abs(sx._mass * mx - sy._mass * my) > tol:
         raise ValueError("total mass mismatch: %s vs %s"
                          % (sx.total_mass(), sy.total_mass()))
     total = sx.total_count
-    bps = sorted(set(sx.breakpoints()) | set(sy.breakpoints()))
+    xv, xc, yv, yc = sx._int_vals, sx._counts, sy._int_vals, sy._counts
+    i = j = rx = ry = vx = vy = l = ex = ey = 0
     equalities = set()
     zero_segment = False
-    if be.exact:
-        # rescale both spectra to one integer grid: the comparison at each
-        # breakpoint is then pure integer arithmetic
-        d = math.lcm(sx._scale, sy._scale)
-        mx, my = d // sx._scale, d // sy._scale
-    else:
-        mx = my = 1
-    prev_l, prev_eq = 0, True
-    for l in bps:
-        ex = sx._int_prefix(l) * mx
-        ey = sy._int_prefix(l) * my
-        if be.exact:
-            c = (ex > ey) - (ex < ey)
-        else:
-            c = be.cmp(ex, ey)
-        if c > 0:
-            return _fail_report(sx, sy, equalities, prev_l, l)
-        if c == 0 and l < total:
+    prev_eq = True
+    while l < total:
+        if not rx:
+            vx, rx, i = xv[i] * mx, xc[i], i + 1
+        if not ry:
+            vy, ry, j = yv[j] * my, yc[j], j + 1
+        step = rx if rx < ry else ry
+        l += step
+        ex += vx * step
+        ey += vy * step
+        diff = ex - ey
+        if diff > tol:
+            return _fail_report(be, scale, tol, equalities, l - step, l,
+                                ex - vx * step, ey - vy * step, vx, vy)
+        eq = diff >= -tol
+        if eq and l < total:
             equalities.add(l)
-        if c == 0 and prev_eq and l - prev_l > 1:
-            # difference identically zero on the whole segment
-            zero_segment = True
-        prev_l, prev_eq = l, c == 0
+        # zero at both ends of a segment: identically zero on all of it
+        zero_segment |= eq and prev_eq and step > 1
+        prev_eq = eq
+        rx -= step
+        ry -= step
     if equalities or zero_segment:
         return MajReport("boundary", frozenset(equalities),
                          zero_segment=zero_segment)
     return MajReport("strict_interior")
 
 
-def _fail_report(sx, sy, equalities, lo, hi):
+def _fail_report(be, scale, tol, equalities, lo, hi, ex_lo, ey_lo, vx, vy):
     """Locate the least integer l in (lo, hi] with e_l(sx) > e_l(sy).
 
     On the segment the difference is linear with slope vx - vy (the block
-    values), so the crossing point solves exactly in rational arithmetic;
-    fall back to the breakpoint itself if the slope degenerates.
+    numerators), so the crossing point solves exactly in integer
+    arithmetic; fall back to the breakpoint itself if the slope
+    degenerates.  Only the reported prefix masses become scalars.
     """
-    be = sx.backend
-    d_lo = sx.prefix_mass(lo) - sy.prefix_mass(lo)
-    vx = sx.value_at(lo + 1)
-    vy = sy.value_at(lo + 1)
+    d_lo = ex_lo - ey_lo
     slope = vx - vy
-    if be.cmp(slope, 0) > 0:
+    if slope > tol:
         # first l with d_lo + (l - lo) * slope > 0
-        steps = int(-d_lo // slope) + 1 if be.cmp(d_lo, 0) <= 0 else 1
-        l = max(lo + steps, lo + 1)
-        l = min(l, hi)
+        steps = int(-d_lo // slope) + 1 if d_lo <= tol else 1
+        l = min(max(lo + steps, lo + 1), hi)
     else:
         l = hi
-    ex = sx.prefix_mass(l)
-    ey = sy.prefix_mass(l)
+    ex = be.scaled(ex_lo + vx * (l - lo), scale)
+    ey = be.scaled(ey_lo + vy * (l - lo), scale)
     return MajReport("fails", frozenset(equalities), (l, ex, ey))
 
 

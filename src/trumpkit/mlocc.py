@@ -9,10 +9,10 @@ non-closedness perturbation witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .majorize import MajReport, majorizes, spectrum_majorizes
+from .majorize import spectrum_majorizes
 from .specvec import ProbVec, tensor_power_spectrum
 
 

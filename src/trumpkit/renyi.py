@@ -105,6 +105,7 @@ class RFilterVerdict:
             "grid_used": ["inf" if math.isinf(a) and a > 0 else
                           "-inf" if math.isinf(a) else a
                           for a in self.grid_used],
+            "float_alphas_used": self.float_alphas_used,
         }
 
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from .backend import EXACT, ScalarBackend
 
@@ -154,17 +156,22 @@ def direct_sum(a: ProbVec, b: ProbVec, renormalize: bool = False) -> ProbVec:
 
 
 class Spectrum:
-    """Compressed multiset: (value, count) blocks, values strictly
-    decreasing, counts arbitrary-precision integers.
+    """Compressed multiset of a huge sorted vector: blocks of equal values,
+    values strictly decreasing, counts arbitrary-precision integers.
 
-    On the exact backend all block values are rescaled to one common
-    denominator internally, so cumulative masses and prefix comparisons
-    run on plain integers (rational normalization per block is the
-    bottleneck at tens of thousands of blocks).
+    The state every computation runs on is a list of strictly decreasing
+    numerators (``_int_vals``), their counts (``_counts``) and one common
+    ``_scale``: block i holds ``_counts[i]`` copies of
+    ``_int_vals[i] / _scale``.  On the exact backend numerators and scale
+    are plain integers, so building, merging, sorting and prefix walks
+    never normalize a rational; on the float backend the numerators are
+    the float values themselves over scale 1.  ``blocks``, the
+    ``(value, count)`` tuple of backend scalars, is a read-only view built
+    on first access.
     """
 
-    __slots__ = ("blocks", "backend", "_cum_counts", "_scale", "_int_vals",
-                 "_int_cum")
+    __slots__ = ("backend", "_int_vals", "_counts", "_scale", "_total",
+                 "_mass", "_blocks")
 
     def __init__(self, blocks, backend: ScalarBackend = EXACT):
         blocks = tuple((v, int(c)) for v, c in blocks)
@@ -174,43 +181,43 @@ class Spectrum:
         for _, c in blocks:
             if c < 1:
                 raise ValueError("block counts must be >= 1")
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "backend", backend)
-        counts = []
-        cc = 0
-        for _, c in blocks:
-            cc += c
-            counts.append(cc)
-        object.__setattr__(self, "_cum_counts", counts)
         if backend.exact:
-            scale = math.lcm(*(v.denominator for v, _ in blocks)) \
-                if blocks else 1
-            ivals = [v.numerator * (scale // v.denominator) for v, _ in blocks]
+            scale = math.lcm(*(v.denominator for v, _ in blocks))
+            vals = [v.numerator * (scale // v.denominator) for v, _ in blocks]
         else:
-            scale = 1.0
-            ivals = [v for v, _ in blocks]
-        cum = []
-        cm = 0 if backend.exact else 0.0
-        for iv, (_, c) in zip(ivals, blocks):
-            cm += iv * c
-            cum.append(cm)
-        object.__setattr__(self, "_scale", scale)
-        object.__setattr__(self, "_int_vals", ivals)
-        object.__setattr__(self, "_int_cum", cum)
+            scale, vals = 1, [v for v, _ in blocks]
+        counts = [c for _, c in blocks]
+        self._set(vals, counts, scale, sum(map(mul, vals, counts)), backend,
+                  blocks)
+
+    def _set(self, vals, counts, scale, mass, backend, blocks=None):
+        """Fill the state in __slots__ order; mass is the numerator of the
+        total mass over scale."""
+        for name, value in zip(self.__slots__, (
+                backend, vals, counts, scale, sum(counts), mass, blocks)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, *a):
         raise AttributeError("Spectrum is immutable")
 
     @property
+    def blocks(self):
+        """The (value, count) tuple of backend scalars, built on first
+        read."""
+        if self._blocks is None:
+            to = self.backend.scaled
+            object.__setattr__(self, "_blocks", tuple(
+                (to(v, self._scale), c)
+                for v, c in zip(self._int_vals, self._counts)))
+        return self._blocks
+
+    @property
     def total_count(self) -> int:
-        return self._cum_counts[-1] if self.blocks else 0
+        return self._total
 
     def total_mass(self):
-        if not self.blocks:
-            return self.backend.zero()
-        if self.backend.exact:
-            return Fraction(self._int_cum[-1], self._scale)
-        return self._int_cum[-1]
+        return self.backend.scaled(self._mass, self._scale)
 
     def __eq__(self, other):
         return (isinstance(other, Spectrum) and self.blocks == other.blocks
@@ -218,11 +225,11 @@ class Spectrum:
 
     def __repr__(self):
         return "Spectrum(%d blocks, total_count=%d)" % (
-            len(self.blocks), self.total_count)
+            len(self._counts), self.total_count)
 
     def breakpoints(self):
         """Cumulative count boundaries (excluding 0)."""
-        return list(self._cum_counts)
+        return list(accumulate(self._counts))
 
     def prefix_mass(self, l: int):
         """e_l: mass of the l largest components, blockwise."""
@@ -231,26 +238,11 @@ class Spectrum:
             raise ValueError("prefix position out of range")
         if l == 0:
             return self.backend.zero()
-        num = self._int_prefix(l)
-        if self.backend.exact:
-            return Fraction(num, self._scale)
-        return num
-
-    def _int_prefix(self, l: int):
-        """Prefix mass at the internal scale (exact: integer numerator
-        over _scale)."""
-        # block containing position l: first block whose cumulative count >= l
-        i = bisect_right(self._cum_counts, l - 1)
-        base = self._int_cum[i - 1] if i else 0
-        prev = self._cum_counts[i - 1] if i else 0
-        return base + self._int_vals[i] * (l - prev)
-
-    def value_at(self, l: int):
-        """Value of the l-th largest component (1-based)."""
-        if not 1 <= l <= self.total_count:
-            raise ValueError("position out of range")
-        i = bisect_right(self._cum_counts, l - 1)
-        return self.blocks[i][0]
+        i = bisect_right(self.breakpoints(), l - 1)
+        vals, counts = self._int_vals, self._counts
+        num = (sum(map(mul, vals[:i], counts[:i]))
+               + vals[i] * (l - sum(counts[:i])))
+        return self.backend.scaled(num, self._scale)
 
     def expand(self) -> ProbVec:
         """Materialize the full sorted vector; only for small totals."""
@@ -267,60 +259,75 @@ class Spectrum:
         }
 
 
-def _merge_blocks(pairs, backend: ScalarBackend) -> Spectrum:
-    merged = {}
-    for v, c in pairs:
-        merged[v] = merged.get(v, 0) + c
-    blocks = sorted(merged.items(), key=lambda vc: vc[0], reverse=True)
-    return Spectrum(blocks, backend)
+def _from_counts(merged, scale, mass, backend: ScalarBackend) -> Spectrum:
+    """Trusted builder: the Spectrum of a {numerator: count} map over one
+    scale, counts >= 1."""
+    vals = sorted(merged, reverse=True)
+    return object.__new__(Spectrum)._set(
+        vals, [merged[v] for v in vals], scale, mass, backend)
 
 
 def spectrum_of(x: ProbVec) -> Spectrum:
-    return _merge_blocks(x.distinct(), x.backend)
+    return Spectrum(x.distinct(), x.backend)
 
 
 def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Tensor product of two compressed spectra."""
+    """Tensor product of two compressed spectra: numerators multiply
+    pairwise, and so do the scales."""
     if a.backend != b.backend:
         raise ValueError("backend mismatch")
-    return _merge_blocks(
-        ((va * vb, ca * cb) for va, ca in a.blocks for vb, cb in b.blocks),
-        a.backend)
-
-
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+    merged = {}
+    for va, ca in zip(a._int_vals, a._counts):
+        for vb, cb in zip(b._int_vals, b._counts):
+            v = va * vb
+            merged[v] = merged.get(v, 0) + ca * cb
+    return _from_counts(merged, a._scale * b._scale, a._mass * b._mass,
+                        a.backend)
 
 
 def tensor_power_spectrum(x: ProbVec, k: int) -> Spectrum:
     """Compressed spectrum of x^(x)k.
 
-    Enumerates exponent vectors over the *distinct* values of x, so the
+    Enumerates exponent vectors a over the *distinct* values of x, so the
     block count is bounded by C(d-1+k, d-1) with d the number of distinct
-    values.  Counts are multinomial(k; a) times the product of within-value
-    multiplicities, summing to n^k.
+    values.  With x's distinct values p_i / D (multiplicities m_i), the
+    composition a gives the value prod p_i^a_i / D^k with count
+    multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
+    counts are running products over precomputed power tables.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    dist = x.distinct()
-    d = len(dist)
-    fact_k = math.factorial(k)
-    pairs = []
-    for expo in _compositions(k, d):
-        count = fact_k
-        value = x.backend.one()
-        for (v, m), a in zip(dist, expo):
-            count = count // math.factorial(a) * (m ** a)
-            if a:
-                value = value * v ** a
-        pairs.append((value, count))
-    return _merge_blocks(pairs, x.backend)
+    base = Spectrum(x.distinct(), x.backend)
+    nums, mults = base._int_vals, base._counts
+    pw = [[p ** a for a in range(k + 1)] for p in nums]
+    mw = [[m ** a for a in range(k + 1)] for m in mults]
+    merged = {}
+
+    @lru_cache(maxsize=None)
+    def tail(r):
+        """Value and count factors of the last two values sharing the
+        remainder r as (a, r - a)."""
+        (p1, p2), (m1, m2) = pw[-2:], mw[-2:]
+        return [(p1[a] * p2[r - a], math.comb(r, a) * m1[a] * m2[r - a])
+                for a in range(r + 1)]
+
+    def walk(i, r, v, c):
+        if not r:  # every later exponent is 0
+            merged[v] = merged.get(v, 0) + c
+        elif i == len(nums) - 2:
+            for tv, tc in tail(r):
+                key = v * tv
+                merged[key] = merged.get(key, 0) + c * tc
+        else:
+            for a in range(r + 1):
+                walk(i + 1, r - a, v * pw[i][a],
+                     c * math.comb(r, a) * mw[i][a])
+
+    if len(nums) == 1:
+        merged[pw[0][k]] = mw[0][k]
+    else:
+        walk(0, k, pw[0][0], 1)
+    return _from_counts(merged, base._scale ** k, base._mass ** k, x.backend)
 
 
 # --- vector literal I/O -----------------------------------------------------

@@ -135,6 +135,13 @@ class TestRFilterCommand:
                         "--alpha-grid", "0,2,4", "--json")
         assert code == 0
 
+    @pytest.mark.parametrize("grid, floats", [("0.5,2", True),
+                                              ("0,2,4", False)])
+    def test_reports_float_orders(self, capsys, grid, floats):
+        _, out = run(capsys, "rfilter", "--x", X, "--y", Y,
+                     "--alpha-grid", grid, "--json")
+        assert json.loads(out)["float_alphas_used"] is floats
+
 
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, capsys):

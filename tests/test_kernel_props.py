@@ -1,0 +1,127 @@
+"""Property tests of the integer Spectrum kernel against the brute-force
+oracles in conftest: tensor powers, spectrum tensor products and the
+breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
+denominators near 1e4, plus agreement of the float backend with the exact
+one away from eps."""
+
+from fractions import Fraction as F
+from itertools import accumulate
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from trumpkit import (float_backend, make_probvec, spectrum_majorizes,
+                      spectrum_of, spectrum_tensor, tensor_power_spectrum)
+
+from conftest import brute_majorizes, brute_strict_interior, brute_tensor_power
+
+# small parts give ties, zeros and uniform vectors; parts near 2000 give
+# denominators near 1e4 once normalized
+PART = st.one_of(st.integers(0, 6), st.integers(1900, 2100))
+PROPS = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def parts(n):
+    return st.lists(PART, min_size=n, max_size=n).filter(any)
+
+
+def vec(raw):
+    return make_probvec([F(a) for a in raw], normalize=True)
+
+
+@st.composite
+def pair_and_k(draw):
+    """Same-dimension x, y and a k with n^k small enough to expand."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, {1: 6, 2: 6, 3: 4, 4: 3}[n]))
+    x = draw(parts(n))
+    y = draw(st.one_of(parts(n), st.just(x), st.just([1] * n)))
+    return vec(x), vec(y), k
+
+
+def flat(s):
+    return [v for v, c in s.blocks for _ in range(c)]
+
+
+@PROPS
+@given(pair_and_k())
+def test_tensor_power_expands_to_brute(case):
+    x, _, k = case
+    s = tensor_power_spectrum(x, k)
+    assert flat(s) == brute_tensor_power(x, k)
+    assert s.total_count == x.dim ** k
+    assert s.total_mass() == 1
+
+
+@PROPS
+@given(pair_and_k(), parts(2))
+def test_spectrum_tensor_is_sorted_products(case, c):
+    x, _, k = case
+    c = vec(c)
+    got = spectrum_tensor(tensor_power_spectrum(x, k), spectrum_of(c))
+    want = sorted((u * v for u in brute_tensor_power(x, k) for v in c),
+                  reverse=True)
+    assert flat(got) == want
+    assert got.total_mass() == 1
+
+
+@PROPS
+@given(pair_and_k())
+def test_walk_matches_brute(case):
+    x, y, k = case
+    sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
+    rep = spectrum_majorizes(sx, sy)
+    xs, ys = brute_tensor_power(x, k), brute_tensor_power(y, k)
+    ex, ey = [0] + list(accumulate(xs)), [0] + list(accumulate(ys))
+    holds, first_l = brute_majorizes(xs, ys)
+    assert rep.holds == holds
+    if holds:
+        assert rep.first_violation is None
+        assert (rep.verdict == "strict_interior") == \
+            brute_strict_interior(xs, ys)
+    else:
+        assert rep.first_violation == (first_l, ex[first_l], ey[first_l])
+    # equalities are reported at the breakpoints walked before a violation
+    stop = first_l if first_l is not None else len(xs)
+    bps = set(sx.breakpoints()) | set(sy.breakpoints())
+    assert rep.equality_indices == {l for l in bps
+                                    if l < stop and ex[l] == ey[l]}
+
+
+@PROPS
+@given(pair_and_k())
+def test_float_agrees_with_exact_away_from_eps(case):
+    x, y, k = case
+    xs, ys = brute_tensor_power(x, k), brute_tensor_power(y, k)
+    gaps = [abs(a - b) for a, b in zip(accumulate(xs), accumulate(ys))]
+    assume(all(g == 0 or g > F(1, 10 ** 6) for g in gaps))
+    be = float_backend(1e-12)
+    xf = make_probvec([float(v) for v in x], backend=be)
+    yf = make_probvec([float(v) for v in y], backend=be)
+    exact = spectrum_majorizes(tensor_power_spectrum(x, k),
+                               tensor_power_spectrum(y, k))
+    approx = spectrum_majorizes(tensor_power_spectrum(xf, k),
+                                tensor_power_spectrum(yf, k))
+    assert approx.verdict == exact.verdict
+
+
+def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):
+    x = make_probvec(["0.4", "0.4", "0.1", "0.1"])
+    y = make_probvec(["0.5", "0.25", "0.25", "0"])
+    c = spectrum_of(make_probvec(["0.6", "0.4"]))
+    made = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert spectrum_majorizes(
+        spectrum_tensor(tensor_power_spectrum(x, 3), c),
+        spectrum_tensor(tensor_power_spectrum(y, 3), c)).holds
+    assert made == []
+    assert not spectrum_majorizes(tensor_power_spectrum(x, 2),
+                                  tensor_power_spectrum(y, 2)).holds
+    # a failing walk reports e_l(x) and e_l(y), nothing else
+    assert len(made) == 2
