@@ -14,9 +14,9 @@ from .majorize import (MajReport, check_direct_sum_interior_condition,
 from .mlocc import (MloccScan, UsefulnessVerdict, classify_usefulness,
                     corollary4_k_bound, in_Mk, is_interior_of_M,
                     lemma3_k_condition, nonclosedness_witness, scan_Mk)
-from .catalysis import (CatalystCert, build_catalyst_thm1, combine_catalysts,
-                        lift_catalyst, multicopy_catalyst_scan,
-                        search_catalyst)
+from .catalysis import (CatalystCert, LiftedCatalyst, build_catalyst_thm1,
+                        combine_catalysts, lift_catalyst,
+                        multicopy_catalyst_scan, search_catalyst)
 from .renyi import (DEFAULT_ALPHA_GRID, RenyiProfile, RFilterVerdict,
                     r_filter, r_properties_check, renyi_entropy)
 
@@ -33,8 +33,9 @@ __all__ = [
     "MloccScan", "UsefulnessVerdict", "classify_usefulness",
     "corollary4_k_bound", "in_Mk", "is_interior_of_M", "lemma3_k_condition",
     "nonclosedness_witness", "scan_Mk",
-    "CatalystCert", "build_catalyst_thm1", "combine_catalysts",
-    "lift_catalyst", "multicopy_catalyst_scan", "search_catalyst",
+    "CatalystCert", "LiftedCatalyst", "build_catalyst_thm1",
+    "combine_catalysts", "lift_catalyst", "multicopy_catalyst_scan",
+    "search_catalyst",
     "DEFAULT_ALPHA_GRID", "RenyiProfile", "RFilterVerdict", "r_filter",
     "r_properties_check", "renyi_entropy",
 ]

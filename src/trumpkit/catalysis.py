@@ -6,6 +6,10 @@ of the k mixed powers x^(k-1-i) (x) y^(i).  Combination with an auxiliary
 catalyst and lifting to multiple copies are both constructive; the random
 search is an explicitly heuristic stand-in for exact fixed-dimension
 algorithms and never interprets absence as nonexistence.
+
+Construction and verification run on integer spectra: x (x) c is never
+built, and a lift to n copies is returned factored (LiftedCatalyst), so
+c^(x)n exists in full only when its expand() is called.
 """
 
 from __future__ import annotations
@@ -13,19 +17,52 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple, Union
 
-from .majorize import majorizes, spectrum_majorizes
+from .majorize import spectrum_majorizes
 from .mlocc import endpoint_filter_passes, in_Mk
-from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_of,
-                      spectrum_tensor, tensor, tensor_power,
-                      tensor_power_spectrum)
+from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_direct_sum,
+                      spectrum_of, spectrum_tensor, tensor_power_spectrum)
+
+
+@dataclass(frozen=True, eq=False)
+class LiftedCatalyst:
+    """c^(x)n kept factored as its base catalyst c and copy count n.
+
+    ``dim``, ``==`` and ``to_json`` answer as the expanded vector would;
+    only ``expand()`` builds its base.dim ** n_copies entries, and
+    ``spectrum()`` gives the compressed multiset without them.
+    """
+    base: ProbVec
+    n_copies: int
+
+    @property
+    def dim(self) -> int:
+        return self.base.dim ** self.n_copies
+
+    def spectrum(self) -> Spectrum:
+        return tensor_power_spectrum(self.base, self.n_copies)
+
+    def expand(self) -> ProbVec:
+        """The full sorted vector c^(x)n, one scalar per distinct value."""
+        return self.spectrum().expand()
+
+    def __eq__(self, other):
+        if isinstance(other, LiftedCatalyst):
+            if (other.base, other.n_copies) == (self.base, self.n_copies):
+                return True
+        elif not isinstance(other, ProbVec):
+            return NotImplemented
+        return other.dim == self.dim and self.expand() == other
+
+    def to_json(self):
+        return self.expand().to_json()
 
 
 @dataclass(frozen=True)
 class CatalystCert:
     """A catalyst plus provenance and verification outcome."""
-    catalyst: ProbVec
+    catalyst: Union[ProbVec, LiftedCatalyst]
     source: str
     verified: bool
     dim_bound_ok: bool = True
@@ -39,32 +76,41 @@ class CatalystCert:
         }
 
 
-def reduce_catalyst(c: ProbVec) -> Spectrum:
-    """Merged-value display view; the ProbVec itself keeps full length so
-    dimension claims stay checkable."""
-    return spectrum_of(c)
+def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> Spectrum:
+    """Merged-value view of a catalyst, factored or not; the catalyst
+    itself keeps full length so dimension claims stay checkable."""
+    return c.spectrum() if isinstance(c, LiftedCatalyst) else spectrum_of(c)
 
 
-def _verify_single_copy(x: ProbVec, y: ProbVec, c: ProbVec) -> bool:
-    return majorizes(tensor(x, c), tensor(y, c)).holds
+def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
+    """Is the catalyst with spectrum sc one for x -> y?  x (x) c and
+    y (x) c are compared as spectra and never built."""
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch: %d vs %d (pad explicitly)"
+                         % (x.dim, y.dim))
+    return spectrum_majorizes(spectrum_tensor(spectrum_of(x), sc),
+                              spectrum_tensor(spectrum_of(y), sc)).holds
 
 
-def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int) -> ProbVec:
-    """(1/k) * direct-sum of x^(k-1-i) (x) y^(i), i = 0..k-1.  For k = 1
-    this is the trivial scalar catalyst (1)."""
+def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int,
+                          c_prime: Optional[ProbVec] = None
+                          ) -> Tuple[ProbVec, Spectrum]:
+    """The catalyst (1/k) * direct-sum of x^(k-1-i) (x) y^(i), i = 0..k-1,
+    tensored with c_prime when given, and its spectrum.  For k = 1 the
+    direct sum is the trivial scalar catalyst (1).
+
+    The k term spectra are merged over one common scale and the result is
+    expanded once, one scalar per distinct value.
+    """
     be = x.backend
-    if k == 1:
-        return ProbVec([be.one()], be)
-    terms = []
-    for i in range(k):
-        if i == 0:
-            terms.append(tensor_power(x, k - 1))
-        elif i == k - 1:
-            terms.append(tensor_power(y, k - 1))
-        else:
-            terms.append(tensor(tensor_power(x, k - 1 - i),
-                                tensor_power(y, i)))
-    return ProbVec([v / k for t in terms for v in t.entries], be)
+    one = Spectrum([(be.one(), 1)], be)
+    px = [one] + [tensor_power_spectrum(x, a) for a in range(1, k)]
+    py = [one] + [tensor_power_spectrum(y, a) for a in range(1, k)]
+    sc = spectrum_direct_sum([spectrum_tensor(px[k - 1 - i], py[i])
+                              for i in range(k)], k)
+    if c_prime is not None:
+        sc = spectrum_tensor(sc, spectrum_of(c_prime))
+    return sc.expand(), sc
 
 
 def build_catalyst_thm1(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
@@ -80,11 +126,9 @@ def build_catalyst_thm1(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
     if not in_Mk(x, y, k):
         raise ValueError("precondition fails: x^(x)%d not majorized by "
                          "y^(x)%d" % (k, k))
-    be = x.backend
-    c = _mixed_power_catalyst(x, y, k)
-    raw_dim = c.dim
-    dim_ok = raw_dim == k * x.dim ** (k - 1)
-    verified = _verify_single_copy(x, y, c)
+    c, sc = _mixed_power_catalyst(x, y, k)
+    dim_ok = c.dim == k * x.dim ** (k - 1)
+    verified = _verify_single_copy(x, y, sc)
     return CatalystCert(c, "thm1_construction(k=%d)" % k, verified, dim_ok)
 
 
@@ -97,26 +141,27 @@ def combine_catalysts(x: ProbVec, y: ProbVec, k: int,
     if not spectrum_majorizes(sx, sy).holds:
         raise ValueError("precondition fails: x^(x)%d (x) c' not majorized "
                          "by y^(x)%d (x) c'" % (k, k))
-    c2 = tensor(_mixed_power_catalyst(x, y, k), c_prime)
-    verified = _verify_single_copy(x, y, c2)
+    c2, sc2 = _mixed_power_catalyst(x, y, k, c_prime)
+    verified = _verify_single_copy(x, y, sc2)
     return CatalystCert(c2, "thm2_combination(k=%d)" % k, verified)
 
 
 def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
                   n_copies: int) -> CatalystCert:
     """Lift a verified catalyst to n copies: c^(x)n certifies the n-copy
-    transformation.  Verification runs on compressed spectra ((x (x) c)^(x)n
-    never materializes)."""
+    transformation.  For n_copies > 1 the catalyst is returned factored
+    (a LiftedCatalyst), and verification runs on compressed spectra:
+    neither c^(x)n nor (x (x) c)^(x)n is built."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    if not _verify_single_copy(x, y, c):
+    if not _verify_single_copy(x, y, spectrum_of(c)):
         raise ValueError("precondition fails: c is not a catalyst for x -> y")
     if n_copies == 1:
         return CatalystCert(c, "lifted(n=1)", True)
-    lifted = tensor_power(c, n_copies)
+    lifted = LiftedCatalyst(c, n_copies)
     # (x (x) c)^(x)n and x^(x)n (x) c^(x)n are the same multiset; the
     # factored form enumerates compositions over far fewer distinct values
-    sc = tensor_power_spectrum(c, n_copies)
+    sc = lifted.spectrum()
     sx = spectrum_tensor(tensor_power_spectrum(x, n_copies), sc)
     sy = spectrum_tensor(tensor_power_spectrum(y, n_copies), sc)
     verified = spectrum_majorizes(sx, sy).holds
@@ -168,7 +213,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     be = x.backend
     if dim_c == 1:
         c = ProbVec([be.one()], be)
-        if _verify_single_copy(x, y, c):
+        if _verify_single_copy(x, y, spectrum_of(c)):
             return CatalystCert(c, "search(seed=%d, dim=1)" % seed, True)
         return None
 
@@ -178,7 +223,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         nonlocal trials
         trials += 1
         c = make_probvec(vals, normalize=True, backend=be)
-        if _verify_single_copy(x, y, c):
+        if _verify_single_copy(x, y, spectrum_of(c)):
             return CatalystCert(
                 c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
         return None

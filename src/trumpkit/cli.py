@@ -15,7 +15,7 @@ import sys
 from .backend import EXACT, float_backend
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
-from .specvec import load_vector, tensor
+from .specvec import load_vector, spectrum_of, spectrum_tensor
 
 
 def _build_parser():
@@ -155,11 +155,13 @@ def cmd_catalyst(args) -> int:
         return 0 if any(result.values()) else 1
     payload = cert.to_json()
     if args.transcript:
-        xc = tensor(x, cert.catalyst)
-        yc = tensor(y, cert.catalyst)
+        sc = catalysis.reduce_catalyst(cert.catalyst)
+        xc = spectrum_tensor(spectrum_of(x), sc)
+        yc = spectrum_tensor(spectrum_of(y), sc)
         payload["transcript"] = [
-            {"l": l, "ex": str(xc.prefix(l)), "ey": str(yc.prefix(l))}
-            for l in range(1, min(xc.dim, 64))]
+            {"l": l, "ex": str(xc.prefix_mass(l)),
+             "ey": str(yc.prefix_mass(l))}
+            for l in range(1, min(xc.total_count, 64))]
     _emit(payload, args.as_json)
     return 0 if cert.verified else 1
 

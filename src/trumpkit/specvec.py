@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
@@ -55,9 +54,9 @@ class ProbVec:
         return sum(self.entries[:l], self.backend.zero())
 
     def __eq__(self, other):
-        return (isinstance(other, ProbVec)
-                and self.entries == other.entries
-                and self.backend == other.backend)
+        if not isinstance(other, ProbVec):
+            return NotImplemented  # let a factored catalyst compare itself
+        return self.entries == other.entries and self.backend == other.backend
 
     def __hash__(self):
         return hash((self.entries, self.backend))
@@ -236,12 +235,13 @@ class Spectrum:
         l = int(l)
         if not 0 <= l <= self.total_count:
             raise ValueError("prefix position out of range")
-        if l == 0:
-            return self.backend.zero()
-        i = bisect_right(self.breakpoints(), l - 1)
-        vals, counts = self._int_vals, self._counts
-        num = (sum(map(mul, vals[:i], counts[:i]))
-               + vals[i] * (l - sum(counts[:i])))
+        num = 0
+        for v, c in zip(self._int_vals, self._counts):
+            if not l:  # all l positions are taken
+                break
+            take = c if c < l else l
+            num += v * take
+            l -= take
         return self.backend.scaled(num, self._scale)
 
     def expand(self) -> ProbVec:
@@ -285,6 +285,21 @@ def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:
                         a.backend)
 
 
+def spectrum_direct_sum(parts, weight: int) -> Spectrum:
+    """Spectrum of (1/weight) * (p_1 (+) p_2 (+) ...): the multiset union
+    of the parts over the lcm of their scales, every value divided by
+    weight."""
+    scale = math.lcm(*(p._scale for p in parts))
+    merged, mass = {}, 0
+    for p in parts:
+        m = scale // p._scale
+        mass += p._mass * m
+        for v, c in zip(p._int_vals, p._counts):
+            v *= m
+            merged[v] = merged.get(v, 0) + c
+    return _from_counts(merged, scale * weight, mass, parts[0].backend)
+
+
 def tensor_power_spectrum(x: ProbVec, k: int) -> Spectrum:
     """Compressed spectrum of x^(x)k.
 
@@ -293,11 +308,14 @@ def tensor_power_spectrum(x: ProbVec, k: int) -> Spectrum:
     values.  With x's distinct values p_i / D (multiplicities m_i), the
     composition a gives the value prod p_i^a_i / D^k with count
     multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
-    counts are running products over precomputed power tables.
+    counts are running products over precomputed power tables.  k = 1 is
+    spectrum_of(x) itself, with no enumeration.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     base = Spectrum(x.distinct(), x.backend)
+    if k == 1:
+        return base
     nums, mults = base._int_vals, base._counts
     pw = [[p ** a for a in range(k + 1)] for p in nums]
     mw = [[m ** a for a in range(k + 1)] for m in mults]

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from trumpkit import (ProbVec, build_catalyst_thm1, combine_catalysts, in_Mk,
-                      lift_catalyst, majorizes, make_probvec,
-                      multicopy_catalyst_scan, search_catalyst, tensor)
+from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
+                      combine_catalysts, in_Mk, lift_catalyst, majorizes,
+                      make_probvec, multicopy_catalyst_scan, search_catalyst,
+                      tensor)
 from trumpkit.catalysis import reduce_catalyst
 
 from conftest import random_rational_vec
@@ -189,3 +190,32 @@ class TestUniformCatalystIsVacuous:
                 u = ProbVec([F(1, dim_c)] * dim_c)
                 assisted = majorizes(tensor(x, u), tensor(y, u)).holds
                 assert assisted == majorizes(x, y).holds
+
+
+class TestFactoredLift:
+    def test_lift_is_factored_and_equals_its_expansion(self):
+        lifted = lift_catalyst(PAPER_X, PAPER_Y, Z, 3).catalyst
+        assert isinstance(lifted, LiftedCatalyst)
+        assert (lifted.base, lifted.n_copies) == (Z, 3)
+        full = tensor(tensor(Z, Z), Z)
+        assert lifted.expand() == full
+        assert lifted == full and full == lifted
+        assert lifted != tensor(Z, Z) and lifted != Z_PRIME
+        assert lifted == LiftedCatalyst(Z, 3)
+        assert lifted != LiftedCatalyst(Z, 2)
+        assert lifted != LiftedCatalyst(Z_PRIME, 3)
+        assert LiftedCatalyst(Z, 2) == LiftedCatalyst(tensor(Z, Z), 1)
+        assert reduce_catalyst(lifted) == reduce_catalyst(full)
+
+    def test_paper_96_cubed_lift_is_never_expanded(self, monkeypatch):
+        c2 = combine_catalysts(PAPER_X, PAPER_Y, 3, Z_PRIME).catalyst
+        assert c2.dim == 96
+
+        def refuse(self):
+            raise AssertionError("the 96^3 lift was expanded")
+        monkeypatch.setattr(LiftedCatalyst, "expand", refuse)
+        cert = lift_catalyst(PAPER_X, PAPER_Y, c2, 3)
+        assert cert.verified
+        assert cert.catalyst.dim == 96 ** 3
+        assert not hasattr(cert.catalyst, "entries")
+        assert cert.catalyst.base == c2

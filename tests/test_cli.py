@@ -1,8 +1,12 @@
 import json
+from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
+from trumpkit import make_probvec, tensor, tensor_power
 from trumpkit.cli import main
+from trumpkit.specvec import load_vector
 
 from conftest import corpus_path
 
@@ -92,6 +96,26 @@ class TestCatalystCommand:
                         "--c", Z, "--n-copies", "2", "--json")
         assert code == 0
         assert json.loads(out)["verified"]
+
+    @pytest.mark.parametrize("argv", [("build", "--k", "3"),
+                                      ("lift", "--c", Z, "--n-copies", "3")])
+    def test_transcript_is_brute_prefix_sums(self, capsys, argv):
+        code, out = run(capsys, "catalyst", *argv, "--x", X, "--y", Y,
+                        "--transcript", "--json")
+        assert code == 0
+        cert = json.loads(out)
+        c = make_probvec([Fraction(v) for v in cert["catalyst"]])
+        ex = list(accumulate(tensor(load_vector(X), c).entries))
+        ey = list(accumulate(tensor(load_vector(Y), c).entries))
+        assert cert["transcript"] == [
+            {"l": l, "ex": str(ex[l - 1]), "ey": str(ey[l - 1])}
+            for l in range(1, min(len(ex), 64))]
+
+    def test_lift_json_is_the_tensor_power(self, capsys):
+        _, out = run(capsys, "catalyst", "lift", "--x", X, "--y", Y,
+                     "--c", Z, "--n-copies", "3", "--json")
+        full = tensor_power(load_vector(Z), 3)
+        assert json.loads(out)["catalyst"] == full.to_json()
 
     def test_combine_bad_premise_exit_two(self, capsys):
         code, _ = run(capsys, "catalyst", "combine", "--x", X, "--y", Y,

@@ -2,7 +2,8 @@
 oracles in conftest: tensor powers, spectrum tensor products and the
 breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
 denominators near 1e4, plus agreement of the float backend with the exact
-one away from eps."""
+one away from eps, and the catalyst constructions built on the kernel
+against their Fraction definitions."""
 
 from fractions import Fraction as F
 from itertools import accumulate
@@ -10,8 +11,10 @@ from itertools import accumulate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (float_backend, make_probvec, spectrum_majorizes,
-                      spectrum_of, spectrum_tensor, tensor_power_spectrum)
+from trumpkit import (LiftedCatalyst, ProbVec, float_backend, make_probvec,
+                      spectrum_majorizes, spectrum_of, spectrum_tensor, tensor,
+                      tensor_power, tensor_power_spectrum)
+from trumpkit.catalysis import _mixed_power_catalyst, _verify_single_copy
 
 from conftest import brute_majorizes, brute_strict_interior, brute_tensor_power
 
@@ -125,3 +128,46 @@ def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):
                                   tensor_power_spectrum(y, 2)).holds
     # a failing walk reports e_l(x) and e_l(y), nothing else
     assert len(made) == 2
+
+
+@PROPS
+@given(pair_and_k(), st.integers(1, 3).flatmap(parts))
+def test_single_copy_verification_matches_brute(case, c):
+    x, y, _ = case
+    c = vec(c)
+    assert _verify_single_copy(x, y, spectrum_of(c)) == brute_majorizes(
+        tensor(x, c).entries, tensor(y, c).entries)[0]
+
+
+def fraction_mixed_power(x, y, k):
+    """(1/k) * direct-sum of x^(k-1-i) (x) y^(i), built entry by entry."""
+    if k == 1:
+        return ProbVec([F(1)])
+    terms = [tensor_power(x, k - 1)] + [
+        tensor(tensor_power(x, k - 1 - i), tensor_power(y, i))
+        for i in range(1, k - 1)] + [tensor_power(y, k - 1)]
+    return ProbVec([v / k for t in terms for v in t.entries])
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(parts(n), parts(n))),
+       st.integers(1, 4))
+def test_mixed_power_catalyst_matches_fractions(xy, k):
+    x, y = map(vec, xy)
+    c, sc = _mixed_power_catalyst(x, y, k)
+    assert c.entries == fraction_mixed_power(x, y, k).entries
+    assert sc == spectrum_of(c)
+
+
+@PROPS
+@given(st.integers(1, 4).flatmap(parts), st.integers(1, 3))
+def test_lifted_catalyst_is_its_tensor_power(c, n):
+    c = vec(c)
+    lifted = LiftedCatalyst(c, n)
+    full = tensor_power(c, n)
+    assert not hasattr(lifted, "entries")
+    assert lifted.dim == full.dim == c.dim ** n
+    assert lifted.expand() == full
+    assert lifted == full and full == lifted
+    assert lifted.spectrum() == spectrum_of(full)
+    assert lifted.to_json() == full.to_json()

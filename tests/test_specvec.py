@@ -211,3 +211,13 @@ class TestPadTo:
     def test_shrink_rejected(self):
         with pytest.raises(ValueError):
             pad_to(fv("0.5", "0.5"), 1)
+
+
+class TestTensorPowerSpectrumOneCopy:
+    def test_many_distinct_values_need_no_enumeration(self):
+        # one recursion level per distinct value would exceed the default
+        # recursion limit here
+        x = make_probvec([F(i) for i in range(1, 1201)], normalize=True)
+        s = tensor_power_spectrum(x, 1)
+        assert s == spectrum_of(x)
+        assert len(s.blocks) == s.total_count == 1200
