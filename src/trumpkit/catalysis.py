@@ -82,14 +82,23 @@ def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> Spectrum:
     return c.spectrum() if isinstance(c, LiftedCatalyst) else spectrum_of(c)
 
 
-def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
-    """Is the catalyst with spectrum sc one for x -> y?  x (x) c and
-    y (x) c are compared as spectra and never built."""
+def _catalyzes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
+    """Is sx (x) sc majorized by sy (x) sc?  Both products stay spectra."""
+    return spectrum_majorizes(spectrum_tensor(sx, sc),
+                              spectrum_tensor(sy, sc)).holds
+
+
+def _check_dims(x: ProbVec, y: ProbVec) -> None:
     if x.dim != y.dim:
         raise ValueError("dimension mismatch: %d vs %d (pad explicitly)"
                          % (x.dim, y.dim))
-    return spectrum_majorizes(spectrum_tensor(spectrum_of(x), sc),
-                              spectrum_tensor(spectrum_of(y), sc)).holds
+
+
+def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
+    """Is the catalyst with spectrum sc one for x -> y?  x (x) c and
+    y (x) c are compared as spectra and never built."""
+    _check_dims(x, y)
+    return _catalyzes(spectrum_of(x), spectrum_of(y), sc)
 
 
 def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int,
@@ -136,9 +145,8 @@ def combine_catalysts(x: ProbVec, y: ProbVec, k: int,
                       c_prime: ProbVec) -> CatalystCert:
     """Turn a k-copy catalyst-assisted witness into a single-copy catalyst
     c'' = c (x) c', with c the k-copy construction over (x, y)."""
-    sx = spectrum_tensor(tensor_power_spectrum(x, k), spectrum_of(c_prime))
-    sy = spectrum_tensor(tensor_power_spectrum(y, k), spectrum_of(c_prime))
-    if not spectrum_majorizes(sx, sy).holds:
+    if not _catalyzes(tensor_power_spectrum(x, k), tensor_power_spectrum(y, k),
+                      spectrum_of(c_prime)):
         raise ValueError("precondition fails: x^(x)%d (x) c' not majorized "
                          "by y^(x)%d (x) c'" % (k, k))
     c2, sc2 = _mixed_power_catalyst(x, y, k, c_prime)
@@ -161,10 +169,9 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
     lifted = LiftedCatalyst(c, n_copies)
     # (x (x) c)^(x)n and x^(x)n (x) c^(x)n are the same multiset; the
     # factored form enumerates compositions over far fewer distinct values
-    sc = lifted.spectrum()
-    sx = spectrum_tensor(tensor_power_spectrum(x, n_copies), sc)
-    sy = spectrum_tensor(tensor_power_spectrum(y, n_copies), sc)
-    verified = spectrum_majorizes(sx, sy).holds
+    verified = _catalyzes(tensor_power_spectrum(x, n_copies),
+                          tensor_power_spectrum(y, n_copies),
+                          lifted.spectrum())
     return CatalystCert(lifted, "lifted(n=%d)" % n_copies, verified)
 
 
@@ -174,14 +181,9 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     single-copy transformation?  Compressed spectra keep dim(c)^m implicit."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    out = {}
-    sx0 = spectrum_of(x)
-    sy0 = spectrum_of(y)
-    for m in range(1, m_max + 1):
-        sc = tensor_power_spectrum(c, m)
-        out[m] = spectrum_majorizes(spectrum_tensor(sx0, sc),
-                                    spectrum_tensor(sy0, sc)).holds
-    return out
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    return {m: _catalyzes(sx, sy, tensor_power_spectrum(c, m))
+            for m in range(1, m_max + 1)}
 
 
 def _lattice_candidates(dim_c: int, resolution: int):
@@ -210,10 +212,12 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         raise ValueError("dim_c must be >= 1")
     if not endpoint_filter_passes(x, y):
         return None
+    _check_dims(x, y)
+    sx, sy = spectrum_of(x), spectrum_of(y)
     be = x.backend
     if dim_c == 1:
         c = ProbVec([be.one()], be)
-        if _verify_single_copy(x, y, spectrum_of(c)):
+        if _catalyzes(sx, sy, spectrum_of(c)):
             return CatalystCert(c, "search(seed=%d, dim=1)" % seed, True)
         return None
 
@@ -223,7 +227,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         nonlocal trials
         trials += 1
         c = make_probvec(vals, normalize=True, backend=be)
-        if _verify_single_copy(x, y, spectrum_of(c)):
+        if _catalyzes(sx, sy, spectrum_of(c)):
             return CatalystCert(
                 c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
         return None

@@ -6,7 +6,8 @@ used for tensor powers.  The spectrum comparison only evaluates prefix
 sums at block breakpoints: between consecutive breakpoints the difference
 e_l(sx) - e_l(sy) is linear in l (both prefix functions advance by a fixed
 per-unit value there), so its sign pattern over all l is determined by its
-endpoint values.
+endpoint values.  Vectors are compared through their spectra, so every
+comparison runs the one walk.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .specvec import ProbVec, Spectrum
+from .specvec import ProbVec, Spectrum, spectrum_of
 
 
 @dataclass(frozen=True)
@@ -57,27 +58,39 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
     """Compare x against y: does y majorize x (x ~ convertible to y)?
 
     Dimensions must already match; padding with zeros is the caller's
-    explicit act (see pad_to) since it changes the answer.
+    explicit act (see pad_to) since it changes the answer.  The spectrum
+    walk decides; its report is then widened to every equality position:
+    those inside a zero segment, and the one just before a violation.
+    Raises ValueError when the total masses differ.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch: %d vs %d (pad explicitly)"
                          % (x.dim, y.dim))
-    be = x.backend
-    n = x.dim
-    ex = be.zero()
-    ey = be.zero()
-    equalities = set()
-    for l in range(1, n):
-        ex = ex + x.entries[l - 1]
-        ey = ey + y.entries[l - 1]
-        c = be.cmp(ex, ey)
-        if c > 0:
-            return MajReport("fails", frozenset(equalities), (l, ex, ey))
-        if c == 0:
-            equalities.add(l)
-    if equalities:
-        return MajReport("boundary", frozenset(equalities))
-    return MajReport("strict_interior")
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    rep = spectrum_majorizes(sx, sy)
+    equalities = set(rep.equality_indices)
+    if rep.zero_segment:
+        # a segment with both ends tight is zero all along; n is always
+        # tight (equal masses), and a failing segment never ends there
+        tight = equalities | {0, x.dim}
+        bps = sorted({0, *sx.breakpoints(), *sy.breakpoints()})
+        equalities.update(l for lo, hi in zip(bps, bps[1:])
+                          if lo in tight and hi in tight
+                          for l in range(lo + 1, hi))
+    fv = rep.first_violation
+    if fv is not None:
+        # the gap is linear on the failing segment, so before l it can
+        # be zero only at l - 1, which need not be a breakpoint
+        l, ex, ey = fv
+        gap = (ex - x.entries[l - 1]) - (ey - y.entries[l - 1])
+        if l > 1 and abs(gap) <= _tolerance(x.backend):
+            equalities.add(l - 1)
+    return MajReport(rep.verdict, frozenset(equalities), fv)
+
+
+def _tolerance(be):
+    """Largest gap the walk counts as an equality."""
+    return 0 if be.exact else be.float_eps
 
 
 def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
@@ -93,7 +106,7 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
         raise ValueError("total_count mismatch: %d vs %d"
                          % (sx.total_count, sy.total_count))
     be = sx.backend
-    tol = 0 if be.exact else be.float_eps
+    tol = _tolerance(be)
     scale = math.lcm(sx._scale, sy._scale)
     mx, my = scale // sx._scale, scale // sy._scale
     if abs(sx._mass * mx - sy._mass * my) > tol:
@@ -116,8 +129,9 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
         ey += vy * step
         diff = ex - ey
         if diff > tol:
-            return _fail_report(be, scale, tol, equalities, l - step, l,
-                                ex - vx * step, ey - vy * step, vx, vy)
+            return _fail_report(be, scale, tol, equalities, zero_segment,
+                                l - step, l, ex - vx * step, ey - vy * step,
+                                vx, vy)
         eq = diff >= -tol
         if eq and l < total:
             equalities.add(l)
@@ -132,25 +146,25 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
     return MajReport("strict_interior")
 
 
-def _fail_report(be, scale, tol, equalities, lo, hi, ex_lo, ey_lo, vx, vy):
-    """Locate the least integer l in (lo, hi] with e_l(sx) > e_l(sy).
+def _fail_report(be, scale, tol, equalities, zero_segment, lo, hi,
+                 ex_lo, ey_lo, vx, vy):
+    """Locate the least integer l in (lo, hi] with e_l(sx) - e_l(sy) > tol.
 
     On the segment the difference is linear with slope vx - vy (the block
     numerators), so the crossing point solves exactly in integer
     arithmetic; fall back to the breakpoint itself if the slope
     degenerates.  Only the reported prefix masses become scalars.
     """
-    d_lo = ex_lo - ey_lo
     slope = vx - vy
     if slope > tol:
-        # first l with d_lo + (l - lo) * slope > 0
-        steps = int(-d_lo // slope) + 1 if d_lo <= tol else 1
-        l = min(max(lo + steps, lo + 1), hi)
+        # the walk reached lo, so the gap there is at most tol
+        l = min(lo + int((tol - ex_lo + ey_lo) // slope) + 1, hi)
     else:
         l = hi
     ex = be.scaled(ex_lo + vx * (l - lo), scale)
     ey = be.scaled(ey_lo + vy * (l - lo), scale)
-    return MajReport("fails", frozenset(equalities), (l, ex, ey))
+    return MajReport("fails", frozenset(equalities), (l, ex, ey),
+                     zero_segment)
 
 
 def is_interior(x: ProbVec, y: ProbVec) -> bool:

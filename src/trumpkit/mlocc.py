@@ -139,11 +139,9 @@ def is_interior_of_M(x: ProbVec, y: ProbVec, k_max: int) -> str:
     """Classify x against the multi-copy region of y within a bounded scan:
     'interior' / 'boundary' once membership is found (endpoints decide),
     'not_member' when the endpoint filter excludes x, else 'unknown'."""
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
-    if not endpoint_filter_passes(x, y):
-        return "not_member"
     scan = scan_Mk(x, y, k_max)
+    if scan.short_circuited:
+        return "not_member"
     if scan.first_success is None:
         return "unknown"
     be = x.backend
@@ -180,13 +178,10 @@ def nonclosedness_witness(y: ProbVec) -> ProbVec:
     outside the region for every k, yet it is a limit of members."""
     if not classify_usefulness(y).useful:
         raise ValueError("usefulness condition fails for y")
-    be = y.backend
-    n = y.dim
-    l = next(i for i, v in enumerate(y.entries) if be.lt(v, y.entries[0]))
-    m = next(n - 1 - i for i, v in enumerate(reversed(y.entries))
-             if be.lt(y.entries[-1], v))
+    d_min, d_max = _d_min_max(y)
+    l, m = d_min - 1, d_max - 1
     delta = min(y.entries[0] - y.entries[l], y.entries[m] - y.entries[-1])
     vals = list(y.entries)
     vals[l] = vals[l] + delta
     vals[m] = vals[m] - delta
-    return ProbVec(vals, be)
+    return ProbVec(vals, y.backend)

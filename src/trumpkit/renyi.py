@@ -66,22 +66,6 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
     return sgn / (1.0 - float(alpha)) * log_s
 
 
-class RenyiProfile:
-    """Callable entropy-vs-order view of one vector, with the four special
-    orders precomputed."""
-
-    def __init__(self, x: ProbVec):
-        self.source = x
-        self.d_x = x.nonzero_dim
-        self.max_entropy = renyi_entropy(x, 0)
-        self.shannon = renyi_entropy(x, 1)
-        self.min_entropy = renyi_entropy(x, POS_INF)
-        self.neg_inf_limit = renyi_entropy(x, NEG_INF)
-
-    def __call__(self, alpha) -> float:
-        return renyi_entropy(self.source, alpha)
-
-
 @dataclass(frozen=True)
 class RFilterVerdict:
     status: str  # "violated" | "no_violation_found"
@@ -177,18 +161,7 @@ def equal_by_power_sums(x: ProbVec, y: ProbVec) -> bool:
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     n = x.dim
-    return all(power_sum_full(x, a) == power_sum_full(y, a)
-               for a in range(1, n + 1))
-
-
-def power_sum_full(x: ProbVec, alpha: int) -> Fraction:
-    """Power sum over all entries including zeros (zeros contribute nothing
-    for positive orders, so this is safe for the equality test)."""
-    if not x.backend.exact:
-        raise ValueError("exact power sums require the exact backend")
-    if alpha < 1:
-        raise ValueError("positive integer order required")
-    return sum((v ** alpha for v in x.entries), Fraction(0))
+    return all(power_sum(x, a) == power_sum(y, a) for a in range(1, n + 1))
 
 
 def r_properties_check(x: ProbVec, y: ProbVec, grid=None) -> dict:

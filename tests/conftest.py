@@ -79,6 +79,21 @@ def brute_majorizes(xs, ys):
     return True, None
 
 
+def brute_majorization_report(xs, ys):
+    """Oracle on plain sorted lists, one entry at a time: (verdict,
+    equality positions l < n, first_violation (l, e_l(x), e_l(y)))."""
+    ex = ey = Fraction(0)
+    equalities = set()
+    for l, (a, b) in enumerate(zip(xs[:-1], ys[:-1]), start=1):
+        ex += a
+        ey += b
+        if ex > ey:
+            return "fails", equalities, (l, ex, ey)
+        if ex == ey:
+            equalities.add(l)
+    return ("boundary" if equalities else "strict_interior"), equalities, None
+
+
 def brute_strict_interior(xs, ys):
     ex = Fraction(0)
     ey = Fraction(0)

@@ -2,8 +2,9 @@
 oracles in conftest: tensor powers, spectrum tensor products and the
 breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
 denominators near 1e4, plus agreement of the float backend with the exact
-one away from eps, and the catalyst constructions built on the kernel
-against their Fraction definitions."""
+one away from eps, majorizes against a per-entry Fraction walk, and the
+catalyst constructions built on the kernel against their Fraction
+definitions."""
 
 from fractions import Fraction as F
 from itertools import accumulate
@@ -11,12 +12,14 @@ from itertools import accumulate
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (LiftedCatalyst, ProbVec, float_backend, make_probvec,
-                      spectrum_majorizes, spectrum_of, spectrum_tensor, tensor,
-                      tensor_power, tensor_power_spectrum)
+from trumpkit import (LiftedCatalyst, ProbVec, float_backend, majorizes,
+                      make_probvec, spectrum_majorizes, spectrum_of,
+                      spectrum_tensor, tensor, tensor_power,
+                      tensor_power_spectrum)
 from trumpkit.catalysis import _mixed_power_catalyst, _verify_single_copy
 
-from conftest import brute_majorizes, brute_strict_interior, brute_tensor_power
+from conftest import (brute_majorization_report, brute_majorizes,
+                      brute_strict_interior, brute_tensor_power)
 
 # small parts give ties, zeros and uniform vectors; parts near 2000 give
 # denominators near 1e4 once normalized
@@ -106,6 +109,27 @@ def test_float_agrees_with_exact_away_from_eps(case):
     approx = spectrum_majorizes(tensor_power_spectrum(xf, k),
                                 tensor_power_spectrum(yf, k))
     assert approx.verdict == exact.verdict
+
+
+@st.composite
+def vector_pair(draw):
+    """Same-dimension x, y with n <= 8, often tied, zero-tailed or equal."""
+    n = draw(st.integers(1, 8))
+    x = draw(parts(n))
+    y = draw(st.one_of(parts(n), st.just(x), st.just([1] * n)))
+    return vec(x), vec(y)
+
+
+@PROPS
+@given(vector_pair())
+def test_majorizes_matches_per_entry_oracle(pair):
+    x, y = pair
+    rep = majorizes(x, y)
+    verdict, equalities, first = brute_majorization_report(x.entries,
+                                                           y.entries)
+    assert rep.verdict == verdict
+    assert rep.equality_indices == equalities
+    assert rep.first_violation == first
 
 
 def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from trumpkit import (ProbVec, check_direct_sum_interior_condition,
-                      check_overlap_chain, direct_sum, is_generalized_interior,
-                      is_interior, majorizes, make_probvec, spectrum_majorizes,
-                      spectrum_of, tensor, tensor_power_spectrum)
+                      check_overlap_chain, direct_sum, float_backend,
+                      is_generalized_interior, is_interior, majorizes,
+                      make_probvec, spectrum_majorizes, spectrum_of, tensor,
+                      tensor_power_spectrum)
 
 from conftest import (brute_majorizes, brute_strict_interior,
                       brute_tensor_power, random_majorized_below,
@@ -47,6 +48,38 @@ class TestMajorizes:
         with pytest.raises(ValueError):
             majorizes(fv("0.5", "0.5"), fv("1"))
 
+    def test_unequal_mass_raises(self):
+        half, light = ProbVec([F(1, 2)] * 2), ProbVec([F(3, 10)] * 2)
+        for x, y in ((half, light), (light, half)):
+            with pytest.raises(ValueError, match="total mass"):
+                majorizes(x, y)
+
+    def test_zero_segment_before_violation(self):
+        # l = 1 lies inside both tied blocks, off every breakpoint
+        rep = majorizes(fv("0.3", "0.3", "0.3", "0.1"),
+                        fv("0.3", "0.3", "0.2", "0.2"))
+        assert rep.equality_indices == frozenset({1, 2})
+        assert rep.first_violation == (3, F(9, 10), F(4, 5))
+
+    def test_equality_just_before_violation(self):
+        # the gap is zero at l = 3, inside the failing segment (2, 4]
+        x = fv(*["1/4"] * 4 + ["0"] * 4)
+        y = fv("3/8", "1/4", "1/8", "1/8", "1/8", "0", "0", "0")
+        rep = majorizes(x, y)
+        assert rep.equality_indices == frozenset({3})
+        assert rep.first_violation == (4, F(1), F(7, 8))
+
+    def test_float_violation_beyond_tolerance(self):
+        # e_2 differs by one rounding step: an equality, not the violation
+        be = float_backend(1e-12)
+        x = make_probvec([7 / 12, 1 / 6, 1 / 6, 1 / 12], backend=be)
+        y = make_probvec([0.625, 0.125, 0.125, 0.125], backend=be)
+        spec = spectrum_majorizes(spectrum_of(x), spectrum_of(y))
+        assert spec.first_violation[0] == 3
+        rep = majorizes(x, y)
+        assert rep.first_violation[0] == 3
+        assert rep.equality_indices == frozenset({2})
+
     def test_verdict_iff_violation(self):
         rng = random.Random(29)
         for _ in range(50):
@@ -77,6 +110,12 @@ class TestSpectrumMajorizes:
         s = tensor_power_spectrum(fv(*PAPER_Y), 2)
         rep = spectrum_majorizes(s, s)
         assert rep.verdict == "boundary"
+
+    def test_failing_report_keeps_zero_segment(self):
+        rep = spectrum_majorizes(spectrum_of(fv("0.3", "0.3", "0.3", "0.1")),
+                                 spectrum_of(fv("0.3", "0.3", "0.2", "0.2")))
+        assert not rep.holds
+        assert rep.zero_segment is True
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):

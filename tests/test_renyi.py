@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from trumpkit import (DEFAULT_ALPHA_GRID, RenyiProfile, make_probvec,
-                      r_filter, r_properties_check, renyi_entropy, tensor)
+from trumpkit import (DEFAULT_ALPHA_GRID, make_probvec, r_filter,
+                      r_properties_check, renyi_entropy, tensor)
 from trumpkit.renyi import NEG_INF, POS_INF, equal_by_power_sums, power_sum
 
 from conftest import random_majorized_below, random_rational_vec
@@ -75,12 +75,10 @@ class TestRenyiEntropy:
                 assert renyi_entropy(xc, a) == pytest.approx(
                     renyi_entropy(x, a) + renyi_entropy(c, a), abs=1e-9)
 
-    def test_profile_special_values(self):
-        p = RenyiProfile(PAPER_Y)
-        assert p.d_x == 3
-        assert p.max_entropy == pytest.approx(math.log2(3))
-        assert p.min_entropy == pytest.approx(1.0)
-        assert p(2) == pytest.approx(renyi_entropy(PAPER_Y, 2))
+    def test_paper_y_special_orders(self):
+        assert PAPER_Y.nonzero_dim == 3
+        assert renyi_entropy(PAPER_Y, 0) == pytest.approx(math.log2(3))
+        assert renyi_entropy(PAPER_Y, POS_INF) == pytest.approx(1.0)
 
 
 class TestSchurConcavity:
