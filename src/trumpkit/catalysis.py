@@ -22,7 +22,8 @@ from typing import Dict, Optional, Tuple, Union
 from .majorize import spectrum_majorizes
 from .mlocc import endpoint_filter_passes, in_Mk
 from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_direct_sum,
-                      spectrum_of, spectrum_tensor, tensor_power_spectrum)
+                      spectrum_of, spectrum_tensor, tensor_power_spectrum,
+                      tensor_powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +109,14 @@ def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int,
     tensored with c_prime when given, and its spectrum.  For k = 1 the
     direct sum is the trivial scalar catalyst (1).
 
-    The k term spectra are merged over one common scale and the result is
+    The powers of x and y grow one copy at a time (tensor_powers), the k
+    term spectra are merged over one common scale, and the result is
     expanded once, one scalar per distinct value.
     """
     be = x.backend
     one = Spectrum([(be.one(), 1)], be)
-    px = [one] + [tensor_power_spectrum(x, a) for a in range(1, k)]
-    py = [one] + [tensor_power_spectrum(y, a) for a in range(1, k)]
+    px = [one, *tensor_powers(x, k - 1)]
+    py = [one, *tensor_powers(y, k - 1)]
     sc = spectrum_direct_sum([spectrum_tensor(px[k - 1 - i], py[i])
                               for i in range(k)], k)
     if c_prime is not None:
@@ -178,12 +180,13 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
 def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
                             m_max: int) -> Dict[int, bool]:
     """For each m up to m_max: does borrowing m copies of c enable the
-    single-copy transformation?  Compressed spectra keep dim(c)^m implicit."""
+    single-copy transformation?  Compressed spectra keep dim(c)^m implicit,
+    and each c^(x)m grows from c^(x)(m-1) (tensor_powers)."""
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     sx, sy = spectrum_of(x), spectrum_of(y)
-    return {m: _catalyzes(sx, sy, tensor_power_spectrum(c, m))
-            for m in range(1, m_max + 1)}
+    return {m: _catalyzes(sx, sy, scm)
+            for m, scm in enumerate(tensor_powers(c, m_max), 1)}
 
 
 def _lattice_candidates(dim_c: int, resolution: int):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .majorize import spectrum_majorizes
-from .specvec import ProbVec, tensor_power_spectrum
+from .specvec import (ProbVec, spectrum_of, tensor_power_spectrum,
+                      tensor_powers)
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,27 @@ class UsefulnessVerdict:
 
 
 def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
-    """Whether k copies of x convert jointly to k copies of y."""
+    """Whether k copies of x convert jointly to k copies of y.
+
+    Two exact facts settle most pairs without building x^(x)k: x
+    majorized by y implies x^(x)k majorized by y^(x)k for every k, and
+    membership at any k needs x_1 <= y_1 and x_n >= y_n.  The checks run
+    in this order: dimensions; k >= 1; the one-copy walk on the spectra
+    of x and y, which raises on a total mass mismatch and answers True
+    when it holds; False at k = 1 or when the endpoint filter fails; only
+    then are both k-th powers enumerated, from the spectra already built.
+    """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return spectrum_majorizes(tensor_power_spectrum(x, k),
-                              tensor_power_spectrum(y, k)).holds
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    if spectrum_majorizes(sx, sy).holds:
+        return True
+    if k == 1 or not endpoint_filter_passes(x, y):
+        return False
+    return spectrum_majorizes(tensor_power_spectrum(x, k, sx),
+                              tensor_power_spectrum(y, k, sy)).holds
 
 
 def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
@@ -68,8 +83,15 @@ def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     """Check every k up to k_max.  Success is not monotone in k, so all
-    requested k are evaluated; the endpoint filter short-circuits the
-    hopeless case."""
+    requested k are evaluated.
+
+    Membership at any k needs x_1 <= y_1 and x_n >= y_n, so after the
+    dimension and k_max checks the endpoint filter runs first and, when it
+    fails, marks every k 'fails' without building a spectrum.  Otherwise
+    x^(x)k and y^(x)k are grown from the previous k (tensor_powers) and
+    compared; the k = 1 walk raises on a total mass mismatch.  (x
+    majorized by y implies success at every k, but the verdict strings
+    still differ by k, so each k is walked.)"""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     if k_max < 1:
@@ -79,9 +101,9 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
                          None, short_circuited=True)
     results = {}
     first = None
-    for k in range(1, k_max + 1):
-        rep = spectrum_majorizes(tensor_power_spectrum(x, k),
-                                 tensor_power_spectrum(y, k))
+    for k, sxk, syk in zip(range(1, k_max + 1), tensor_powers(x, k_max),
+                           tensor_powers(y, k_max)):
+        rep = spectrum_majorizes(sxk, syk)
         results[k] = rep.verdict
         if rep.holds and first is None:
             first = k

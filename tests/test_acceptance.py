@@ -223,3 +223,19 @@ def test_criterion_12_performance_gate():
     assert elapsed < 10.0
     report(12, "n=4, k=30 membership check finished in %.2fs "
                "(brute force would need 4^30 entries)" % elapsed)
+
+
+def test_criterion_12_enumeration_gate():
+    # in_Mk settles the criterion-12 pair at one copy (x is majorized by
+    # y, hence at every k), so this gate times the k=30 enumeration and
+    # walk themselves on the same pair and bound
+    x = make_probvec(["7/17", "5/17", "3/17", "2/17"])
+    y = make_probvec(["8/17", "4/17", "3/17", "2/17"])
+    t0 = time.monotonic()
+    sx, sy = tensor_power_spectrum(x, 30), tensor_power_spectrum(y, 30)
+    rep = spectrum_majorizes(sx, sy)
+    elapsed = time.monotonic() - t0
+    assert len(sx.blocks) == math.comb(33, 3)
+    assert rep.holds
+    assert elapsed < 10.0
+    report(12, "n=4, k=30 enumeration and walk finished in %.2fs" % elapsed)

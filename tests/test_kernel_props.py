@@ -4,19 +4,21 @@ breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
 denominators near 1e4, plus agreement of the float backend with the exact
 one away from eps, majorizes against a per-entry Fraction walk, and the
 catalyst constructions built on the kernel against their Fraction
-definitions."""
+definitions, the incremental power chain against direct enumeration, and
+in_Mk's one-copy pre-decision and scan_Mk against the per-k walk."""
 
 from fractions import Fraction as F
 from itertools import accumulate
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (LiftedCatalyst, ProbVec, float_backend, majorizes,
-                      make_probvec, spectrum_majorizes, spectrum_of,
-                      spectrum_tensor, tensor, tensor_power,
-                      tensor_power_spectrum)
+from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, float_backend,
+                      in_Mk, majorizes, make_probvec, scan_Mk,
+                      spectrum_majorizes, spectrum_of, spectrum_tensor,
+                      tensor, tensor_power, tensor_power_spectrum)
 from trumpkit.catalysis import _mixed_power_catalyst, _verify_single_copy
+from trumpkit.specvec import tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
                       brute_strict_interior, brute_tensor_power)
@@ -195,3 +197,76 @@ def test_lifted_catalyst_is_its_tensor_power(c, n):
     assert lifted == full and full == lifted
     assert lifted.spectrum() == spectrum_of(full)
     assert lifted.to_json() == full.to_json()
+
+
+def state(s):
+    return s._int_vals, s._counts, s._scale, s._mass
+
+
+@PROPS
+@given(st.integers(1, 6).flatmap(parts), st.integers(1, 8))
+def test_power_chain_is_direct_enumeration(x, k_max):
+    # up to six distinct values and k = 8: collision-free inputs reach the
+    # steps that enumerate instead of tensoring
+    x = vec(x)
+    chain = list(tensor_powers(x, k_max))
+    assert len(chain) == k_max
+    for k, s in enumerate(chain, 1):
+        direct = tensor_power_spectrum(x, k)
+        assert state(s) == state(direct)
+        assert s.total_mass() == 1
+
+
+@PROPS
+@given(st.integers(1, 8).flatmap(parts), st.booleans())
+def test_spectrum_of_matches_distinct_blocks(x, as_float):
+    x = vec(x)
+    if as_float:
+        be = float_backend(1e-12)
+        x = make_probvec([float(v) for v in x], backend=be)
+    want = Spectrum(x.distinct(), x.backend)
+    got = spectrum_of(x)
+    assert got == want
+    assert state(got) == state(want)
+
+
+@st.composite
+def pair_and_big_k(draw):
+    """Same-dimension x, y and a k with n^k <= 4096, often tied,
+    zero-tailed, equal or uniform."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, {1: 12, 2: 12, 3: 7, 4: 6, 5: 5, 6: 4}[n]))
+    x = draw(parts(n))
+    y = draw(st.one_of(parts(n), st.just(x), st.just([1] * n)))
+    return vec(x), vec(y), k
+
+
+PAPER = (vec([4, 4, 1, 1]), vec([2, 1, 1, 0]))
+
+
+@PROPS
+@given(pair_and_big_k())
+@example((*PAPER, 2))
+@example((*PAPER, 3))
+@example((*PAPER[::-1], 3))
+def test_in_Mk_matches_enumeration_and_brute(case):
+    x, y, k = case
+    got = in_Mk(x, y, k)
+    assert got == spectrum_majorizes(tensor_power_spectrum(x, k),
+                                     tensor_power_spectrum(y, k)).holds
+    assert got == brute_majorizes(brute_tensor_power(x, k),
+                                  brute_tensor_power(y, k))[0]
+
+
+@PROPS
+@given(pair_and_k(), st.integers(1, 6))
+@example((*PAPER, 1), 4)
+def test_scan_Mk_matches_per_k_walk(case, k_max):
+    x, y, _ = case
+    scan = scan_Mk(x, y, k_max)
+    want = {k: spectrum_majorizes(tensor_power_spectrum(x, k),
+                                  tensor_power_spectrum(y, k)).verdict
+            for k in range(1, k_max + 1)}
+    assert scan.results == want
+    assert scan.first_success == next(
+        (k for k, v in want.items() if v != "fails"), None)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from trumpkit import mlocc, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
                       in_Mk, is_interior_of_M, lemma3_k_condition, majorizes,
                       make_probvec, nonclosedness_witness, scan_Mk,
@@ -80,6 +81,52 @@ class TestInMk:
             bwd = any(in_Mk(y, x, k) for k in (1, 2, 3))
             if fwd and bwd:
                 assert x == y
+
+
+class TestInMkPreDecision:
+    # at one copy: HOLD_X is majorized by HOLD_Y; EARLY_X has the larger
+    # head (fails at l = 1); LATE_X the smaller tail (fails at l = n - 1)
+    HOLD_X, HOLD_Y = fv("0.3", "0.3", "0.2", "0.2"), fv("0.4", "0.3",
+                                                        "0.2", "0.1")
+    EARLY_X = fv("0.6", "0.2", "0.1", "0.1")
+    LATE_X = fv("0.3", "0.3", "0.35", "0.05")
+
+    def test_decided_pairs_never_enumerate(self, monkeypatch):
+        scan = scan_Mk(PAPER_X, PAPER_Y, 4)
+
+        def refuse(*a, **kw):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+        assert in_Mk(self.HOLD_X, self.HOLD_Y, 40)
+        assert not in_Mk(self.EARLY_X, self.HOLD_Y, 40)
+        assert not in_Mk(self.LATE_X, self.HOLD_Y, 40)
+        assert scan_Mk(PAPER_X, PAPER_Y, 4) == scan
+
+    def test_spectra_built_once(self, monkeypatch):
+        built = []
+        real = specvec.spectrum_of
+
+        def counting(x):
+            built.append(x)
+            return real(x)
+        monkeypatch.setattr(specvec, "spectrum_of", counting)
+        monkeypatch.setattr(mlocc, "spectrum_of", counting)
+        assert in_Mk(PAPER_X, PAPER_Y, 3)
+        assert built == [PAPER_X, PAPER_Y]
+
+    def test_mass_mismatch_raises_before_endpoint_filter(self):
+        big = ProbVec([F(1, 2), F(1, 2)])
+        small = ProbVec([F(3, 10), F(3, 10)])
+        for x, y in ((big, small), (small, big)):
+            assert not mlocc.endpoint_filter_passes(x, y)
+            with pytest.raises(ValueError, match="total mass mismatch"):
+                in_Mk(x, y, 3)
+
+    def test_errors_before_shortcuts(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            in_Mk(self.HOLD_X, fv("0.5", "0.5"), 2)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            in_Mk(self.HOLD_X, self.HOLD_Y, 0)
 
 
 class TestScanMk:

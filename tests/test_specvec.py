@@ -7,7 +7,8 @@ import pytest
 from trumpkit import (EXACT, ProbVec, Spectrum, direct_sum, float_backend,
                       make_probvec, pad_to, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
-from trumpkit.specvec import parse_vector_literal
+from trumpkit import specvec
+from trumpkit.specvec import parse_vector_literal, tensor_powers
 
 from conftest import brute_tensor_power, random_rational_vec
 
@@ -221,3 +222,36 @@ class TestTensorPowerSpectrumOneCopy:
         s = tensor_power_spectrum(x, 1)
         assert s == spectrum_of(x)
         assert len(s.blocks) == s.total_count == 1200
+
+
+def state(s):
+    return s._int_vals, s._counts, s._scale, s._mass
+
+
+class TestTensorPowers:
+    def test_collision_free_steps_switch_to_enumeration(self, monkeypatch):
+        # six prime numerators: no product collisions, so S_k grows as
+        # fast as the compositions and the late steps enumerate
+        x = make_probvec([13, 11, 7, 5, 3, 2], normalize=True)
+        want = [state(tensor_power_spectrum(x, k)) for k in range(1, 9)]
+        calls = {"tensor": 0, "enumerate": 0}
+        for name, key in (("spectrum_tensor", "tensor"),
+                          ("tensor_power_spectrum", "enumerate")):
+            def counting(*a, _f=getattr(specvec, name), _k=key):
+                calls[_k] += 1
+                return _f(*a)
+            monkeypatch.setattr(specvec, name, counting)
+        assert [state(s) for s in tensor_powers(x, 8)] == want
+        assert calls["tensor"] and calls["enumerate"]
+
+    def test_colliding_values_never_enumerate(self, monkeypatch):
+        x = make_probvec([8, 4, 2, 1, 1], normalize=True)
+        want = [state(tensor_power_spectrum(x, k)) for k in range(1, 21)]
+
+        def refuse(*a):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+        assert [state(s) for s in tensor_powers(x, 20)] == want
+
+    def test_zero_length_chain(self):
+        assert list(tensor_powers(fv("0.6", "0.4"), 0)) == []
