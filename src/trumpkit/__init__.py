@@ -17,8 +17,9 @@ from .mlocc import (MloccScan, UsefulnessVerdict, classify_usefulness,
 from .catalysis import (CatalystCert, LiftedCatalyst, build_catalyst_thm1,
                         combine_catalysts, lift_catalyst,
                         multicopy_catalyst_scan, search_catalyst)
-from .renyi import (DEFAULT_ALPHA_GRID, RFilterVerdict, r_filter,
-                    r_properties_check, renyi_entropy)
+from .renyi import (DEFAULT_ALPHA_GRID, RFilterVerdict,
+                    power_sum_refutation, r_filter, r_properties_check,
+                    renyi_entropy)
 
 __version__ = "0.1.0"
 
@@ -36,6 +37,6 @@ __all__ = [
     "CatalystCert", "LiftedCatalyst", "build_catalyst_thm1",
     "combine_catalysts", "lift_catalyst", "multicopy_catalyst_scan",
     "search_catalyst",
-    "DEFAULT_ALPHA_GRID", "RFilterVerdict", "r_filter",
-    "r_properties_check", "renyi_entropy",
+    "DEFAULT_ALPHA_GRID", "RFilterVerdict", "power_sum_refutation",
+    "r_filter", "r_properties_check", "renyi_entropy",
 ]

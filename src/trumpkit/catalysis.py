@@ -5,7 +5,9 @@ y^(x)k) into an explicit single-copy catalyst: the normalized direct sum
 of the k mixed powers x^(k-1-i) (x) y^(i).  Combination with an auxiliary
 catalyst and lifting to multiple copies are both constructive; the random
 search is an explicitly heuristic stand-in for exact fixed-dimension
-algorithms and never interprets absence as nonexistence.
+algorithms: absence after its trials is never read as nonexistence, and
+only an exact power-sum refutation (renyi.power_sum_refutation) stops it
+before any trial.
 
 Construction and verification run on integer spectra: x (x) c is never
 built, and a lift to n copies is returned factored (LiftedCatalyst), so
@@ -21,6 +23,7 @@ from typing import Dict, Optional, Tuple, Union
 
 from .majorize import spectrum_majorizes
 from .mlocc import endpoint_filter_passes, in_Mk
+from .renyi import power_sum_refutation
 from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_direct_sum,
                       spectrum_of, spectrum_tensor, tensor_power_spectrum,
                       tensor_powers)
@@ -147,6 +150,7 @@ def combine_catalysts(x: ProbVec, y: ProbVec, k: int,
                       c_prime: ProbVec) -> CatalystCert:
     """Turn a k-copy catalyst-assisted witness into a single-copy catalyst
     c'' = c (x) c', with c the k-copy construction over (x, y)."""
+    _check_dims(x, y)
     if not _catalyzes(tensor_power_spectrum(x, k), tensor_power_spectrum(y, k),
                       spectrum_of(c_prime)):
         raise ValueError("precondition fails: x^(x)%d (x) c' not majorized "
@@ -182,6 +186,7 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     """For each m up to m_max: does borrowing m copies of c enable the
     single-copy transformation?  Compressed spectra keep dim(c)^m implicit,
     and each c^(x)m grows from c^(x)(m-1) (tensor_powers)."""
+    _check_dims(x, y)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     sx, sy = spectrum_of(x), spectrum_of(y)
@@ -210,13 +215,19 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     """Heuristic catalyst search: a coarse lattice pass then seeded random
     sampling of sorted simplex points (rationalized for the exact backend).
     Absence after `budget` trials is a normal outcome, never a proof of
-    nonexistence."""
+    nonexistence.  None comes back without a trial when the endpoint
+    filter fails or, after the one-copy walk (which raises on a total mass
+    mismatch) has failed, when a power sum refutes the pair: then no
+    catalyst of any dimension exists (power_sum_refutation)."""
     if dim_c < 1:
         raise ValueError("dim_c must be >= 1")
+    _check_dims(x, y)
     if not endpoint_filter_passes(x, y):
         return None
-    _check_dims(x, y)
     sx, sy = spectrum_of(x), spectrum_of(y)
+    if (not spectrum_majorizes(sx, sy).holds
+            and power_sum_refutation(sx, sy) is not None):
+        return None
     be = x.backend
     if dim_c == 1:
         c = ProbVec([be.one()], be)

@@ -107,8 +107,8 @@ def cmd_mlocc(args) -> int:
     scan = mlocc.scan_Mk(x, y, args.k_max)
     payload = scan.to_json()
     if scan.first_success is None:
-        payload["flag"] = ("not_member" if scan.short_circuited
-                           else "unknown")
+        excluded = scan.short_circuited or scan.refuting_order is not None
+        payload["flag"] = "not_member" if excluded else "unknown"
     _emit(payload, args.as_json)
     return 0 if scan.first_success is not None else 1
 
@@ -121,6 +121,11 @@ def cmd_catalyst(args) -> int:
         k = args.k
         if k is None:
             scan = mlocc.scan_Mk(x, y, args.k_max)
+            if scan.refuting_order is not None:
+                _emit({"error": "no k exists: the power sum of order %d "
+                       "refutes every k" % scan.refuting_order,
+                       "refuting_order": scan.refuting_order}, args.as_json)
+                return 1
             k = scan.first_success
             if k is None:
                 _emit({"error": "no multi-copy witness within k_max=%d"
@@ -141,6 +146,14 @@ def cmd_catalyst(args) -> int:
         cert = catalysis.search_catalyst(x, y, args.dim_c, args.budget,
                                          args.seed)
         if cert is None:
+            order = renyi.power_sum_refutation(spectrum_of(x),
+                                               spectrum_of(y))
+            if order is not None:
+                _emit({"result": "none", "refuting_order": order,
+                       "note": "no catalyst of any dimension exists: the "
+                               "power sum of order %d refutes the pair"
+                               % order}, args.as_json)
+                return 1
             _emit({"result": "absent",
                    "note": "no catalyst found within budget; absence is "
                            "not a proof of nonexistence"}, args.as_json)

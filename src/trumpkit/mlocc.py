@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .majorize import spectrum_majorizes
+from .renyi import power_sum_refutation
 from .specvec import (ProbVec, spectrum_of, tensor_power_spectrum,
                       tensor_powers)
 
@@ -25,6 +26,8 @@ class MloccScan:
     results: Dict[int, str]  # k -> verdict
     first_success: Optional[int]
     short_circuited: bool = False  # endpoint filter excluded x outright
+    # power-sum order that excludes x at every k (power_sum_refutation)
+    refuting_order: Optional[int] = None
 
     def to_json(self):
         return {
@@ -32,6 +35,7 @@ class MloccScan:
             "results": {str(k): v for k, v in sorted(self.results.items())},
             "first_success": self.first_success,
             "short_circuited": self.short_circuited,
+            "refuting_order": self.refuting_order,
         }
 
 
@@ -52,13 +56,15 @@ class UsefulnessVerdict:
 def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     """Whether k copies of x convert jointly to k copies of y.
 
-    Two exact facts settle most pairs without building x^(x)k: x
-    majorized by y implies x^(x)k majorized by y^(x)k for every k, and
-    membership at any k needs x_1 <= y_1 and x_n >= y_n.  The checks run
-    in this order: dimensions; k >= 1; the one-copy walk on the spectra
-    of x and y, which raises on a total mass mismatch and answers True
-    when it holds; False at k = 1 or when the endpoint filter fails; only
-    then are both k-th powers enumerated, from the spectra already built.
+    Three exact facts settle most pairs without building x^(x)k: x
+    majorized by y implies x^(x)k majorized by y^(x)k for every k,
+    membership at any k needs x_1 <= y_1 and x_n >= y_n, and it needs the
+    power sums that power_sum_refutation compares.  The checks run in
+    this order: dimensions; k >= 1; the one-copy walk on the spectra of x
+    and y, which raises on a total mass mismatch and answers True when it
+    holds; False at k = 1, when the endpoint filter fails or when a power
+    sum refutes the pair; only then are both k-th powers enumerated, from
+    the spectra already built.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
@@ -67,7 +73,8 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     sx, sy = spectrum_of(x), spectrum_of(y)
     if spectrum_majorizes(sx, sy).holds:
         return True
-    if k == 1 or not endpoint_filter_passes(x, y):
+    if (k == 1 or not endpoint_filter_passes(x, y)
+            or power_sum_refutation(sx, sy) is not None):
         return False
     return spectrum_majorizes(tensor_power_spectrum(x, k, sx),
                               tensor_power_spectrum(y, k, sy)).holds
@@ -87,23 +94,31 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
 
     Membership at any k needs x_1 <= y_1 and x_n >= y_n, so after the
     dimension and k_max checks the endpoint filter runs first and, when it
-    fails, marks every k 'fails' without building a spectrum.  Otherwise
-    x^(x)k and y^(x)k are grown from the previous k (tensor_powers) and
-    compared; the k = 1 walk raises on a total mass mismatch.  (x
-    majorized by y implies success at every k, but the verdict strings
-    still differ by k, so each k is walked.)"""
+    fails, marks every k 'fails' without building a spectrum
+    (short_circuited).  Otherwise x^(x)k and y^(x)k are grown from the
+    previous k (tensor_powers) and compared; the k = 1 walk raises on a
+    total mass mismatch.  When that walk fails and a power sum refutes the
+    pair (power_sum_refutation), every k is marked 'fails' and no second
+    power is built.  (x majorized by y implies success at every k, but the
+    verdict strings still differ by k, so each k is walked.)"""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    every_k_fails = {k: "fails" for k in range(1, k_max + 1)}
     if not endpoint_filter_passes(x, y):
-        return MloccScan(x, y, k_max, {k: "fails" for k in range(1, k_max + 1)},
-                         None, short_circuited=True)
+        return MloccScan(x, y, k_max, every_k_fails, None,
+                         short_circuited=True)
     results = {}
     first = None
     for k, sxk, syk in zip(range(1, k_max + 1), tensor_powers(x, k_max),
                            tensor_powers(y, k_max)):
         rep = spectrum_majorizes(sxk, syk)
+        if k == 1 and not rep.holds:
+            order = power_sum_refutation(sxk, syk)
+            if order is not None:
+                return MloccScan(x, y, k_max, every_k_fails, None,
+                                 refuting_order=order)
         results[k] = rep.verdict
         if rep.holds and first is None:
             first = k
@@ -160,9 +175,10 @@ def corollary4_k_bound(y: ProbVec, k_max: int) -> Optional[int]:
 def is_interior_of_M(x: ProbVec, y: ProbVec, k_max: int) -> str:
     """Classify x against the multi-copy region of y within a bounded scan:
     'interior' / 'boundary' once membership is found (endpoints decide),
-    'not_member' when the endpoint filter excludes x, else 'unknown'."""
+    'not_member' when the endpoint filter or a power sum excludes x at
+    every k, else 'unknown'."""
     scan = scan_Mk(x, y, k_max)
-    if scan.short_circuited:
+    if scan.short_circuited or scan.refuting_order is not None:
         return "not_member"
     if scan.first_success is None:
         return "unknown"

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
-from .specvec import ProbVec
+from .specvec import ProbVec, Spectrum
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -37,6 +38,76 @@ def power_sum(x: ProbVec, alpha: int) -> Fraction:
     if not x.backend.exact:
         raise ValueError("exact power sums require the exact backend")
     return sum((v ** alpha for v in _nonzero(x)), Fraction(0))
+
+
+def _first_excess(u, m, fu, w, n, fw, first: int, last: int = 8):
+    """Least e in first..last with P_e(u / fu) > P_e(w / fw), or None.
+
+    u and w are integer numerators with counts m and n over the scales fu
+    and fw; the comparison is sum m_i u_i^e * fw^e > sum n_j w_j^e * fu^e,
+    every power a running product."""
+    pu, pw, gu, gw = u, w, fu, fw
+    for e in range(1, last + 1):
+        if e > 1:
+            pu, pw = list(map(mul, pu, u)), list(map(mul, pw, w))
+            gu, gw = gu * fu, gw * fw
+        if e >= first and (sum(map(mul, m, pu)) * gw
+                           > sum(map(mul, n, pw)) * gu):
+            return e
+    return None
+
+
+def _nonzero_blocks(s: Spectrum):
+    """Numerators and counts of the nonzero blocks of s."""
+    if s._int_vals[-1]:
+        return s._int_vals, s._counts
+    return s._int_vals[:-1], s._counts[:-1]
+
+
+def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
+    """First integer order that proves no number of copies and no
+    catalyst turns x into y, or None.
+
+    The power sum P_a(v) = sum of v_i^a over the nonzero entries is
+    multiplicative: P_a(x^(x)k) = P_a(x)^k and P_a(x (x) c) =
+    P_a(x) P_a(c).  x majorized by y forces P_a(x) <= P_a(y) for every
+    a > 1, since t^a is convex.  It also forces x to have at least as many
+    nonzero entries as y (order 0), and when the counts are equal,
+    P_a(x) <= P_a(y) for every a < 0: both supports are then a prefix of
+    the same length that x's majorizes, and t^a is convex on t > 0.  So
+    an order that breaks one of these at one copy breaks it at every k
+    and with every catalyst of any dimension.
+
+    Orders run 2..8, then -1..-8 when x and y have equally many nonzero
+    entries, or 0 when x has fewer (with more, negative orders prove
+    nothing).  Of 100 pairs from the multicopy benchmark's mid slots (both
+    endpoint tests pass, one copy fails) that do not convert at the slot's
+    k, orders 2..8 and -1..-8 refuted 79 and orders 9..32 one more, so the
+    list stops at 8.
+
+    All arithmetic is on the spectra's integers.  With x's values p_i / D_x
+    (counts m_i) and y's q_j / D_y (counts n_j), order a > 0 compares
+    sum m_i p_i^a * D_y^a with sum n_j q_j^a * D_x^a, and a negative order
+    compares the reciprocals the same way over the lcm of the numerators.
+    The first violation stops the test.  sx and sy must carry equal total
+    mass, which the one-copy walk checks.  Exact backend only: on the
+    float backend the answer is None.
+    """
+    if not sx.backend.exact:
+        return None
+    order = _first_excess(sx._int_vals, sx._counts, sx._scale,
+                          sy._int_vals, sy._counts, sy._scale, 2)
+    if order is not None:
+        return order
+    (vx, mx), (vy, my) = _nonzero_blocks(sx), _nonzero_blocks(sy)
+    dx, dy = sum(mx), sum(my)
+    if dx != dy:
+        return 0 if dx < dy else None
+    # 1 / (p / D) = D * (L // p) / L, L the lcm of the nonzero numerators
+    lx, ly = math.lcm(*vx), math.lcm(*vy)
+    order = _first_excess([sx._scale * (lx // p) for p in vx], mx, lx,
+                          [sy._scale * (ly // q) for q in vy], my, ly, 1)
+    return None if order is None else -order
 
 
 def renyi_entropy(x: ProbVec, alpha) -> float:
@@ -72,7 +143,9 @@ class RFilterVerdict:
     violating_alpha: Optional[float] = None
     mode: str = "dims_equal"  # "dims_differ" | "dims_equal"
     grid_used: tuple = ()
-    float_alphas_used: bool = False  # non-integer orders went through floats
+    # non-integer orders went through floats; a = 1 (Shannon) does too but
+    # is not counted until it is certified (an open ROADMAP.md item)
+    float_alphas_used: bool = False
 
     @property
     def violated(self) -> bool:
@@ -93,22 +166,32 @@ class RFilterVerdict:
         }
 
 
+def _sign(v) -> int:
+    return (v > 0) - (v < 0)
+
+
 def _entropy_diff_sign(x: ProbVec, y: ProbVec, alpha,
                        tol: float = 1e-12) -> int:
-    """Sign of S(x) - S(y) at one order.  Integer orders on the exact
-    backend compare power sums exactly (the log and prefactor only flip or
-    keep orientation); everything else uses floats with a tolerance."""
+    """Sign of S(x) - S(y) at one order.
+
+    On the exact backend every order but 1 and the non-integer ones is a
+    rational comparison: the nonzero counts at 0, the largest entries at
+    +inf (S = -log2 max), the smallest nonzero entries at -inf
+    (S = log2 min), and power sums at the other integers.  Everything
+    else uses floats with a tolerance."""
     be = x.backend
-    is_finite = not (isinstance(alpha, float) and math.isinf(alpha))
-    if be.exact and is_finite and float(alpha) == int(alpha) \
-            and int(alpha) not in (0, 1):
-        a = int(alpha)
-        px, py = power_sum(x, a), power_sum(y, a)
-        # S-order vs power-sum order: reversed for a > 1 and a < 0,
-        # preserved for 0 < a < 1
-        flip = a > 1 or a < 0
-        c = (px > py) - (px < py)
-        return -c if flip else c
+    if be.exact:
+        if alpha == POS_INF:
+            return _sign(y.entries[0] - x.entries[0])
+        if alpha == NEG_INF:
+            return _sign(min(_nonzero(x)) - min(_nonzero(y)))
+        if float(alpha) == int(alpha) and int(alpha) != 1:
+            a = int(alpha)
+            if a == 0:
+                return _sign(x.nonzero_dim - y.nonzero_dim)
+            # at integer a > 1 and a < 0 the entropy order reverses the
+            # power-sum order
+            return _sign(power_sum(y, a) - power_sum(x, a))
     dx = renyi_entropy(x, alpha) - renyi_entropy(y, alpha)
     if abs(dx) <= tol:
         return 0

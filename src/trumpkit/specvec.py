@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -322,6 +323,12 @@ def spectrum_direct_sum(parts, weight: int) -> Spectrum:
 _COMPOSITION_COST = 3
 
 
+def _walk_too_deep(d: int) -> bool:
+    """Would enumerating over d distinct values (one recursion level
+    each) come near the interpreter's recursion limit?"""
+    return d > sys.getrecursionlimit() // 2
+
+
 def tensor_powers(x: ProbVec, k_max: int):
     """Yield the spectra of x^(x)1, ..., x^(x)k_max, each grown from the
     previous one.
@@ -332,13 +339,14 @@ def tensor_powers(x: ProbVec, k_max: int):
     enumerates S_k directly (tensor_power_spectrum) instead.  The choice
     weighs the d * |S_(k-1)| block products of a step against the
     C(d+k-1, d-1) compositions of an enumeration, d being the number of
-    distinct values: both are properties of x, not settings.
+    distinct values: both are properties of x, not settings.  With d near
+    the recursion limit every step tensors.
     """
     s = base = spectrum_of(x)
     d = len(base._counts)
     for k in range(1, k_max + 1):
         if k > 1:
-            cheaper = d * len(s._counts) <= (
+            cheaper = _walk_too_deep(d) or d * len(s._counts) <= (
                 _COMPOSITION_COST * math.comb(d + k - 1, d - 1))
             s = (spectrum_tensor(s, base) if cheaper
                  else tensor_power_spectrum(x, k, base))
@@ -357,6 +365,9 @@ def tensor_power_spectrum(x: ProbVec, k: int,
     counts are running products over precomputed power tables.  k = 1 is
     spectrum_of(x) itself, with no enumeration.  A caller that already
     holds spectrum_of(x) passes it as base, so it is not built again.
+    The enumeration recurses once per distinct value; where that would
+    come near the recursion limit, the power is built as the chain
+    spectrum_tensor(S_(j-1), S_1), j = 2..k, instead.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -364,6 +375,11 @@ def tensor_power_spectrum(x: ProbVec, k: int,
         base = spectrum_of(x)
     if k == 1:
         return base
+    if _walk_too_deep(len(base._counts)):
+        s = base
+        for _ in range(k - 1):
+            s = spectrum_tensor(s, base)
+        return s
     nums, mults = base._int_vals, base._counts
     pw = [[p ** a for a in range(k + 1)] for p in nums]
     mw = [[m ** a for a in range(k + 1)] for m in mults]

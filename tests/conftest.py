@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from trumpkit import ProbVec, make_probvec
+from trumpkit.renyi import power_sum
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -103,3 +104,16 @@ def brute_strict_interior(xs, ys):
         if ex >= ey:
             return False
     return True
+
+
+def power_sum_refutes(x, y, order):
+    """Does an order that power_sum_refutation reported really exclude x
+    -> y?  Rechecked with Fraction power sums: order 0 needs fewer nonzero
+    entries in x, other orders a larger power sum of x, negative orders
+    only on equally many nonzero entries."""
+    px, py = power_sum(x, order), power_sum(y, order)
+    if order == 0:
+        return px < py
+    if order < 0 and x.nonzero_dim != y.nonzero_dim:
+        return False
+    return px > py

@@ -7,6 +7,7 @@ from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
                       combine_catalysts, in_Mk, lift_catalyst, majorizes,
                       make_probvec, multicopy_catalyst_scan, search_catalyst,
                       tensor)
+from trumpkit import catalysis
 from trumpkit.catalysis import reduce_catalyst
 
 from conftest import random_rational_vec
@@ -165,6 +166,45 @@ class TestSearchCatalyst:
         assert (a is None) == (b is None)
         if a is not None:
             assert a.catalyst == b.catalyst
+
+
+class TestSearchRefutation:
+    # both endpoint tests pass and one copy fails; P_2 is 0.455 against
+    # 0.435, so no catalyst of any dimension exists
+    MID_X = fv("0.6", "0.3", "0.05", "0.05")
+    MID_Y = fv("0.6", "0.25", "0.1", "0.05")
+
+    def test_refuted_pair_runs_no_trial(self, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("ran a trial")
+        monkeypatch.setattr(catalysis, "make_probvec", refuse)
+        for dim_c in (2, 3):
+            assert search_catalyst(self.MID_X, self.MID_Y, dim_c, 10_000,
+                                   seed=0) is None
+
+    def test_mass_mismatch_still_raises(self):
+        light = ProbVec([F(3, 10)] * 4)
+        with pytest.raises(ValueError, match="total mass mismatch"):
+            search_catalyst(light, ProbVec([F(3, 10)] * 3 + [F(1, 10)]),
+                            2, 10, seed=0)
+
+
+class TestDimensionChecks:
+    X4 = fv("0.4", "0.3", "0.2", "0.1")
+    Y5 = fv("0.4", "0.3", "0.1", "0.1", "0.1")
+
+    def test_combine_rejects_unequal_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 5"):
+            combine_catalysts(self.X4, self.Y5, 2, Z)
+
+    def test_multicopy_scan_rejects_unequal_dimensions(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 5"):
+            multicopy_catalyst_scan(self.X4, self.Y5, Z, 3)
+
+    def test_search_checks_dimensions_before_the_endpoint_filter(self):
+        x = fv("0.7", "0.1", "0.1", "0.1")  # x_1 > y_1
+        with pytest.raises(ValueError, match="dimension mismatch: 4 vs 5"):
+            search_catalyst(x, self.Y5, 2, 10, seed=0)
 
 
 class TestMulticopyCatalystScan:

@@ -15,6 +15,10 @@ Y = str(corpus_path("y_0.5_0.25_0.25_0.json"))
 Y3 = str(corpus_path("y_0.5_0.25_0.25.json"))
 Z = str(corpus_path("z_0.6_0.4.json"))
 ZP = str(corpus_path("zprime_0.55_0.45.json"))
+# both endpoint tests pass and one copy fails; the order-2 power sum
+# refutes every k and every catalyst
+MID_X = str(corpus_path("x_0.6_0.3_0.05_0.05.json"))
+MID_Y = str(corpus_path("y_0.6_0.25_0.1_0.05.json"))
 
 
 def run(capsys, *argv):
@@ -121,6 +125,50 @@ class TestCatalystCommand:
         code, _ = run(capsys, "catalyst", "combine", "--x", X, "--y", Y,
                       "--c", ZP, "--k", "1")
         assert code == 2
+
+
+class TestPowerSumRefutationCommands:
+    def test_mlocc_reports_not_member_with_order(self, capsys):
+        code, out = run(capsys, "mlocc", "--x", MID_X, "--y", MID_Y,
+                        "--k-max", "30", "--json")
+        assert code == 1
+        scan = json.loads(out)
+        assert scan["flag"] == "not_member"
+        assert scan["refuting_order"] == 2
+        assert scan["short_circuited"] is False
+        assert set(scan["results"].values()) == {"fails"}
+
+    def test_mlocc_plain_text_prints_order(self, capsys):
+        code, out = run(capsys, "mlocc", "--x", MID_X, "--y", MID_Y)
+        assert code == 1
+        assert "refuting_order: 2" in out
+
+    def test_search_reports_none(self, capsys):
+        code, out = run(capsys, "catalyst", "search", "--x", MID_X, "--y",
+                        MID_Y, "--dim-c", "3", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["result"] == "none"
+        assert payload["refuting_order"] == 2
+        assert "no catalyst of any dimension" in payload["note"]
+
+    def test_search_absence_stays_heuristic(self, capsys):
+        code, out = run(capsys, "catalyst", "search", "--x", X, "--y", Y,
+                        "--dim-c", "2", "--budget", "3", "--json")
+        assert code == 1
+        assert json.loads(out)["result"] == "absent"
+
+    def test_search_dimension_mismatch_exit_two(self, capsys):
+        code, _ = run(capsys, "catalyst", "search", "--x", X, "--y", Y3)
+        assert code == 2
+
+    def test_build_auto_k_reports_no_k_exists(self, capsys):
+        code, out = run(capsys, "catalyst", "build", "--x", MID_X, "--y",
+                        MID_Y, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"].startswith("no k exists")
+        assert payload["refuting_order"] == 2
 
 
 class TestClassifyCommand:

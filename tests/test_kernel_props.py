@@ -4,24 +4,28 @@ breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
 denominators near 1e4, plus agreement of the float backend with the exact
 one away from eps, majorizes against a per-entry Fraction walk, and the
 catalyst constructions built on the kernel against their Fraction
-definitions, the incremental power chain against direct enumeration, and
-in_Mk's one-copy pre-decision and scan_Mk against the per-k walk."""
+definitions, the incremental power chain against direct enumeration,
+in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, and
+the power-sum refutation against brute k-copy walks."""
 
 from fractions import Fraction as F
 from itertools import accumulate
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, float_backend,
-                      in_Mk, majorizes, make_probvec, scan_Mk,
+                      in_Mk, majorizes, make_probvec, mlocc,
+                      power_sum_refutation, scan_Mk,
                       spectrum_majorizes, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
 from trumpkit.catalysis import _mixed_power_catalyst, _verify_single_copy
 from trumpkit.specvec import tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
-                      brute_strict_interior, brute_tensor_power)
+                      brute_strict_interior, brute_tensor_power,
+                      power_sum_refutes)
 
 # small parts give ties, zeros and uniform vectors; parts near 2000 give
 # denominators near 1e4 once normalized
@@ -270,3 +274,46 @@ def test_scan_Mk_matches_per_k_walk(case, k_max):
     assert scan.results == want
     assert scan.first_success == next(
         (k for k, v in want.items() if v != "fails"), None)
+
+
+# (x, y) pairs that one integer order refutes: order 2, order -1 on equal
+# supports, order 0 on a smaller support
+REFUTED = [(vec([12, 6, 1, 1]), vec([12, 5, 2, 1])),
+           (vec([7, 6, 2, 1]), vec([8, 4, 3, 1])),
+           (vec([4, 3, 3, 0, 0]), vec([5, 2, 2, 1, 0]))]
+
+
+@st.composite
+def oriented_pair(draw):
+    """Same-dimension x, y (up to 6 entries), swapped so that the pair
+    is refuted when either direction is."""
+    n = draw(st.integers(2, 6))
+    x, y = vec(draw(parts(n))), vec(draw(parts(n)))
+    if power_sum_refutation(spectrum_of(x), spectrum_of(y)) is None:
+        x, y = y, x
+    return x, y
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(oriented_pair())
+@example(REFUTED[0])
+@example(REFUTED[1])
+@example(REFUTED[2])
+def test_refuted_pairs_are_never_members(pair):
+    # brute walks wherever n^k <= 4096, then the per-k walk of scan_Mk
+    # with the refutation switched off, up to k = 12
+    x, y = pair
+    order = power_sum_refutation(spectrum_of(x), spectrum_of(y))
+    if order is None:
+        return
+    assert power_sum_refutes(x, y, order)
+    k = 1
+    while x.dim ** k <= 4096:
+        assert not brute_majorizes(brute_tensor_power(x, k),
+                                   brute_tensor_power(y, k))[0]
+        k += 1
+    with mock.patch.object(mlocc, "power_sum_refutation",
+                           lambda sx, sy: None):
+        scan = scan_Mk(x, y, 12)
+    assert scan.first_success is None
+    assert scan_Mk(x, y, 12).results == scan.results

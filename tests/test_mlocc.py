@@ -5,9 +5,10 @@ import pytest
 
 from trumpkit import mlocc, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
-                      in_Mk, is_interior_of_M, lemma3_k_condition, majorizes,
-                      make_probvec, nonclosedness_witness, scan_Mk,
-                      spectrum_majorizes, tensor_power_spectrum)
+                      float_backend, in_Mk, is_interior_of_M,
+                      lemma3_k_condition, majorizes, make_probvec,
+                      nonclosedness_witness, scan_Mk, spectrum_majorizes,
+                      tensor_power_spectrum)
 
 from conftest import random_rational_vec
 
@@ -127,6 +128,53 @@ class TestInMkPreDecision:
             in_Mk(self.HOLD_X, fv("0.5", "0.5"), 2)
         with pytest.raises(ValueError, match="k must be >= 1"):
             in_Mk(self.HOLD_X, self.HOLD_Y, 0)
+
+
+class TestPowerSumRefutationInMk:
+    # both endpoint tests pass and one copy fails; P_2 is 0.455 against
+    # 0.435, so no k converts
+    MID_X = fv("0.6", "0.3", "0.05", "0.05")
+    MID_Y = fv("0.6", "0.25", "0.1", "0.05")
+
+    @staticmethod
+    def refuse(*a, **kw):
+        raise AssertionError("called")
+
+    def test_refuted_pair_builds_no_power(self, monkeypatch):
+        real = specvec.tensor_powers
+
+        def first_power_only(x, k_max):
+            powers = real(x, k_max)
+            yield next(powers)
+            raise AssertionError("grew a second power")
+        monkeypatch.setattr(mlocc, "tensor_power_spectrum", self.refuse)
+        monkeypatch.setattr(mlocc, "tensor_powers", first_power_only)
+        assert not in_Mk(self.MID_X, self.MID_Y, 40)
+        scan = scan_Mk(self.MID_X, self.MID_Y, 40)
+        assert scan.refuting_order == 2
+        assert not scan.short_circuited
+        assert scan.first_success is None
+        assert scan.results == {k: "fails" for k in range(1, 41)}
+        assert scan.to_json()["refuting_order"] == 2
+        assert is_interior_of_M(self.MID_X, self.MID_Y, 3) == "not_member"
+
+    def test_decided_pairs_never_refute(self, monkeypatch):
+        monkeypatch.setattr(mlocc, "power_sum_refutation", self.refuse)
+        pre = TestInMkPreDecision
+        assert in_Mk(pre.HOLD_X, pre.HOLD_Y, 40)
+        assert not in_Mk(pre.EARLY_X, pre.HOLD_Y, 40)
+        assert not in_Mk(pre.LATE_X, pre.HOLD_Y, 40)
+        for x in (pre.HOLD_X, pre.EARLY_X, pre.LATE_X):
+            assert scan_Mk(x, pre.HOLD_Y, 5).refuting_order is None
+
+    def test_float_backend_enumerates(self):
+        be = float_backend(1e-12)
+        x = make_probvec([0.6, 0.3, 0.05, 0.05], backend=be)
+        y = make_probvec([0.6, 0.25, 0.1, 0.05], backend=be)
+        scan = scan_Mk(x, y, 3)
+        assert scan.refuting_order is None
+        assert scan.results == {1: "fails", 2: "fails", 3: "fails"}
+        assert not in_Mk(x, y, 3)
 
 
 class TestScanMk:

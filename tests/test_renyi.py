@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from trumpkit import (DEFAULT_ALPHA_GRID, make_probvec, r_filter,
-                      r_properties_check, renyi_entropy, tensor)
+from trumpkit import (DEFAULT_ALPHA_GRID, float_backend, majorizes,
+                      make_probvec, power_sum_refutation, r_filter,
+                      r_properties_check, renyi_entropy, spectrum_of, tensor)
 from trumpkit.renyi import NEG_INF, POS_INF, equal_by_power_sums, power_sum
 
-from conftest import random_majorized_below, random_rational_vec
+from conftest import (power_sum_refutes, random_majorized_below,
+                      random_rational_vec)
 
 F = Fraction
 
@@ -181,3 +183,99 @@ class TestRPropertiesCheck:
             rec = r_properties_check(x, y)
             if rec["bidirectional_pass"] and x != y:
                 assert rec["grid_insufficient"]
+
+
+class TestExactLimitOrders:
+    TINY = F(1, 10 ** 15)
+    Y = fv("0.5", "0.25", "0.25")
+
+    def test_pos_inf_compares_largest_entries(self):
+        # every order differs by under 1e-12 in floats; +inf is exact
+        x = make_probvec([F(1, 2) + self.TINY, F(1, 4), F(1, 4) - self.TINY])
+        v = r_filter(x, self.Y, grid=(0.5,))
+        assert v.violated
+        assert v.violating_alpha == POS_INF
+        assert v.to_json()["violating_alpha"] == "inf"
+
+    def test_neg_inf_compares_smallest_nonzero_entries(self):
+        x = make_probvec([F(1, 2), F(1, 4) + self.TINY, F(1, 4) - self.TINY])
+        v = r_filter(x, self.Y, grid=(0.5,))
+        assert v.violated
+        assert v.violating_alpha == NEG_INF
+
+    def test_order_zero_compares_nonzero_counts(self):
+        x = make_probvec([F(1, 2), F(1, 2) - self.TINY, self.TINY, 0])
+        y = fv("0.5", "0.5", "0", "0")
+        assert r_filter(x, y, grid=(0.0,)).mode == "dims_differ"
+        assert r_filter(y, x, grid=(0.0,)).violating_alpha == 0.0
+
+    def test_float_backend_keeps_its_tolerance(self):
+        be = float_backend(1e-12)
+        x = make_probvec([0.5 + 1e-15, 0.25, 0.25 - 1e-15], backend=be)
+        y = make_probvec([0.5, 0.25, 0.25], backend=be)
+        assert not r_filter(x, y, grid=(0.5,)).violated
+
+
+# both endpoint tests pass and one copy fails in each of these pairs
+MID_X, MID_Y = fv("0.6", "0.3", "0.05", "0.05"), fv("0.6", "0.25", "0.1",
+                                                       "0.05")
+NEG_X, NEG_Y = fv("7/16", "3/8", "1/8", "1/16"), fv("1/2", "1/4", "3/16",
+                                                       "1/16")
+ZERO_X = fv("0.4", "0.3", "0.3", "0", "0")
+ZERO_Y = fv("0.5", "0.2", "0.2", "0.1", "0")
+
+
+def refutation(x, y):
+    return power_sum_refutation(spectrum_of(x), spectrum_of(y))
+
+
+class TestPowerSumRefutation:
+    @pytest.mark.parametrize("x, y, order", [
+        (MID_X, MID_Y, 2),     # P_2 = 0.455 against 0.435
+        (NEG_X, NEG_Y, -1),    # orders 2..8 pass, order -1 does not
+        (ZERO_X, ZERO_Y, 0)])  # P_2 ties; x has three nonzeros, y four
+    def test_first_refuting_order(self, x, y, order):
+        assert not majorizes(x, y).holds
+        assert refutation(x, y) == order
+        assert power_sum_refutes(x, y, order)
+
+    def test_members_not_refuted(self):
+        assert refutation(MID_Y, MID_X) is None
+        rng = random.Random(157)
+        for _ in range(40):
+            y = random_rational_vec(rng, rng.randint(2, 5))
+            x = random_majorized_below(rng, y)
+            assert refutation(x, y) is None
+
+    def test_larger_support_skips_negative_orders(self):
+        # the paper x has four nonzero entries against y's three, and a
+        # larger order -1 power sum, yet three copies convert
+        assert power_sum(PAPER_X, -1) > power_sum(PAPER_Y, -1)
+        assert refutation(PAPER_X, PAPER_Y) is None
+
+    def test_float_backend_answers_none(self):
+        be = float_backend(1e-12)
+        x = make_probvec([0.6, 0.3, 0.05, 0.05], backend=be)
+        y = make_probvec([0.6, 0.25, 0.1, 0.05], backend=be)
+        assert refutation(x, y) is None
+
+    def test_every_order_rechecked_in_fractions(self):
+        rng = random.Random(151)
+        orders = set()
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            x = random_rational_vec(rng, n)
+            y = random_rational_vec(rng, n)
+            order = refutation(x, y)
+            if order is None:
+                continue
+            orders.add(order)
+            assert power_sum_refutes(x, y, order), (x, y, order)
+            # no earlier order in the list refutes the pair
+            earlier = [a for a in range(2, 9) if a != order]
+            if order <= 0:
+                assert not any(power_sum_refutes(x, y, a) for a in earlier)
+            else:
+                assert not any(power_sum_refutes(x, y, a)
+                               for a in range(2, order))
+        assert {2, 0} <= orders and min(orders) < 0

@@ -142,6 +142,18 @@ class TestTensorPowerSpectrum:
         s = tensor_power_spectrum(fv("0.4", "0.4", "0.1", "0.1"), 5)
         assert s.total_mass() == 1
 
+    def test_more_distinct_values_than_the_recursion_limit(self):
+        # the enumeration recurses once per distinct value; past the limit
+        # the power is the chain of spectrum_tensor steps
+        d = 1200
+        x = make_probvec([F(i) for i in range(1, d + 1)], normalize=True)
+        s1 = spectrum_of(x)
+        s = tensor_power_spectrum(x, 2)
+        want = spectrum_tensor(s1, s1)
+        assert (s._int_vals, s._counts, s._scale, s._mass) == (
+            want._int_vals, want._counts, want._scale, want._mass)
+        assert s.total_count == d ** 2
+
 
 class TestPrefixMass:
     def test_paper_target(self):
