@@ -6,8 +6,8 @@ of the k mixed powers x^(k-1-i) (x) y^(i).  Combination with an auxiliary
 catalyst and lifting to multiple copies are both constructive; the random
 search is an explicitly heuristic stand-in for exact fixed-dimension
 algorithms: absence after its trials is never read as nonexistence, and
-only an exact power-sum refutation (renyi.power_sum_refutation) stops it
-before any trial.
+only a failed endpoint test or an exact power-sum refutation
+(renyi.power_sum_refutation) stops it before any trial.
 
 Construction and verification run on integer spectra: x (x) c is never
 built, and a lift to n copies is returned factored (LiftedCatalyst), so

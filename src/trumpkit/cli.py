@@ -91,6 +91,17 @@ def _emit(payload, as_json):
             print("%s: %s" % (key, val))
 
 
+def _failed_endpoint(x, y):
+    """The endpoint test that x -> y fails, or None.  Each is necessary
+    at every k and with every catalyst."""
+    be = x.backend
+    if be.lt(y.entries[0], x.entries[0]):
+        return "x_1 <= y_1"
+    if be.lt(x.entries[-1], y.entries[-1]):
+        return "x_n >= y_n"
+    return None
+
+
 def cmd_majorize(args) -> int:
     be = _backend_of(args)
     x = load_vector(args.x, be)
@@ -121,6 +132,11 @@ def cmd_catalyst(args) -> int:
         k = args.k
         if k is None:
             scan = mlocc.scan_Mk(x, y, args.k_max)
+            if scan.short_circuited:
+                test = _failed_endpoint(x, y)
+                _emit({"error": "no k exists: the endpoint test fails "
+                       "(%s)" % test, "failed_endpoint": test}, args.as_json)
+                return 1
             if scan.refuting_order is not None:
                 _emit({"error": "no k exists: the power sum of order %d "
                        "refutes every k" % scan.refuting_order,
@@ -146,6 +162,13 @@ def cmd_catalyst(args) -> int:
         cert = catalysis.search_catalyst(x, y, args.dim_c, args.budget,
                                          args.seed)
         if cert is None:
+            test = _failed_endpoint(x, y)
+            if test is not None:
+                _emit({"result": "none", "failed_endpoint": test,
+                       "note": "no catalyst of any dimension exists: the "
+                               "endpoint test %s fails" % test},
+                      args.as_json)
+                return 1
             order = renyi.power_sum_refutation(spectrum_of(x),
                                                spectrum_of(y))
             if order is not None:

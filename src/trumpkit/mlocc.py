@@ -14,8 +14,8 @@ from typing import Dict, Optional
 
 from .majorize import spectrum_majorizes
 from .renyi import power_sum_refutation
-from .specvec import (ProbVec, spectrum_of, tensor_power_spectrum,
-                      tensor_powers)
+from .specvec import (ProbVec, Spectrum, _enumeration_cost, spectrum_of,
+                      tensor_power_spectrum, tensor_powers)
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,17 @@ class UsefulnessVerdict:
 def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     """Whether k copies of x convert jointly to k copies of y.
 
-    Three exact facts settle most pairs without building x^(x)k: x
-    majorized by y implies x^(x)k majorized by y^(x)k for every k,
-    membership at any k needs x_1 <= y_1 and x_n >= y_n, and it needs the
-    power sums that power_sum_refutation compares.  The checks run in
-    this order: dimensions; k >= 1; the one-copy walk on the spectra of x
-    and y, which raises on a total mass mismatch and answers True when it
-    holds; False at k = 1, when the endpoint filter fails or when a power
-    sum refutes the pair; only then are both k-th powers enumerated, from
-    the spectra already built.
+    Exact facts settle most pairs without building x^(x)k: x majorized
+    by y implies x^(x)k majorized by y^(x)k for every k; membership at
+    any k needs x_1 <= y_1 and x_n >= y_n, and it needs the power sums
+    that power_sum_refutation compares; and the k that convert are closed
+    under addition (_sum_of_members).  The checks run in this order:
+    dimensions; k >= 1; the one-copy walk on the spectra of x and y,
+    which raises on a total mass mismatch and answers True when it holds;
+    False at k = 1, when the endpoint filter fails or when a power sum
+    refutes the pair; True when, for k >= 4 on the exact backend, k is a
+    sum of smaller members; only then are both k-th powers enumerated,
+    from the spectra already built.
     """
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
@@ -76,8 +78,49 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     if (k == 1 or not endpoint_filter_passes(x, y)
             or power_sum_refutation(sx, sy) is not None):
         return False
+    if k >= 4 and x.backend.exact and _sum_of_members(x, y, k, sx, sy):
+        return True
     return spectrum_majorizes(tensor_power_spectrum(x, k, sx),
                               tensor_power_spectrum(y, k, sy)).holds
+
+
+def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
+                    sy: Spectrum) -> bool:
+    """Is k a sum of members j in 2..k-2, for a pair that fails at one
+    copy?
+
+    Members are closed under addition.  If a and b are members,
+    x^(x)(a+b) = x^(x)a (x) x^(x)b is majorized by y^(x)a (x) x^(x)b,
+    which is majorized by y^(x)a (x) y^(x)b = y^(x)(a+b), because u
+    majorized by v implies u (x) w majorized by v (x) w.  The powers of
+    x and y grow from sx and sy (tensor_powers) and are walked one j at
+    a time; the sums up to k of the members found are kept as bits of an
+    integer.
+    The sweep gives up, answering False, before the work of growing the
+    next power (the cheaper of tensor_powers' chain step and enumeration)
+    would take either side past the direct path's estimate for
+    enumerating its k-th power, so an undecided pair spends at most that
+    estimate again before the direct path runs.  Exact only: on the
+    float backend members within eps would compose into drift.
+    """
+    powers = [tensor_powers(x, k - 2, sx), tensor_powers(y, k - 2, sy)]
+    last = [next(p) for p in powers]  # S_1: the bases themselves
+    dims = [len(s._counts) for s in last]
+    budgets = [_enumeration_cost(d, k) for d in dims]
+    spent = [0, 0]
+    sums, mask = 1, (1 << (k + 1)) - 1  # bit s set: s is a sum of members
+    for j in range(2, k - 1):
+        for i, d in enumerate(dims):
+            spent[i] += min(d * len(last[i]._counts), _enumeration_cost(d, j))
+            if spent[i] > budgets[i]:
+                return False
+        last = [next(p) for p in powers]
+        if spectrum_majorizes(*last).holds:
+            for _ in range(k // j):
+                sums |= (sums << j) & mask
+            if sums >> k & 1:
+                return True
+    return False
 
 
 def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
@@ -90,7 +133,9 @@ def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     """Check every k up to k_max.  Success is not monotone in k, so all
-    requested k are evaluated.
+    requested k are evaluated.  (It is closed under addition: members a
+    and b make a + b a member, which in_Mk uses; but the scan reports a
+    verdict string for every k, so it walks each k.)
 
     Membership at any k needs x_1 <= y_1 and x_n >= y_n, so after the
     dimension and k_max checks the endpoint filter runs first and, when it

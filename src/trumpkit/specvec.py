@@ -323,15 +323,22 @@ def spectrum_direct_sum(parts, weight: int) -> Spectrum:
 _COMPOSITION_COST = 3
 
 
+def _enumeration_cost(d: int, k: int) -> int:
+    """Estimated work of enumerating S_k over d distinct values, in the
+    unit of one block product of a chain step."""
+    return _COMPOSITION_COST * math.comb(d + k - 1, d - 1)
+
+
 def _walk_too_deep(d: int) -> bool:
     """Would enumerating over d distinct values (one recursion level
     each) come near the interpreter's recursion limit?"""
     return d > sys.getrecursionlimit() // 2
 
 
-def tensor_powers(x: ProbVec, k_max: int):
+def tensor_powers(x: ProbVec, k_max: int, base: Optional[Spectrum] = None):
     """Yield the spectra of x^(x)1, ..., x^(x)k_max, each grown from the
-    previous one.
+    previous one.  A caller that already holds spectrum_of(x) passes it
+    as base: it is yielded as S_1 and not built again.
 
     S_k is spectrum_tensor(S_(k-1), S_1): integer numerators over the scale
     D^k, no composition enumerated.  Where products of x's values rarely
@@ -342,12 +349,12 @@ def tensor_powers(x: ProbVec, k_max: int):
     distinct values: both are properties of x, not settings.  With d near
     the recursion limit every step tensors.
     """
-    s = base = spectrum_of(x)
+    s = base = spectrum_of(x) if base is None else base
     d = len(base._counts)
     for k in range(1, k_max + 1):
         if k > 1:
-            cheaper = _walk_too_deep(d) or d * len(s._counts) <= (
-                _COMPOSITION_COST * math.comb(d + k - 1, d - 1))
+            cheaper = _walk_too_deep(d) or (
+                d * len(s._counts) <= _enumeration_cost(d, k))
             s = (spectrum_tensor(s, base) if cheaper
                  else tensor_power_spectrum(x, k, base))
         yield s

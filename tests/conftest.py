@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from trumpkit import ProbVec, make_probvec
+from trumpkit import (ProbVec, make_probvec, power_sum_refutation,
+                      spectrum_of)
 from trumpkit.renyi import power_sum
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -117,3 +118,17 @@ def power_sum_refutes(x, y, order):
     if order < 0 and x.nonzero_dim != y.nonzero_dim:
         return False
     return px > py
+
+
+def random_mid_pair(rng, n, denom_max=24):
+    """Random x, y whose multi-copy question is open at one copy: both
+    endpoint tests pass, x is not majorized by y (checked entry by entry)
+    and no power sum refutes the pair.  Needs n >= 4."""
+    while True:
+        x = random_rational_vec(rng, n, denom_max)
+        y = random_rational_vec(rng, n, denom_max)
+        if (x.entries[0] <= y.entries[0] and x.entries[-1] >= y.entries[-1]
+                and not brute_majorizes(x.entries, y.entries)[0]
+                and power_sum_refutation(spectrum_of(x),
+                                         spectrum_of(y)) is None):
+            return x, y

@@ -19,6 +19,9 @@ ZP = str(corpus_path("zprime_0.55_0.45.json"))
 # refutes every k and every catalyst
 MID_X = str(corpus_path("x_0.6_0.3_0.05_0.05.json"))
 MID_Y = str(corpus_path("y_0.6_0.25_0.1_0.05.json"))
+# x_1 > y_1 excludes every k and every catalyst; no power sum refutes it
+HEAD_X = str(corpus_path("x_0.41_0.2_0.2_0.19.json"))
+HEAD_Y = str(corpus_path("y_0.4_0.4_0.1_0.1.json"))
 
 
 def run(capsys, *argv):
@@ -169,6 +172,35 @@ class TestPowerSumRefutationCommands:
         payload = json.loads(out)
         assert payload["error"].startswith("no k exists")
         assert payload["refuting_order"] == 2
+
+
+class TestEndpointCommands:
+    def test_search_reports_none(self, capsys):
+        code, out = run(capsys, "catalyst", "search", "--x", HEAD_X, "--y",
+                        HEAD_Y, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["result"] == "none"
+        assert payload["failed_endpoint"] == "x_1 <= y_1"
+        assert "endpoint test x_1 <= y_1 fails" in payload["note"]
+        assert "refuting_order" not in payload
+
+    def test_search_reports_failed_tail(self, tmp_path, capsys):
+        xf = tmp_path / "x.json"
+        xf.write_text('["0.3", "0.3", "0.35", "0.05"]')
+        code, out = run(capsys, "catalyst", "search", "--x", str(xf),
+                        "--y", HEAD_Y, "--json")
+        assert code == 1
+        assert json.loads(out)["failed_endpoint"] == "x_n >= y_n"
+
+    def test_build_auto_k_reports_no_k_exists(self, capsys):
+        code, out = run(capsys, "catalyst", "build", "--x", HEAD_X, "--y",
+                        HEAD_Y, "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["error"].startswith(
+            "no k exists: the endpoint test fails")
+        assert payload["failed_endpoint"] == "x_1 <= y_1"
 
 
 class TestClassifyCommand:

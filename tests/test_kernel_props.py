@@ -5,9 +5,11 @@ denominators near 1e4, plus agreement of the float backend with the exact
 one away from eps, majorizes against a per-entry Fraction walk, and the
 catalyst constructions built on the kernel against their Fraction
 definitions, the incremental power chain against direct enumeration,
-in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, and
-the power-sum refutation against brute k-copy walks."""
+in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, the
+power-sum refutation against brute k-copy walks, and in_Mk's sweep over
+sums of smaller members against direct enumeration on mid pairs."""
 
+import random
 from fractions import Fraction as F
 from itertools import accumulate
 from unittest import mock
@@ -25,7 +27,7 @@ from trumpkit.specvec import tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
                       brute_strict_interior, brute_tensor_power,
-                      power_sum_refutes)
+                      power_sum_refutes, random_mid_pair)
 
 # small parts give ties, zeros and uniform vectors; parts near 2000 give
 # denominators near 1e4 once normalized
@@ -317,3 +319,26 @@ def test_refuted_pairs_are_never_members(pair):
         scan = scan_Mk(x, y, 12)
     assert scan.first_success is None
     assert scan_Mk(x, y, 12).results == scan.results
+
+
+@st.composite
+def mid_pair_and_k(draw):
+    """A pair open at one copy (both endpoint tests pass, one copy fails,
+    no power sum refutes), n from 4 to 6, and k from 4 to 16.  At n <= 3
+    the endpoint tests imply one-copy majorization."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    x, y = random_mid_pair(rng, draw(st.integers(4, 6)))
+    return x, y, draw(st.integers(4, 16))
+
+
+@PROPS
+@given(mid_pair_and_k())
+@example((*PAPER, 6))
+@example((*PAPER, 5))
+@example((vec([4, 3, 1, 1]), vec([6, 2, 2, 1]), 8))
+def test_in_Mk_on_mid_pairs_matches_enumeration(case):
+    # the paper pair at k = 6 is decided by the sweep; at k = 5, and the
+    # third pair (its sweep runs out of budget), by enumeration
+    x, y, k = case
+    assert in_Mk(x, y, k) == spectrum_majorizes(
+        tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)).holds

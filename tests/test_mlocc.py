@@ -177,6 +177,109 @@ class TestPowerSumRefutationInMk:
         assert not in_Mk(x, y, 3)
 
 
+class TestSumOfMembersInMk:
+    # members of the paper pair are 3, 4, 5, ...: 6 = 3 + 3 and
+    # 1000 = 4 * 250 are sums of members the sweep finds by j = 4, while
+    # 5 is not a sum of 2 or 3 and takes the direct path
+    # UNDECIDED fails at k = 8; its sweep runs out of budget after j = 5
+    UNDECIDED = (fv(F(4, 9), F(1, 3), F(1, 9), F(1, 9)),
+                 fv(F(6, 11), F(2, 11), F(2, 11), F(1, 11)), 8)
+
+    @staticmethod
+    def direct(x, y, k):
+        return spectrum_majorizes(tensor_power_spectrum(x, k),
+                                  tensor_power_spectrum(y, k)).holds
+
+    @staticmethod
+    def count_direct(monkeypatch):
+        calls = []
+        real = mlocc.tensor_power_spectrum
+
+        def counting(x, k, base=None):
+            calls.append(k)
+            return real(x, k, base)
+        monkeypatch.setattr(mlocc, "tensor_power_spectrum", counting)
+        return calls
+
+    def test_sums_of_members_never_enumerate_k(self, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("enumerated the k-th power")
+        monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+        assert in_Mk(PAPER_X, PAPER_Y, 6)
+        assert in_Mk(PAPER_X, PAPER_Y, 1000)
+
+    def test_sweep_builds_no_spectrum_twice(self, monkeypatch):
+        built = []
+        real = specvec.spectrum_of
+
+        def counting(x):
+            built.append(x)
+            return real(x)
+        monkeypatch.setattr(specvec, "spectrum_of", counting)
+        monkeypatch.setattr(mlocc, "spectrum_of", counting)
+        assert in_Mk(PAPER_X, PAPER_Y, 6)
+        assert built == [PAPER_X, PAPER_Y]
+
+    def test_unreached_k_falls_back(self, monkeypatch):
+        want = self.direct(PAPER_X, PAPER_Y, 5)
+        calls = self.count_direct(monkeypatch)
+        assert in_Mk(PAPER_X, PAPER_Y, 5) == want is True
+        assert calls == [5, 5]
+        calls.clear()
+        x, y, k = self.UNDECIDED
+        assert not in_Mk(x, y, k)
+        assert not self.direct(x, y, k)
+        assert calls == [k, k]
+
+    def test_undecided_sweep_stays_within_direct_estimate(self,
+                                                          monkeypatch):
+        # block products of chain steps and weighted compositions of
+        # enumerated steps, per side, against the estimate for S_k
+        x, y, k = self.UNDECIDED
+        bases, work, steps = [], {}, []  # steps: n^j of each power grown
+        real_of = mlocc.spectrum_of
+        real_tensor = specvec.spectrum_tensor
+        real_enum = specvec.tensor_power_spectrum
+
+        def spectrum_of(v):
+            bases.append(real_of(v))
+            return bases[-1]
+
+        def chain_step(a, b):
+            work[id(b)] = work.get(id(b), 0) + len(a._counts) * len(b._counts)
+            steps.append(a.total_count * b.total_count)
+            return real_tensor(a, b)
+
+        def enumeration(v, j, base):
+            work[id(base)] = work.get(id(base), 0) + \
+                specvec._enumeration_cost(len(base._counts), j)
+            steps.append(v.dim ** j)
+            return real_enum(v, j, base)
+        monkeypatch.setattr(mlocc, "spectrum_of", spectrum_of)
+        monkeypatch.setattr(specvec, "spectrum_tensor", chain_step)
+        monkeypatch.setattr(specvec, "tensor_power_spectrum", enumeration)
+        calls = self.count_direct(monkeypatch)
+        assert not in_Mk(x, y, k)
+        assert calls == [k, k]
+        # the sweep stopped short of j = k - 2 on the budget alone
+        assert 0 < max(steps) < x.dim ** (k - 2)
+        for s in bases:
+            assert 0 < work[id(s)] <= specvec._enumeration_cost(
+                len(s._counts), k)
+
+    def test_float_backend_skips_the_sweep(self, monkeypatch):
+        be = float_backend(1e-12)
+        x = make_probvec([0.4, 0.4, 0.1, 0.1], backend=be)
+        y = make_probvec([0.5, 0.25, 0.25, 0.0], backend=be)
+        want = {k: self.direct(x, y, k) for k in (4, 5, 6, 12)}
+
+        def refuse(*a, **kw):
+            raise AssertionError("swept on floats")
+        monkeypatch.setattr(mlocc, "_sum_of_members", refuse)
+        assert {k: in_Mk(x, y, k) for k in want} == want
+        assert want == {4: True, 5: True, 6: True, 12: True}
+
+
 class TestScanMk:
     def test_paper_pair_first_success(self):
         scan = scan_Mk(PAPER_X, PAPER_Y, 4)

@@ -267,3 +267,15 @@ class TestTensorPowers:
 
     def test_zero_length_chain(self):
         assert list(tensor_powers(fv("0.6", "0.4"), 0)) == []
+
+    def test_given_base_is_s1_and_not_rebuilt(self, monkeypatch):
+        x = make_probvec([13, 11, 7, 5, 3, 2], normalize=True)
+        want = [state(s) for s in tensor_powers(x, 8)]
+        base = spectrum_of(x)
+
+        def refuse(*a):
+            raise AssertionError("built S_1 again")
+        monkeypatch.setattr(specvec, "spectrum_of", refuse)
+        chain = list(tensor_powers(x, 8, base))
+        assert chain[0] is base
+        assert [state(s) for s in chain] == want
