@@ -185,13 +185,24 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
                             m_max: int) -> Dict[int, bool]:
     """For each m up to m_max: does borrowing m copies of c enable the
     single-copy transformation?  Compressed spectra keep dim(c)^m implicit,
-    and each c^(x)m grows from c^(x)(m-1) (tensor_powers)."""
+    and each c^(x)m grows from c^(x)(m-1) (tensor_powers).
+
+    The answer is monotone in m: tensoring both sides of x (x) c^(x)m
+    majorized by y (x) c^(x)m with c^(x)(m'-m) gives every m' > m.  So on
+    the exact backend every m after the first True is True and c^(x)m is
+    grown no further; on the float backend, where a True within eps would
+    carry its drift along, every m is walked."""
     _check_dims(x, y)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     sx, sy = spectrum_of(x), spectrum_of(y)
-    return {m: _catalyzes(sx, sy, scm)
-            for m, scm in enumerate(tensor_powers(c, m_max), 1)}
+    out = {}
+    for m, scm in enumerate(tensor_powers(c, m_max), 1):
+        out[m] = _catalyzes(sx, sy, scm)
+        if out[m] and x.backend.exact:
+            out.update(dict.fromkeys(range(m + 1, m_max + 1), True))
+            break
+    return out
 
 
 def _lattice_candidates(dim_c: int, resolution: int):

@@ -132,20 +132,45 @@ def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
 
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
-    """Check every k up to k_max.  Success is not monotone in k, so all
-    requested k are evaluated.  (It is closed under addition: members a
-    and b make a + b a member, which in_Mk uses; but the scan reports a
-    verdict string for every k, so it walks each k.)
+    """Check every k up to k_max.  Success is not monotone in k, so every
+    requested k gets a verdict.
 
     Membership at any k needs x_1 <= y_1 and x_n >= y_n, so after the
     dimension and k_max checks the endpoint filter runs first and, when it
     fails, marks every k 'fails' without building a spectrum
-    (short_circuited).  Otherwise x^(x)k and y^(x)k are grown from the
-    previous k (tensor_powers) and compared; the k = 1 walk raises on a
-    total mass mismatch.  When that walk fails and a power sum refutes the
-    pair (power_sum_refutation), every k is marked 'fails' and no second
-    power is built.  (x majorized by y implies success at every k, but the
-    verdict strings still differ by k, so each k is walked.)"""
+    (short_circuited).  k = 1 is always walked; that walk raises on a
+    total mass mismatch.  When it fails and a power sum refutes the pair
+    (power_sum_refutation), every k is marked 'fails' and no second power
+    is built.
+
+    On the exact backend two facts then fix many verdicts from smaller k:
+      - strict interior at a plus membership at b gives strict interior
+        at a + b, so a pair strictly interior at one copy is strictly
+        interior at every k;
+      - with x_1 = y_1 or x_n = y_n, every member k is 'boundary' (x_1^k
+        = y_1^k is an equality at l = 1, x_n^k = y_n^k one at l = n^k - 1),
+        and members are closed under addition (_sum_of_members).
+    Proof of the first: let u = x^(x)a be strictly interior to
+    v = y^(x)a and w = x^(x)b be majorized by y^(x)b.  Strictness at l = 1
+    and l = n^a - 1 gives x_1 < y_1 and x_n > y_n >= 0, so w > 0.  Some
+    top-l set of u (x) w is a staircase, s_j top entries of u against w_j,
+    so e_l(u (x) w) = sum_j w_j e_(s_j)(u) <= sum_j w_j e_(s_j)(v)
+    <= e_l(v (x) w).  Equality needs every s_j in {0, n^a}: whole columns
+    J that are also a top-l set of v (x) w, so v_min w_j >= v_max w_j'
+    for j in J, j' outside.  But of two neighbouring distinct values of w
+    the smaller is at least x_n / x_1 times the larger, and x_n / x_1 >
+    y_n / y_1 >= v_min / v_max (v_min < v_max, as v is not uniform).  So
+    e_l(x^(x)(a+b)) < e_l(y^(x)a (x) x^(x)b) <= e_l(y^(x)(a+b)) for
+    0 < l < n^(a+b).
+    The sums a + b with a strict and b a member, and the sums of two
+    members, are kept as bits of two integers.  At each k > 1 the checks
+    run in this order: 'strict_interior' when k is a strict sum; 'boundary'
+    when the pair has an endpoint tie and k is a sum of members;
+    otherwise x^(x)k and y^(x)k are grown from the previous powers
+    (tensor_powers) and walked.  Powers are grown only up to the last k
+    that is walked.  (At n = 1 every k is strictly interior, which the
+    first check finds.)  On the float backend members within eps would
+    compose into drift, so every k is walked."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     if k_max < 1:
@@ -154,19 +179,44 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     if not endpoint_filter_passes(x, y):
         return MloccScan(x, y, k_max, every_k_fails, None,
                          short_circuited=True)
+    be = x.backend
+    tie = (be.eq(x.entries[0], y.entries[0])
+           or be.eq(x.entries[-1], y.entries[-1]))
+    powers = tensor_powers(x, k_max), tensor_powers(y, k_max)
+    grown = 0
+    # bit k set: k is a member / strict / a sum of two members / a strict
+    # plus a member
+    members = strict = member_sums = strict_sums = 0
     results = {}
     first = None
-    for k, sxk, syk in zip(range(1, k_max + 1), tensor_powers(x, k_max),
-                           tensor_powers(y, k_max)):
-        rep = spectrum_majorizes(sxk, syk)
-        if k == 1 and not rep.holds:
-            order = power_sum_refutation(sxk, syk)
-            if order is not None:
-                return MloccScan(x, y, k_max, every_k_fails, None,
-                                 refuting_order=order)
-        results[k] = rep.verdict
-        if rep.holds and first is None:
+    for k in range(1, k_max + 1):
+        if strict_sums >> k & 1:
+            verdict = "strict_interior"
+        elif tie and member_sums >> k & 1:
+            verdict = "boundary"
+        else:
+            for _ in range(grown, k):
+                sxk, syk = map(next, powers)
+            grown = k
+            rep = spectrum_majorizes(sxk, syk)
+            if k == 1 and not rep.holds:
+                order = power_sum_refutation(sxk, syk)
+                if order is not None:
+                    return MloccScan(x, y, k_max, every_k_fails, None,
+                                     refuting_order=order)
+            verdict = rep.verdict
+        results[k] = verdict
+        if verdict == "fails":
+            continue
+        if first is None:
             first = k
+        if be.exact:
+            members |= 1 << k
+            if verdict == "strict_interior":
+                strict |= 1 << k
+                strict_sums |= members << k
+            member_sums |= members << k
+            strict_sums |= strict << k
     return MloccScan(x, y, k_max, results, first)
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
-                      combine_catalysts, in_Mk, lift_catalyst, majorizes,
-                      make_probvec, multicopy_catalyst_scan, search_catalyst,
-                      tensor)
+                      combine_catalysts, float_backend, in_Mk,
+                      lift_catalyst, majorizes, make_probvec,
+                      multicopy_catalyst_scan, search_catalyst, tensor)
 from trumpkit import catalysis
 from trumpkit.catalysis import reduce_catalyst
 
@@ -217,6 +217,37 @@ class TestMulticopyCatalystScan:
     def test_good_catalyst_all_m(self):
         result = multicopy_catalyst_scan(PAPER_X, PAPER_Y, Z, 2)
         assert result == {1: True, 2: True}
+
+    @staticmethod
+    def counting_powers(monkeypatch):
+        grown = []
+        real = catalysis.tensor_powers
+
+        def counted(c, m_max):
+            for m, s in enumerate(real(c, m_max), 1):
+                grown.append(m)
+                yield s
+        monkeypatch.setattr(catalysis, "tensor_powers", counted)
+        return grown
+
+    def test_stops_growing_after_first_success(self, monkeypatch):
+        # c fails at one copy and works at two: x (x) c^(x)m majorized by
+        # y (x) c^(x)m carries over to every larger m
+        c = fv(F(3, 7), F(2, 7), F(2, 7))
+        grown = self.counting_powers(monkeypatch)
+        result = multicopy_catalyst_scan(PAPER_X, PAPER_Y, c, 8)
+        assert result == {1: False, **{m: True for m in range(2, 9)}}
+        assert list(result) == list(range(1, 9))
+        assert grown == [1, 2]
+
+    def test_float_backend_walks_every_m(self, monkeypatch):
+        be = float_backend(1e-12)
+        x, y, c = (make_probvec([float(v) for v in p], backend=be)
+                   for p in (PAPER_X, PAPER_Y, fv(F(3, 7), F(2, 7), F(2, 7))))
+        grown = self.counting_powers(monkeypatch)
+        result = multicopy_catalyst_scan(x, y, c, 8)
+        assert result == {1: False, **{m: True for m in range(2, 9)}}
+        assert grown == list(range(1, 9))
 
 
 class TestUniformCatalystIsVacuous:

@@ -6,8 +6,11 @@ one away from eps, majorizes against a per-entry Fraction walk, and the
 catalyst constructions built on the kernel against their Fraction
 definitions, the incremental power chain against direct enumeration,
 in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, the
-power-sum refutation against brute k-copy walks, and in_Mk's sweep over
-sums of smaller members against direct enumeration on mid pairs."""
+power-sum refutation against brute k-copy walks, in_Mk's sweep over
+sums of smaller members against direct enumeration on mid pairs, the two
+facts that settle scan_Mk verdicts from smaller k against brute walks,
+and scan_Mk against the per-k walk on benchmark-style pairs up to
+k_max = 20."""
 
 import random
 from fractions import Fraction as F
@@ -342,3 +345,118 @@ def test_in_Mk_on_mid_pairs_matches_enumeration(case):
     x, y, k = case
     assert in_Mk(x, y, k) == spectrum_majorizes(
         tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)).holds
+
+
+def mixed(vals, t):
+    """vals moved a share 1 - t of the way to their own average."""
+    return [t * v + (1 - t) * sum(vals) / len(vals) for v in vals]
+
+
+# fails at one copy, strictly interior at two and three
+MID_STRICT = (vec([6, 4, 1, 1]), vec([3, 1, 1, 0]))
+
+
+@st.composite
+def pair_and_two_k(draw):
+    """x, y and a, b >= 1 with n^(a+b) <= 4096.  x and y are drawn on
+    their own (with ties and zeros), or x is y mixed toward uniform
+    (strictly interior to y when y is not uniform), or y with its head or
+    its tail kept and the rest mixed (an endpoint tie), or the pair is
+    open at one copy (random_mid_pair); then x and y may swap."""
+    shape = draw(st.sampled_from(["free", "mixed", "head", "tail", "mid"]))
+    if shape == "mid":
+        rng = random.Random(draw(st.integers(0, 2 ** 32)))
+        x, y = random_mid_pair(rng, draw(st.integers(4, 6)))
+    else:
+        n = draw(st.integers(1, 6))
+        y = vec(draw(parts(n)))
+        ys, t = list(y.entries), F(draw(st.integers(1, 7)), 8)
+        if shape == "free":
+            x = vec(draw(parts(n)))
+        elif shape == "mixed":
+            x = ProbVec(mixed(ys, t))
+        elif shape == "head":
+            x = ProbVec(ys[:1] + mixed(ys[1:], t))
+        else:
+            x = ProbVec(mixed(ys[:-1], t) + ys[-1:])
+    if draw(st.booleans()):
+        x, y = y, x
+    top = {1: 12, 2: 12, 3: 7, 4: 6, 5: 5, 6: 4}[x.dim]
+    a = draw(st.integers(1, top - 1))
+    return x, y, a, draw(st.integers(1, top - a))
+
+
+@PROPS
+@given(pair_and_two_k())
+@example((*PAPER, 3, 3))
+@example((*MID_STRICT, 2, 2))
+@example((*MID_STRICT, 2, 3))
+@example((vec([41, 20, 20, 19]), vec([60, 25, 10, 5]), 1, 4))
+@example((vec([60, 25, 10, 5]), vec([60, 30, 5, 5]), 2, 3))
+def test_strict_plus_member_is_strict_and_endpoint_ties_are_boundary(case):
+    # brute walks only: a strict interior at a and a member at b give a
+    # strict interior at a + b; with x_1 = y_1 or x_n = y_n (n > 1) every
+    # member is boundary; members are closed under addition
+    x, y, a, b = case
+    va, vb, vab = (brute_majorization_report(brute_tensor_power(x, k),
+                                             brute_tensor_power(y, k))[0]
+                   for k in (a, b, a + b))
+    tie = x.entries[0] == y.entries[0] or x.entries[-1] == y.entries[-1]
+    if tie and x.dim > 1:
+        assert "strict_interior" not in (va, vb, vab)
+    if va != "fails" and vb != "fails":
+        assert vab != "fails"
+        if "strict_interior" in (va, vb):
+            assert vab == "strict_interior"
+
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+POWERS_OF_TWO = [2 ** j for j in range(9)]
+
+
+def family_vector(rng, n, d, pool):
+    """n entries taking d distinct values p_i / D, the p_i from pool."""
+    nums = rng.sample(pool, d)
+    return vec(nums + [rng.choice(nums) for _ in range(n - d)])
+
+
+@st.composite
+def family_pair_and_k_max(draw):
+    """Benchmark-style pair and k_max up to 20: n from 3 to 5 entries
+    taking d <= 4 distinct values, numerators from primes (products
+    rarely collide) or powers of two (they collide), ordered so that
+    x_1 <= y_1 where one order allows it.  Half the pairs are open at
+    one copy (n >= 4 and d >= 3: both endpoint tests pass, one copy
+    fails), drawn by rejection."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    pool = draw(st.sampled_from([PRIMES, POWERS_OF_TWO]))
+    mid = draw(st.booleans())
+    n = draw(st.integers(4 if mid else 3, 5))
+    d = draw(st.integers(3 if mid else 2, min(n, 4)))
+    while True:
+        x, y = family_vector(rng, n, d, pool), family_vector(rng, n, d, pool)
+        if x.entries[0] > y.entries[0]:
+            x, y = y, x
+        if not mid or (x.entries[-1] >= y.entries[-1]
+                       and not brute_majorizes(x.entries, y.entries)[0]):
+            return x, y, draw(st.integers(1, 20))
+
+
+@PROPS
+@given(family_pair_and_k_max())
+@example((*PAPER, 20))
+@example((*MID_STRICT, 20))
+@example((vec([41, 20, 20, 19]), vec([60, 25, 10, 5]), 20))
+@example((vec([60, 25, 10, 5]), vec([60, 30, 5, 5]), 20))
+@example((vec([6, 6, 1, 1]), vec([4, 2, 1, 0]), 8))
+def test_scan_Mk_matches_per_k_walk_up_to_20(case):
+    # the last pair is boundary at one and two copies with no endpoint
+    # tie and strictly interior from three copies on
+    x, y, k_max = case
+    scan = scan_Mk(x, y, k_max)
+    want = {k: spectrum_majorizes(tensor_power_spectrum(x, k),
+                                  tensor_power_spectrum(y, k)).verdict
+            for k in range(1, k_max + 1)}
+    assert scan.results == want
+    assert scan.first_success == next(
+        (k for k, v in want.items() if v != "fails"), None)

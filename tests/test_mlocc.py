@@ -301,6 +301,88 @@ class TestScanMk:
         assert all(v == "fails" for v in scan.results.values())
 
 
+class TestScanMkSettlesFromSmallerK:
+    # STRICT_X is strictly interior to STRICT_Y at one copy; TIE_X -> TIE_Y
+    # holds at one copy with x_1 = y_1; MID_X fails at one copy and is
+    # strictly interior at two and three copies, so every k >= 4 is a
+    # strict plus a member
+    STRICT_X = fv("0.41", "0.2", "0.2", "0.19")
+    STRICT_Y = fv("0.6", "0.25", "0.1", "0.05")
+    TIE_X, TIE_Y = STRICT_Y, fv("0.6", "0.3", "0.05", "0.05")
+    MID_X = fv(F(1, 2), F(1, 3), F(1, 12), F(1, 12))
+    MID_Y = fv(F(3, 5), F(1, 5), F(1, 5), 0)
+    # boundary at one and two copies with no endpoint tie, strict at three
+    LATE_X = fv(F(3, 7), F(3, 7), F(1, 14), F(1, 14))
+    LATE_Y = fv(F(4, 7), F(2, 7), F(1, 7), 0)
+
+    @staticmethod
+    def counting_powers(monkeypatch, limit=None):
+        """Patch mlocc.tensor_powers to count the powers it yields per
+        vector, stopping after `limit` of them."""
+        yields = []
+        real = specvec.tensor_powers
+
+        def counted(x, k_max):
+            for k, s in enumerate(real(x, k_max), 1):
+                if limit is not None and k > limit:
+                    raise AssertionError("grew power %d" % k)
+                yields.append(k)
+                yield s
+        monkeypatch.setattr(mlocc, "tensor_powers", counted)
+        return yields
+
+    def test_strict_at_one_copy_is_strict_at_every_k(self, monkeypatch):
+        yields = self.counting_powers(monkeypatch, limit=1)
+        scan = scan_Mk(self.STRICT_X, self.STRICT_Y, 40)
+        assert scan.results == {k: "strict_interior" for k in range(1, 41)}
+        assert scan.first_success == 1
+        assert yields == [1, 1]
+
+    def test_endpoint_tie_member_is_boundary_at_every_k(self, monkeypatch):
+        assert self.TIE_X.entries[0] == self.TIE_Y.entries[0]
+        yields = self.counting_powers(monkeypatch, limit=1)
+        scan = scan_Mk(self.TIE_X, self.TIE_Y, 40)
+        assert scan.results == {k: "boundary" for k in range(1, 41)}
+        assert scan.first_success == 1
+        assert yields == [1, 1]
+
+    def test_mid_pair_strict_at_two_and_three_builds_no_fourth_power(
+            self, monkeypatch):
+        yields = self.counting_powers(monkeypatch)
+        scan = scan_Mk(self.MID_X, self.MID_Y, 12)
+        assert scan.results == {1: "fails", **{k: "strict_interior"
+                                               for k in range(2, 13)}}
+        assert scan.first_success == 2
+        assert sorted(yields) == [1, 1, 2, 2, 3, 3]
+
+    def test_boundary_members_plus_a_later_strict_are_strict(
+            self, monkeypatch):
+        # 2 = 1 + 1 is a member but, with no tie, is walked; 4 = 1 + 3 and
+        # 5 = 2 + 3 are a member plus the strict 3
+        yields = self.counting_powers(monkeypatch)
+        scan = scan_Mk(self.LATE_X, self.LATE_Y, 12)
+        assert scan.results == {1: "boundary", 2: "boundary",
+                                **{k: "strict_interior" for k in range(3, 13)}}
+        assert sorted(yields) == [1, 1, 2, 2, 3, 3]
+
+    def test_float_backend_walks_every_k(self, monkeypatch):
+        be = float_backend(1e-12)
+        x = make_probvec([float(v) for v in self.STRICT_X], backend=be)
+        y = make_probvec([float(v) for v in self.STRICT_Y], backend=be)
+        yields = self.counting_powers(monkeypatch)
+        walked = []
+        real = mlocc.spectrum_majorizes
+
+        def counting(sx, sy):
+            walked.append(sx.total_count)
+            return real(sx, sy)
+        monkeypatch.setattr(mlocc, "spectrum_majorizes", counting)
+        scan = scan_Mk(x, y, 6)
+        assert scan.results == {k: "strict_interior" for k in range(1, 7)}
+        assert sorted(yields) == sorted(list(range(1, 7)) * 2)
+        assert walked == [4 ** k for k in range(1, 7)]
+
+
 class TestLemma3Condition:
     def test_paper_target_needs_two_copies(self):
         # at d=2: left inequality holds for every k, right only from k=2 on
