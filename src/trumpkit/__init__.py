@@ -1,10 +1,9 @@
 """Decision toolkit for bipartite pure-state entanglement transformations
 under majorization: single-copy, multiple-copy, and catalyst-assisted
 convertibility, explicit catalyst constructions, usefulness classification,
-and Renyi-entropy necessary-condition filters, on an exact rational backend.
+and Renyi-entropy necessary-condition filters, in exact rational arithmetic.
 """
 
-from .backend import EXACT, ScalarBackend, float_backend
 from .specvec import (ProbVec, Spectrum, direct_sum, make_probvec, pad_to,
                       spectrum_of, spectrum_tensor, tensor, tensor_power,
                       tensor_power_spectrum)
@@ -24,7 +23,6 @@ from .renyi import (DEFAULT_ALPHA_GRID, RFilterVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "EXACT", "ScalarBackend", "float_backend",
     "ProbVec", "Spectrum", "direct_sum", "make_probvec", "pad_to",
     "spectrum_of", "spectrum_tensor", "tensor", "tensor_power",
     "tensor_power_spectrum",

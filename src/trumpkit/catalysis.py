@@ -116,8 +116,7 @@ def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int,
     term spectra are merged over one common scale, and the result is
     expanded once, one scalar per distinct value.
     """
-    be = x.backend
-    one = Spectrum([(be.one(), 1)], be)
+    one = Spectrum([(Fraction(1), 1)])
     px = [one, *tensor_powers(x, k - 1)]
     py = [one, *tensor_powers(y, k - 1)]
     sc = spectrum_direct_sum([spectrum_tensor(px[k - 1 - i], py[i])
@@ -188,10 +187,9 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     and each c^(x)m grows from c^(x)(m-1) (tensor_powers).
 
     The answer is monotone in m: tensoring both sides of x (x) c^(x)m
-    majorized by y (x) c^(x)m with c^(x)(m'-m) gives every m' > m.  So on
-    the exact backend every m after the first True is True and c^(x)m is
-    grown no further; on the float backend, where a True within eps would
-    carry its drift along, every m is walked."""
+    majorized by y (x) c^(x)m with c^(x)(m'-m) gives every m' > m.  So
+    every m after the first True is True and c^(x)m is grown no
+    further."""
     _check_dims(x, y)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -199,7 +197,7 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     out = {}
     for m, scm in enumerate(tensor_powers(c, m_max), 1):
         out[m] = _catalyzes(sx, sy, scm)
-        if out[m] and x.backend.exact:
+        if out[m]:
             out.update(dict.fromkeys(range(m + 1, m_max + 1), True))
             break
     return out
@@ -224,7 +222,7 @@ def _lattice_candidates(dim_c: int, resolution: int):
 def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
                     seed: int = 0) -> Optional[CatalystCert]:
     """Heuristic catalyst search: a coarse lattice pass then seeded random
-    sampling of sorted simplex points (rationalized for the exact backend).
+    sampling of sorted simplex points, each entry rounded to 1/10^4.
     Absence after `budget` trials is a normal outcome, never a proof of
     nonexistence.  None comes back without a trial when the endpoint
     filter fails or, after the one-copy walk (which raises on a total mass
@@ -239,9 +237,8 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     if (not spectrum_majorizes(sx, sy).holds
             and power_sum_refutation(sx, sy) is not None):
         return None
-    be = x.backend
     if dim_c == 1:
-        c = ProbVec([be.one()], be)
+        c = ProbVec([Fraction(1)])
         if _catalyzes(sx, sy, spectrum_of(c)):
             return CatalystCert(c, "search(seed=%d, dim=1)" % seed, True)
         return None
@@ -251,7 +248,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     def try_vals(vals):
         nonlocal trials
         trials += 1
-        c = make_probvec(vals, normalize=True, backend=be)
+        c = make_probvec(vals, normalize=True)
         if _catalyzes(sx, sy, spectrum_of(c)):
             return CatalystCert(
                 c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
@@ -261,7 +258,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         for vals in _lattice_candidates(dim_c, resolution):
             if trials >= budget:
                 return None
-            hit = try_vals(vals if be.exact else [float(v) for v in vals])
+            hit = try_vals(vals)
             if hit:
                 return hit
 
@@ -269,11 +266,8 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     denom = 10 ** 4
     while trials < budget:
         raw = sorted((rng.random() for _ in range(dim_c)), reverse=True)
-        if be.exact:
-            vals = [Fraction(max(1, round(v * denom)), denom) for v in raw]
-        else:
-            vals = raw
-        hit = try_vals(vals)
+        hit = try_vals([Fraction(max(1, round(v * denom)), denom)
+                        for v in raw])
         if hit:
             return hit
     return None

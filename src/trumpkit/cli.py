@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 = positive verdict
 (convertible / verified / no violation), 1 = negative or undecided,
-2 = input error.  All vectors are JSON arrays of exact literals ("0.4",
-"2/5"); plain numbers are accepted in float mode only.
+2 = input error.  All vectors are JSON arrays of exact literals: strings
+("0.4", "2/5") or JSON numbers, each number read as the decimal it is
+written as (0.4 is 2/5), so every comparison is an exact rational one.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import argparse
 import json
 import sys
 
-from .backend import EXACT, float_backend
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
 from .specvec import load_vector, spectrum_of, spectrum_tensor
@@ -32,10 +32,6 @@ def _build_parser():
         if need_y:
             sp.add_argument("--y", required=True, metavar="FILE",
                             help="target vector file")
-        sp.add_argument("--backend", choices=["exact", "float"],
-                        default="exact")
-        sp.add_argument("--eps", type=float, default=1e-12,
-                        help="comparison tolerance (float backend)")
         sp.add_argument("--json", action="store_true", dest="as_json",
                         help="machine-readable output")
 
@@ -75,14 +71,6 @@ def _build_parser():
     return p
 
 
-def _backend_of(args):
-    if args.backend == "float":
-        print("note: float backend, comparisons within eps=%g are "
-              "heuristic" % args.eps, file=sys.stderr)
-        return float_backend(args.eps)
-    return EXACT
-
-
 def _emit(payload, as_json):
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -94,27 +82,24 @@ def _emit(payload, as_json):
 def _failed_endpoint(x, y):
     """The endpoint test that x -> y fails, or None.  Each is necessary
     at every k and with every catalyst."""
-    be = x.backend
-    if be.lt(y.entries[0], x.entries[0]):
+    if y.entries[0] < x.entries[0]:
         return "x_1 <= y_1"
-    if be.lt(x.entries[-1], y.entries[-1]):
+    if x.entries[-1] < y.entries[-1]:
         return "x_n >= y_n"
     return None
 
 
 def cmd_majorize(args) -> int:
-    be = _backend_of(args)
-    x = load_vector(args.x, be)
-    y = load_vector(args.y, be)
+    x = load_vector(args.x)
+    y = load_vector(args.y)
     rep = majorizes(x, y)
     _emit(rep.to_json(), args.as_json)
     return 0 if rep.holds else 1
 
 
 def cmd_mlocc(args) -> int:
-    be = _backend_of(args)
-    x = load_vector(args.x, be)
-    y = load_vector(args.y, be)
+    x = load_vector(args.x)
+    y = load_vector(args.y)
     scan = mlocc.scan_Mk(x, y, args.k_max)
     payload = scan.to_json()
     if scan.first_success is None:
@@ -125,9 +110,8 @@ def cmd_mlocc(args) -> int:
 
 
 def cmd_catalyst(args) -> int:
-    be = _backend_of(args)
-    x = load_vector(args.x, be)
-    y = load_vector(args.y, be)
+    x = load_vector(args.x)
+    y = load_vector(args.y)
     if args.action == "build":
         k = args.k
         if k is None:
@@ -151,12 +135,12 @@ def cmd_catalyst(args) -> int:
     elif args.action == "combine":
         if args.c is None or args.k is None:
             raise SystemExit("combine requires --c and --k")
-        cp = load_vector(args.c, be)
+        cp = load_vector(args.c)
         cert = catalysis.combine_catalysts(x, y, args.k, cp)
     elif args.action == "lift":
         if args.c is None:
             raise SystemExit("lift requires --c")
-        c = load_vector(args.c, be)
+        c = load_vector(args.c)
         cert = catalysis.lift_catalyst(x, y, c, args.n_copies)
     elif args.action == "search":
         cert = catalysis.search_catalyst(x, y, args.dim_c, args.budget,
@@ -184,7 +168,7 @@ def cmd_catalyst(args) -> int:
     else:  # scan
         if args.c is None:
             raise SystemExit("scan requires --c")
-        c = load_vector(args.c, be)
+        c = load_vector(args.c)
         result = catalysis.multicopy_catalyst_scan(x, y, c, args.m_max)
         _emit({str(m): ok for m, ok in sorted(result.items())},
               args.as_json)
@@ -203,17 +187,15 @@ def cmd_catalyst(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    be = _backend_of(args)
-    y = load_vector(args.y, be)
+    y = load_vector(args.y)
     verdict = mlocc.classify_usefulness(y)
     _emit(verdict.to_json(), args.as_json)
     return 0
 
 
 def cmd_rfilter(args) -> int:
-    be = _backend_of(args)
-    x = load_vector(args.x, be)
-    y = load_vector(args.y, be)
+    x = load_vector(args.x)
+    y = load_vector(args.y)
     grid = None
     if args.alpha_grid:
         grid = tuple(float(a) for a in args.alpha_grid.split(","))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .specvec import ProbVec, Spectrum, spectrum_of
@@ -83,14 +84,9 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
         # be zero only at l - 1, which need not be a breakpoint
         l, ex, ey = fv
         gap = (ex - x.entries[l - 1]) - (ey - y.entries[l - 1])
-        if l > 1 and abs(gap) <= _tolerance(x.backend):
+        if l > 1 and gap == 0:
             equalities.add(l - 1)
     return MajReport(rep.verdict, frozenset(equalities), fv)
-
-
-def _tolerance(be):
-    """Largest gap the walk counts as an equality."""
-    return 0 if be.exact else be.float_eps
 
 
 def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
@@ -99,17 +95,15 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
 
     One linear merge walk over both block lists: each step advances to the
     next breakpoint of either spectrum and updates both prefix masses as
-    numerators over one common scale.  Exact mode compares integers;
-    float mode uses the same walk with the backend's eps as tolerance.
+    numerators over one common scale, and every comparison is one of
+    integers.
     """
     if sx.total_count != sy.total_count:
         raise ValueError("total_count mismatch: %d vs %d"
                          % (sx.total_count, sy.total_count))
-    be = sx.backend
-    tol = _tolerance(be)
     scale = math.lcm(sx._scale, sy._scale)
     mx, my = scale // sx._scale, scale // sy._scale
-    if abs(sx._mass * mx - sy._mass * my) > tol:
+    if sx._mass * mx != sy._mass * my:
         raise ValueError("total mass mismatch: %s vs %s"
                          % (sx.total_mass(), sy.total_mass()))
     total = sx.total_count
@@ -128,11 +122,10 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
         ex += vx * step
         ey += vy * step
         diff = ex - ey
-        if diff > tol:
-            return _fail_report(be, scale, tol, equalities, zero_segment,
-                                l - step, l, ex - vx * step, ey - vy * step,
-                                vx, vy)
-        eq = diff >= -tol
+        if diff > 0:
+            return _fail_report(scale, equalities, zero_segment, l - step, l,
+                                ex - vx * step, ey - vy * step, vx, vy)
+        eq = diff == 0
         if eq and l < total:
             equalities.add(l)
         # zero at both ends of a segment: identically zero on all of it
@@ -146,23 +139,23 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
     return MajReport("strict_interior")
 
 
-def _fail_report(be, scale, tol, equalities, zero_segment, lo, hi,
-                 ex_lo, ey_lo, vx, vy):
-    """Locate the least integer l in (lo, hi] with e_l(sx) - e_l(sy) > tol.
+def _fail_report(scale, equalities, zero_segment, lo, hi, ex_lo, ey_lo,
+                 vx, vy):
+    """Locate the least integer l in (lo, hi] with e_l(sx) > e_l(sy).
 
     On the segment the difference is linear with slope vx - vy (the block
     numerators), so the crossing point solves exactly in integer
     arithmetic; fall back to the breakpoint itself if the slope
-    degenerates.  Only the reported prefix masses become scalars.
+    degenerates.  Only the reported prefix masses become Fractions.
     """
     slope = vx - vy
-    if slope > tol:
-        # the walk reached lo, so the gap there is at most tol
-        l = min(lo + int((tol - ex_lo + ey_lo) // slope) + 1, hi)
+    if slope > 0:
+        # the walk reached lo, so the gap there is at most 0
+        l = min(lo + (ey_lo - ex_lo) // slope + 1, hi)
     else:
         l = hi
-    ex = be.scaled(ex_lo + vx * (l - lo), scale)
-    ey = be.scaled(ey_lo + vy * (l - lo), scale)
+    ex = Fraction(ex_lo + vx * (l - lo), scale)
+    ey = Fraction(ey_lo + vy * (l - lo), scale)
     return MajReport("fails", frozenset(equalities), (l, ex, ey),
                      zero_segment)
 
@@ -177,10 +170,8 @@ def is_generalized_interior(x: ProbVec, y: ProbVec) -> bool:
     """Generalized interior membership: x majorized by y with strict head
     (x_1 < y_1) and strict tail (x_n > y_n); interior equalities allowed."""
     rep = majorizes(x, y)
-    be = x.backend
-    return (rep.holds
-            and be.lt(x.entries[0], y.entries[0])
-            and be.lt(y.entries[-1], x.entries[-1]))
+    return (rep.holds and x.entries[0] < y.entries[0]
+            and y.entries[-1] < x.entries[-1])
 
 
 def check_direct_sum_interior_condition(y: ProbVec, yp: ProbVec) -> bool:
@@ -189,9 +180,8 @@ def check_direct_sum_interior_condition(y: ProbVec, yp: ProbVec) -> bool:
     vector is uniform."""
     if y.is_uniform() or yp.is_uniform():
         raise ValueError("condition undefined for uniform vectors")
-    be = y.backend
-    return (be.lt(yp.entries[-1], y.entries[0])
-            and be.lt(y.entries[-1], yp.entries[0]))
+    return (yp.entries[-1] < y.entries[0]
+            and y.entries[-1] < yp.entries[0])
 
 
 def check_overlap_chain(ys) -> bool:
@@ -204,11 +194,10 @@ def check_overlap_chain(ys) -> bool:
         raise ValueError("empty chain")
     if len(vecs) == 1:
         return True
-    be = vecs[0].backend
     heads = [v.entries[0] for v in vecs]
     tails = [v.entries[-1] for v in vecs]
-    if any(be.lt(heads[0], h) for h in heads[1:]):
+    if any(heads[0] < h for h in heads[1:]):
         return False
-    if any(be.lt(t, tails[-1]) for t in tails[:-1]):
+    if any(t < tails[-1] for t in tails[:-1]):
         return False
-    return all(be.lt(tails[i], heads[i + 1]) for i in range(len(vecs) - 1))
+    return all(tails[i] < heads[i + 1] for i in range(len(vecs) - 1))

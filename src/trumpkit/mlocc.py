@@ -64,8 +64,8 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     dimensions; k >= 1; the one-copy walk on the spectra of x and y,
     which raises on a total mass mismatch and answers True when it holds;
     False at k = 1, when the endpoint filter fails or when a power sum
-    refutes the pair; True when, for k >= 4 on the exact backend, k is a
-    sum of smaller members; only then are both k-th powers enumerated,
+    refutes the pair; True when, for k >= 4, k is a sum of smaller
+    members; only then are both k-th powers enumerated,
     from the spectra already built.
     """
     if x.dim != y.dim:
@@ -78,7 +78,7 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     if (k == 1 or not endpoint_filter_passes(x, y)
             or power_sum_refutation(sx, sy) is not None):
         return False
-    if k >= 4 and x.backend.exact and _sum_of_members(x, y, k, sx, sy):
+    if k >= 4 and _sum_of_members(x, y, k, sx, sy):
         return True
     return spectrum_majorizes(tensor_power_spectrum(x, k, sx),
                               tensor_power_spectrum(y, k, sy)).holds
@@ -100,8 +100,7 @@ def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
     next power (the cheaper of tensor_powers' chain step and enumeration)
     would take either side past the direct path's estimate for
     enumerating its k-th power, so an undecided pair spends at most that
-    estimate again before the direct path runs.  Exact only: on the
-    float backend members within eps would compose into drift.
+    estimate again before the direct path runs.
     """
     powers = [tensor_powers(x, k - 2, sx), tensor_powers(y, k - 2, sy)]
     last = [next(p) for p in powers]  # S_1: the bases themselves
@@ -126,9 +125,7 @@ def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
 def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
     """Necessary condition for membership at any k: x_1 <= y_1 and
     x_n >= y_n.  Exact, not heuristic."""
-    be = x.backend
-    return (be.le(x.entries[0], y.entries[0])
-            and be.le(y.entries[-1], x.entries[-1]))
+    return x.entries[0] <= y.entries[0] and y.entries[-1] <= x.entries[-1]
 
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
@@ -143,7 +140,7 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     (power_sum_refutation), every k is marked 'fails' and no second power
     is built.
 
-    On the exact backend two facts then fix many verdicts from smaller k:
+    Two facts then fix many verdicts from smaller k:
       - strict interior at a plus membership at b gives strict interior
         at a + b, so a pair strictly interior at one copy is strictly
         interior at every k;
@@ -169,8 +166,7 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     otherwise x^(x)k and y^(x)k are grown from the previous powers
     (tensor_powers) and walked.  Powers are grown only up to the last k
     that is walked.  (At n = 1 every k is strictly interior, which the
-    first check finds.)  On the float backend members within eps would
-    compose into drift, so every k is walked."""
+    first check finds.)"""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
     if k_max < 1:
@@ -179,9 +175,7 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     if not endpoint_filter_passes(x, y):
         return MloccScan(x, y, k_max, every_k_fails, None,
                          short_circuited=True)
-    be = x.backend
-    tie = (be.eq(x.entries[0], y.entries[0])
-           or be.eq(x.entries[-1], y.entries[-1]))
+    tie = x.entries[0] == y.entries[0] or x.entries[-1] == y.entries[-1]
     powers = tensor_powers(x, k_max), tensor_powers(y, k_max)
     grown = 0
     # bit k set: k is a member / strict / a sum of two members / a strict
@@ -210,13 +204,12 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
             continue
         if first is None:
             first = k
-        if be.exact:
-            members |= 1 << k
-            if verdict == "strict_interior":
-                strict |= 1 << k
-                strict_sums |= members << k
-            member_sums |= members << k
-            strict_sums |= strict << k
+        members |= 1 << k
+        if verdict == "strict_interior":
+            strict |= 1 << k
+            strict_sums |= members << k
+        member_sums |= members << k
+        strict_sums |= strict << k
     return MloccScan(x, y, k_max, results, first)
 
 
@@ -229,21 +222,18 @@ def lemma3_k_condition(y: ProbVec, d: int, k: int) -> bool:
         raise ValueError("d must satisfy 1 < d < n-1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    be = y.backend
     y1, yd, yd1, yn = (y.entries[0], y.entries[d - 1], y.entries[d],
                        y.entries[-1])
-    return (be.lt(yd ** k, y1 ** (k - 1) * yd1)
-            and be.lt(yd * yn ** (k - 1), yd1 ** k))
+    return yd ** k < y1 ** (k - 1) * yd1 and yd * yn ** (k - 1) < yd1 ** k
 
 
 def _d_min_max(y: ProbVec):
     """d_min = least index with y_1 > y_i; d_max = greatest with y_i > y_n
     (1-based)."""
-    be = y.backend
     d_min = next((i + 1 for i, v in enumerate(y.entries)
-                  if be.lt(v, y.entries[0])), None)
+                  if v < y.entries[0]), None)
     d_max = next((y.dim - i for i, v in enumerate(reversed(y.entries))
-                  if be.lt(y.entries[-1], v)), None)
+                  if y.entries[-1] < v), None)
     return d_min, d_max
 
 
@@ -256,13 +246,12 @@ def corollary4_k_bound(y: ProbVec, k_max: int) -> Optional[int]:
         raise ValueError("y must be non-uniform")
     if not classify_usefulness(y).useful:
         raise ValueError("usefulness condition fails for y")
-    be = y.backend
     d_min, d_max = _d_min_max(y)
     a = y.entries[d_min - 1]       # y_{d_min}
     b = y.entries[d_max]           # y_{d_max + 1}
     y1, yn = y.entries[0], y.entries[-1]
     for k in range(1, k_max + 1):
-        if be.lt(a ** k, y1 ** (k - 1) * b) and be.lt(a * yn ** (k - 1), b ** k):
+        if a ** k < y1 ** (k - 1) * b and a * yn ** (k - 1) < b ** k:
             return k
     return None
 
@@ -277,9 +266,7 @@ def is_interior_of_M(x: ProbVec, y: ProbVec, k_max: int) -> str:
         return "not_member"
     if scan.first_success is None:
         return "unknown"
-    be = x.backend
-    if (be.lt(x.entries[0], y.entries[0])
-            and be.lt(y.entries[-1], x.entries[-1])):
+    if x.entries[0] < y.entries[0] and y.entries[-1] < x.entries[-1]:
         return "interior"
     return "boundary"
 
@@ -292,14 +279,12 @@ def classify_usefulness(y: ProbVec) -> UsefulnessVerdict:
     sits on the single-copy boundary (equality at l) yet is interior to
     the multi-copy region.  Least valid l wins, for determinism.
     """
-    be = y.backend
     n = y.dim
     for l in range(2, n - 1):
-        if (be.lt(y.entries[l - 1], y.entries[0])
-                and be.lt(y.entries[-1], y.entries[l])):
+        if y.entries[l - 1] < y.entries[0] and y.entries[-1] < y.entries[l]:
             head = y.prefix(l) / l
             tail = (y.total() - y.prefix(l)) / (n - l)
-            witness = ProbVec([head] * l + [tail] * (n - l), be)
+            witness = ProbVec([head] * l + [tail] * (n - l))
             return UsefulnessVerdict(True, l, witness)
     return UsefulnessVerdict(False)
 
@@ -317,4 +302,4 @@ def nonclosedness_witness(y: ProbVec) -> ProbVec:
     vals = list(y.entries)
     vals[l] = vals[l] + delta
     vals[m] = vals[m] - delta
-    return ProbVec(vals, y.backend)
+    return ProbVec(vals)

@@ -28,15 +28,12 @@ DEFAULT_ALPHA_GRID = (-64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -0.5,
 
 
 def _nonzero(x: ProbVec):
-    be = x.backend
-    return [v for v in x.entries if not be.eq(v, 0)]
+    return [v for v in x.entries if v != 0]
 
 
 def power_sum(x: ProbVec, alpha: int) -> Fraction:
-    """Exact sum of x_i^alpha over nonzero entries, for integer alpha.
-    Exact-backend only; powers of rationals stay rational."""
-    if not x.backend.exact:
-        raise ValueError("exact power sums require the exact backend")
+    """Exact sum of x_i^alpha over nonzero entries, for integer alpha;
+    powers of rationals stay rational."""
     return sum((v ** alpha for v in _nonzero(x)), Fraction(0))
 
 
@@ -90,11 +87,8 @@ def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
     sum m_i p_i^a * D_y^a with sum n_j q_j^a * D_x^a, and a negative order
     compares the reciprocals the same way over the lcm of the numerators.
     The first violation stops the test.  sx and sy must carry equal total
-    mass, which the one-copy walk checks.  Exact backend only: on the
-    float backend the answer is None.
+    mass, which the one-copy walk checks.
     """
-    if not sx.backend.exact:
-        return None
     order = _first_excess(sx._int_vals, sx._counts, sx._scale,
                           sy._int_vals, sy._counts, sy._scale, 2)
     if order is not None:
@@ -114,8 +108,8 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
     """Renyi entropy at any extended-real order.
 
     Integer orders go through exact power sums before the single log;
-    non-integer orders evaluate in floating point even on the exact
-    backend (irrational powers have no exact representation).
+    non-integer orders evaluate in floating point (irrational powers have
+    no exact representation).
     """
     nz = _nonzero(x)
     d = len(nz)
@@ -128,7 +122,7 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
     if alpha == 1:
         return -sum(float(v) * math.log2(float(v)) for v in nz)
     sgn = 1.0 if alpha >= 0 else -1.0
-    if x.backend.exact and float(alpha) == int(alpha):
+    if float(alpha) == int(alpha):
         s = power_sum(x, int(alpha))
         # big-int-safe log2: exact power sums overflow float at large |alpha|
         log_s = math.log2(s.numerator) - math.log2(s.denominator)
@@ -174,24 +168,22 @@ def _entropy_diff_sign(x: ProbVec, y: ProbVec, alpha,
                        tol: float = 1e-12) -> int:
     """Sign of S(x) - S(y) at one order.
 
-    On the exact backend every order but 1 and the non-integer ones is a
-    rational comparison: the nonzero counts at 0, the largest entries at
-    +inf (S = -log2 max), the smallest nonzero entries at -inf
-    (S = log2 min), and power sums at the other integers.  Everything
-    else uses floats with a tolerance."""
-    be = x.backend
-    if be.exact:
-        if alpha == POS_INF:
-            return _sign(y.entries[0] - x.entries[0])
-        if alpha == NEG_INF:
-            return _sign(min(_nonzero(x)) - min(_nonzero(y)))
-        if float(alpha) == int(alpha) and int(alpha) != 1:
-            a = int(alpha)
-            if a == 0:
-                return _sign(x.nonzero_dim - y.nonzero_dim)
-            # at integer a > 1 and a < 0 the entropy order reverses the
-            # power-sum order
-            return _sign(power_sum(y, a) - power_sum(x, a))
+    Every order but 1 and the non-integer ones is a rational comparison:
+    the nonzero counts at 0, the largest entries at +inf
+    (S = -log2 max), the smallest nonzero entries at -inf (S = log2 min),
+    and power sums at the other integers.  Order 1 and the non-integer
+    orders use floats with a tolerance."""
+    if alpha == POS_INF:
+        return _sign(y.entries[0] - x.entries[0])
+    if alpha == NEG_INF:
+        return _sign(min(_nonzero(x)) - min(_nonzero(y)))
+    if float(alpha) == int(alpha) and int(alpha) != 1:
+        a = int(alpha)
+        if a == 0:
+            return _sign(x.nonzero_dim - y.nonzero_dim)
+        # at integer a > 1 and a < 0 the entropy order reverses the
+        # power-sum order
+        return _sign(power_sum(y, a) - power_sum(x, a))
     dx = renyi_entropy(x, alpha) - renyi_entropy(y, alpha)
     if abs(dx) <= tol:
         return 0
@@ -238,8 +230,7 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
 
 
 def equal_by_power_sums(x: ProbVec, y: ProbVec) -> bool:
-    """Decisive multiset-equality test on the exact backend: matching power
-    sums at orders 1..n force equal sorted vectors (Newton's identities
+    """Decisive multiset-equality test: matching power sums at orders 1..n force equal sorted vectors (Newton's identities
     determine the elementary symmetric polynomials, hence the multiset)."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
@@ -253,20 +244,18 @@ def r_properties_check(x: ProbVec, y: ProbVec, grid=None) -> dict:
     equality verdict."""
     if x.dim != y.dim:
         raise ValueError("dimension mismatch")
-    be = x.backend
     forward = r_filter(x, y, grid)
     backward = r_filter(y, x, grid)
     rec = {
-        "head_ok": be.le(x.entries[0], y.entries[0]),
-        "tail_ok": be.le(y.entries[-1], x.entries[-1]),
+        "head_ok": x.entries[0] <= y.entries[0],
+        "tail_ok": y.entries[-1] <= x.entries[-1],
         "forward_pass": not forward.violated,
         "backward_pass": not backward.violated,
     }
     rec["bidirectional_pass"] = rec["forward_pass"] and rec["backward_pass"]
-    if be.exact:
-        rec["exactly_equal"] = equal_by_power_sums(x, y)
-        # bidirectional grid passes on distinct vectors flag grid
-        # insufficiency, not membership
-        rec["grid_insufficient"] = (rec["bidirectional_pass"]
-                                    and not rec["exactly_equal"])
+    rec["exactly_equal"] = equal_by_power_sums(x, y)
+    # bidirectional grid passes on distinct vectors flag grid
+    # insufficiency, not membership
+    rec["grid_insufficient"] = (rec["bidirectional_pass"]
+                                and not rec["exactly_equal"])
     return rec

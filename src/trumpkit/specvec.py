@@ -13,26 +13,24 @@ import json
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 from typing import Optional
 
-from .backend import EXACT, ScalarBackend
-
 
 class ProbVec:
     """Immutable probability vector, entries sorted nonincreasing."""
 
-    __slots__ = ("entries", "backend")
+    __slots__ = ("entries",)
 
-    def __init__(self, entries, backend: ScalarBackend = EXACT, _sorted=False):
+    def __init__(self, entries, _sorted=False):
         entries = tuple(entries) if _sorted else tuple(
             sorted(entries, reverse=True))
         if not entries:
             raise ValueError("empty probability vector")
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "backend", backend)
 
     def __setattr__(self, *a):
         raise AttributeError("ProbVec is immutable")
@@ -45,24 +43,24 @@ class ProbVec:
     def nonzero_dim(self) -> int:
         """d_x: number of nonzero entries (zeros are retained, not stripped,
         because trailing zeros change classification)."""
-        return sum(1 for v in self.entries if not self.backend.eq(v, 0))
+        return sum(1 for v in self.entries if v != 0)
 
     def total(self):
-        return sum(self.entries, self.backend.zero())
+        return sum(self.entries, Fraction(0))
 
     def prefix(self, l: int):
         """e_l: sum of the l largest entries."""
         if not 0 <= l <= self.dim:
             raise ValueError("prefix index out of range")
-        return sum(self.entries[:l], self.backend.zero())
+        return sum(self.entries[:l], Fraction(0))
 
     def __eq__(self, other):
         if not isinstance(other, ProbVec):
             return NotImplemented  # let a factored catalyst compare itself
-        return self.entries == other.entries and self.backend == other.backend
+        return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.entries, self.backend))
+        return hash(self.entries)
 
     def __len__(self):
         return len(self.entries)
@@ -77,45 +75,59 @@ class ProbVec:
         return "ProbVec(%s)" % (", ".join(map(str, self.entries)))
 
     def is_uniform(self) -> bool:
-        return self.backend.eq(self.entries[0], self.entries[-1])
+        return self.entries[0] == self.entries[-1]
 
     def distinct(self):
         """Distinct values with multiplicities, value-descending."""
         out = []
         for v in self.entries:
-            if out and self.backend.eq(out[-1][0], v):
+            if out and out[-1][0] == v:
                 out[-1] = (out[-1][0], out[-1][1] + 1)
             else:
                 out.append((v, 1))
         return out
 
     def to_json(self):
-        return [self.backend.format(v) if self.backend.exact else v
-                for v in self.entries]
+        return [str(v) for v in self.entries]
 
 
-def make_probvec(raw, normalize: bool = False,
-                 backend: ScalarBackend = EXACT) -> ProbVec:
-    """Build a ProbVec from raw scalars or literals.
+def _parse(raw) -> Fraction:
+    """One exact entry from an int, a Fraction or a string such as "0.4"
+    or "2/5".  Bare floats are rejected, since their binary value is
+    almost never the decimal meant; so is every other type (bool, None,
+    lists), and a string that is no number or has a zero denominator."""
+    if isinstance(raw, float):
+        raise ValueError("float literal %r not allowed; pass a string like "
+                         "'0.4' or '2/5'" % (raw,))
+    if isinstance(raw, bool) or not isinstance(raw, (str, int, Fraction)):
+        raise ValueError("entry %r is not a number literal" % (raw,))
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError("entry %r has a zero denominator" % (raw,)) from None
+
+
+def make_probvec(raw, normalize: bool = False) -> ProbVec:
+    """Build a ProbVec from raw entries (see _parse for what is accepted).
 
     With normalize set the entries are divided by their sum; otherwise the
-    sum must already be 1 (exactly, or within tolerance in float mode).
+    sum must already be exactly 1.
     """
-    vals = [backend.parse(v) for v in raw]
+    vals = [_parse(v) for v in raw]
     if not vals:
         raise ValueError("empty input")
     for v in vals:
         if v < 0:
             raise ValueError("negative entry %s" % (v,))
-    total = sum(vals, backend.zero())
-    if backend.eq(total, 0):
+    total = sum(vals, Fraction(0))
+    if total == 0:
         raise ValueError("zero total mass")
     if normalize:
         vals = [v / total for v in vals]
-    elif not backend.eq(total, 1):
+    elif total != 1:
         raise ValueError("entries sum to %s, not 1 (pass normalize=True "
                          "to rescale)" % (total,))
-    return ProbVec(vals, backend)
+    return ProbVec(vals)
 
 
 def pad_to(x: ProbVec, n: int) -> ProbVec:
@@ -124,15 +136,12 @@ def pad_to(x: ProbVec, n: int) -> ProbVec:
     makes multi-copy transformations useful)."""
     if n < x.dim:
         raise ValueError("cannot pad to a smaller dimension")
-    return ProbVec(x.entries + (x.backend.zero(),) * (n - x.dim),
-                   x.backend, _sorted=True)
+    return ProbVec(x.entries + (Fraction(0),) * (n - x.dim), _sorted=True)
 
 
 def tensor(a: ProbVec, b: ProbVec) -> ProbVec:
     """Tensor product: all pairwise products, re-sorted."""
-    if a.backend != b.backend:
-        raise ValueError("backend mismatch")
-    return ProbVec([u * v for u in a.entries for v in b.entries], a.backend)
+    return ProbVec([u * v for u in a.entries for v in b.entries])
 
 
 def tensor_power(x: ProbVec, k: int) -> ProbVec:
@@ -148,13 +157,11 @@ def tensor_power(x: ProbVec, k: int) -> ProbVec:
 def direct_sum(a: ProbVec, b: ProbVec, renormalize: bool = False) -> ProbVec:
     """Concatenation re-sorted; renormalize rescales the mass-2 result
     back to 1."""
-    if a.backend != b.backend:
-        raise ValueError("backend mismatch")
     vals = list(a.entries) + list(b.entries)
     if renormalize:
-        total = sum(vals, a.backend.zero())
+        total = sum(vals, Fraction(0))
         vals = [v / total for v in vals]
-    return ProbVec(vals, a.backend)
+    return ProbVec(vals)
 
 
 class Spectrum:
@@ -164,18 +171,16 @@ class Spectrum:
     The state every computation runs on is a list of strictly decreasing
     numerators (``_int_vals``), their counts (``_counts``) and one common
     ``_scale``: block i holds ``_counts[i]`` copies of
-    ``_int_vals[i] / _scale``.  On the exact backend numerators and scale
-    are plain integers, so building, merging, sorting and prefix walks
-    never normalize a rational; on the float backend the numerators are
-    the float values themselves over scale 1.  ``blocks``, the
-    ``(value, count)`` tuple of backend scalars, is a read-only view built
-    on first access.
+    ``_int_vals[i] / _scale``.  Numerators and scale are plain integers,
+    so building, merging, sorting and prefix walks never normalize a
+    rational.  ``blocks``, the ``(Fraction, count)`` tuple, is a read-only
+    view built on first access.
     """
 
-    __slots__ = ("backend", "_int_vals", "_counts", "_scale", "_total",
-                 "_mass", "_blocks")
+    __slots__ = ("_int_vals", "_counts", "_scale", "_total", "_mass",
+                 "_blocks")
 
-    def __init__(self, blocks, backend: ScalarBackend = EXACT):
+    def __init__(self, blocks):
         blocks = tuple((v, int(c)) for v, c in blocks)
         for (v1, c1), (v2, c2) in zip(blocks, blocks[1:]):
             if not v1 > v2:
@@ -183,20 +188,16 @@ class Spectrum:
         for _, c in blocks:
             if c < 1:
                 raise ValueError("block counts must be >= 1")
-        if backend.exact:
-            scale = math.lcm(*(v.denominator for v, _ in blocks))
-            vals = [v.numerator * (scale // v.denominator) for v, _ in blocks]
-        else:
-            scale, vals = 1, [v for v, _ in blocks]
+        scale = math.lcm(*(v.denominator for v, _ in blocks))
+        vals = [v.numerator * (scale // v.denominator) for v, _ in blocks]
         counts = [c for _, c in blocks]
-        self._set(vals, counts, scale, sum(map(mul, vals, counts)), backend,
-                  blocks)
+        self._set(vals, counts, scale, sum(map(mul, vals, counts)), blocks)
 
-    def _set(self, vals, counts, scale, mass, backend, blocks=None):
+    def _set(self, vals, counts, scale, mass, blocks=None):
         """Fill the state in __slots__ order; mass is the numerator of the
         total mass over scale."""
         for name, value in zip(self.__slots__, (
-                backend, vals, counts, scale, sum(counts), mass, blocks)):
+                vals, counts, scale, sum(counts), mass, blocks)):
             object.__setattr__(self, name, value)
         return self
 
@@ -205,12 +206,10 @@ class Spectrum:
 
     @property
     def blocks(self):
-        """The (value, count) tuple of backend scalars, built on first
-        read."""
+        """The (Fraction value, count) tuple, built on first read."""
         if self._blocks is None:
-            to = self.backend.scaled
             object.__setattr__(self, "_blocks", tuple(
-                (to(v, self._scale), c)
+                (Fraction(v, self._scale), c)
                 for v, c in zip(self._int_vals, self._counts)))
         return self._blocks
 
@@ -219,11 +218,10 @@ class Spectrum:
         return self._total
 
     def total_mass(self):
-        return self.backend.scaled(self._mass, self._scale)
+        return Fraction(self._mass, self._scale)
 
     def __eq__(self, other):
-        return (isinstance(other, Spectrum) and self.blocks == other.blocks
-                and self.backend == other.backend)
+        return isinstance(other, Spectrum) and self.blocks == other.blocks
 
     def __repr__(self):
         return "Spectrum(%d blocks, total_count=%d)" % (
@@ -245,50 +243,43 @@ class Spectrum:
             take = c if c < l else l
             num += v * take
             l -= take
-        return self.backend.scaled(num, self._scale)
+        return Fraction(num, self._scale)
 
     def expand(self) -> ProbVec:
         """Materialize the full sorted vector; only for small totals."""
         vals = []
         for v, c in self.blocks:
             vals.extend([v] * c)
-        return ProbVec(vals, self.backend, _sorted=True)
+        return ProbVec(vals, _sorted=True)
 
     def to_json(self):
         return {
-            "blocks": [[self.backend.format(v), str(c)]
-                       for v, c in self.blocks],
+            "blocks": [[str(v), str(c)] for v, c in self.blocks],
             "total": str(self.total_count),
         }
 
 
-def _from_counts(merged, scale, mass, backend: ScalarBackend) -> Spectrum:
+def _from_counts(merged, scale, mass) -> Spectrum:
     """Trusted builder: the Spectrum of a {numerator: count} map over one
     scale, counts >= 1."""
     vals = sorted(merged, reverse=True)
     return object.__new__(Spectrum)._set(
-        vals, [merged[v] for v in vals], scale, mass, backend)
+        vals, [merged[v] for v in vals], scale, mass)
 
 
 def spectrum_of(x: ProbVec) -> Spectrum:
-    """Spectrum of a vector.  On the exact backend the entries'
-    numerators over the lcm of their denominators go straight into the
-    state, equal values merged as integers; the float backend merges
-    eps-equal neighbours (ProbVec.distinct)."""
-    be = x.backend
-    if not be.exact:
-        return Spectrum(x.distinct(), be)
+    """Spectrum of a vector: the entries' numerators over the lcm of
+    their denominators go straight into the state, equal values merged
+    as integers."""
     scale = math.lcm(*(v.denominator for v in x.entries))
     nums = [v.numerator * (scale // v.denominator) for v in x.entries]
-    return _from_counts(Counter(nums), scale, sum(nums), be)
+    return _from_counts(Counter(nums), scale, sum(nums))
 
 
 def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:
     """Tensor product of two compressed spectra: numerators multiply
     pairwise, and so do the scales.  The outer loop runs over the shorter
     block list."""
-    if a.backend != b.backend:
-        raise ValueError("backend mismatch")
     if len(a._counts) < len(b._counts):
         a, b = b, a
     merged = {}
@@ -298,8 +289,7 @@ def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:
         for va, ca in zip(av, ac):
             v = va * vb
             merged[v] = get(v, 0) + ca * cb
-    return _from_counts(merged, a._scale * b._scale, a._mass * b._mass,
-                        a.backend)
+    return _from_counts(merged, a._scale * b._scale, a._mass * b._mass)
 
 
 def spectrum_direct_sum(parts, weight: int) -> Spectrum:
@@ -314,7 +304,7 @@ def spectrum_direct_sum(parts, weight: int) -> Spectrum:
         for v, c in zip(p._int_vals, p._counts):
             v *= m
             merged[v] = merged.get(v, 0) + c
-    return _from_counts(merged, scale * weight, mass, parts[0].backend)
+    return _from_counts(merged, scale * weight, mass)
 
 
 # A chain step multiplies d * |S_(k-1)| block pairs; enumerating S_k
@@ -416,23 +406,22 @@ def tensor_power_spectrum(x: ProbVec, k: int,
         merged[pw[0][k]] = mw[0][k]
     else:
         walk(0, k, pw[0][0], 1)
-    return _from_counts(merged, base._scale ** k, base._mass ** k,
-                        base.backend)
+    return _from_counts(merged, base._scale ** k, base._mass ** k)
 
 
 # --- vector literal I/O -----------------------------------------------------
 
-def parse_vector_literal(text: str, backend: ScalarBackend = EXACT,
-                         normalize: bool = False) -> ProbVec:
+def parse_vector_literal(text: str, normalize: bool = False) -> ProbVec:
     """Parse the shared JSON vector format: an array of strings ("0.4",
-    "2/5") for exact mode, or of numbers (float mode only)."""
-    data = json.loads(text)
+    "2/5") or of JSON numbers.  A number is read as the decimal it is
+    written as (0.1 is 1/10, not its binary float), so either form is
+    exact."""
+    data = json.loads(text, parse_float=Fraction)
     if not isinstance(data, list):
         raise ValueError("vector literal must be a JSON array")
-    return make_probvec(data, normalize=normalize, backend=backend)
+    return make_probvec(data, normalize=normalize)
 
 
-def load_vector(path, backend: ScalarBackend = EXACT,
-                normalize: bool = False) -> ProbVec:
+def load_vector(path, normalize: bool = False) -> ProbVec:
     with open(path) as fh:
-        return parse_vector_literal(fh.read(), backend, normalize)
+        return parse_vector_literal(fh.read(), normalize)

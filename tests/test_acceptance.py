@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Everything runs on the exact backend at zero tolerance unless a
-criterion states a float tolerance.
+lines.  Every verdict is exact, at zero tolerance; only Renyi entropy
+values, which are floats, are compared within a stated tolerance.
 """
 
 import math

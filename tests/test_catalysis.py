@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
-                      combine_catalysts, float_backend, in_Mk,
+                      combine_catalysts, in_Mk,
                       lift_catalyst, majorizes, make_probvec,
                       multicopy_catalyst_scan, search_catalyst, tensor)
 from trumpkit import catalysis
@@ -239,15 +239,6 @@ class TestMulticopyCatalystScan:
         assert result == {1: False, **{m: True for m in range(2, 9)}}
         assert list(result) == list(range(1, 9))
         assert grown == [1, 2]
-
-    def test_float_backend_walks_every_m(self, monkeypatch):
-        be = float_backend(1e-12)
-        x, y, c = (make_probvec([float(v) for v in p], backend=be)
-                   for p in (PAPER_X, PAPER_Y, fv(F(3, 7), F(2, 7), F(2, 7))))
-        grown = self.counting_powers(monkeypatch)
-        result = multicopy_catalyst_scan(x, y, c, 8)
-        assert result == {1: False, **{m: True for m in range(2, 9)}}
-        assert grown == list(range(1, 9))
 
 
 class TestUniformCatalystIsVacuous:

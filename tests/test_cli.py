@@ -261,3 +261,39 @@ class TestReproducibility:
                      ("rfilter", "--x", X, "--y", Y, "--json")):
             _, out = run(capsys, *argv)
             assert json.loads(out) is not None
+
+
+class TestVectorFiles:
+    @pytest.mark.parametrize("text", ['[null, "1"]', '["0.5", ["0.5"]]',
+                                      '["1/0"]', '[true, false]'])
+    def test_malformed_entries_exit_two(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        code = main(["classify", "--y", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+
+    def test_json_numbers_match_string_literals(self, tmp_path, capsys):
+        xf = tmp_path / "x.json"
+        xf.write_text("[0.4, 0.4, 0.1, 0.1]")
+        _, from_numbers = run(capsys, "mlocc", "--x", str(xf), "--y", Y,
+                              "--json")
+        _, from_strings = run(capsys, "mlocc", "--x", X, "--y", Y, "--json")
+        assert from_numbers == from_strings
+
+    def test_json_numbers_are_read_as_written(self, tmp_path):
+        f = tmp_path / "v.json"
+        f.write_text("[0.1, 0.2, 0.7]")
+        v = load_vector(f)
+        assert v.total() == 1
+        assert v.entries == (Fraction(7, 10), Fraction(1, 5),
+                             Fraction(1, 10))
+
+    @pytest.mark.parametrize("flag", [["--backend", "float"],
+                                      ["--eps", "1e-9"]])
+    def test_removed_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["majorize", "--x", X, "--y", Y, *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

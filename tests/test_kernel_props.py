@@ -1,9 +1,8 @@
 """Property tests of the integer Spectrum kernel against the brute-force
 oracles in conftest: tensor powers, spectrum tensor products and the
 breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
-denominators near 1e4, plus agreement of the float backend with the exact
-one away from eps, majorizes against a per-entry Fraction walk, and the
-catalyst constructions built on the kernel against their Fraction
+denominators near 1e4, plus majorizes against a per-entry Fraction walk,
+the catalyst constructions built on the kernel against their Fraction
 definitions, the incremental power chain against direct enumeration,
 in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, the
 power-sum refutation against brute k-copy walks, in_Mk's sweep over
@@ -17,11 +16,11 @@ from fractions import Fraction as F
 from itertools import accumulate
 from unittest import mock
 
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, float_backend,
-                      in_Mk, majorizes, make_probvec, mlocc,
+from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, in_Mk,
+                      majorizes, make_probvec, mlocc,
                       power_sum_refutation, scan_Mk,
                       spectrum_majorizes, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
@@ -103,23 +102,6 @@ def test_walk_matches_brute(case):
     bps = set(sx.breakpoints()) | set(sy.breakpoints())
     assert rep.equality_indices == {l for l in bps
                                     if l < stop and ex[l] == ey[l]}
-
-
-@PROPS
-@given(pair_and_k())
-def test_float_agrees_with_exact_away_from_eps(case):
-    x, y, k = case
-    xs, ys = brute_tensor_power(x, k), brute_tensor_power(y, k)
-    gaps = [abs(a - b) for a, b in zip(accumulate(xs), accumulate(ys))]
-    assume(all(g == 0 or g > F(1, 10 ** 6) for g in gaps))
-    be = float_backend(1e-12)
-    xf = make_probvec([float(v) for v in x], backend=be)
-    yf = make_probvec([float(v) for v in y], backend=be)
-    exact = spectrum_majorizes(tensor_power_spectrum(x, k),
-                               tensor_power_spectrum(y, k))
-    approx = spectrum_majorizes(tensor_power_spectrum(xf, k),
-                                tensor_power_spectrum(yf, k))
-    assert approx.verdict == exact.verdict
 
 
 @st.composite
@@ -227,13 +209,10 @@ def test_power_chain_is_direct_enumeration(x, k_max):
 
 
 @PROPS
-@given(st.integers(1, 8).flatmap(parts), st.booleans())
-def test_spectrum_of_matches_distinct_blocks(x, as_float):
+@given(st.integers(1, 8).flatmap(parts))
+def test_spectrum_of_matches_distinct_blocks(x):
     x = vec(x)
-    if as_float:
-        be = float_backend(1e-12)
-        x = make_probvec([float(v) for v in x], backend=be)
-    want = Spectrum(x.distinct(), x.backend)
+    want = Spectrum(x.distinct())
     got = spectrum_of(x)
     assert got == want
     assert state(got) == state(want)

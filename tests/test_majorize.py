@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from trumpkit import (ProbVec, check_direct_sum_interior_condition,
-                      check_overlap_chain, direct_sum, float_backend,
+                      check_overlap_chain, direct_sum,
                       is_generalized_interior, is_interior, majorizes,
                       make_probvec, spectrum_majorizes, spectrum_of, tensor,
                       tensor_power_spectrum)
@@ -68,17 +68,6 @@ class TestMajorizes:
         rep = majorizes(x, y)
         assert rep.equality_indices == frozenset({3})
         assert rep.first_violation == (4, F(1), F(7, 8))
-
-    def test_float_violation_beyond_tolerance(self):
-        # e_2 differs by one rounding step: an equality, not the violation
-        be = float_backend(1e-12)
-        x = make_probvec([7 / 12, 1 / 6, 1 / 6, 1 / 12], backend=be)
-        y = make_probvec([0.625, 0.125, 0.125, 0.125], backend=be)
-        spec = spectrum_majorizes(spectrum_of(x), spectrum_of(y))
-        assert spec.first_violation[0] == 3
-        rep = majorizes(x, y)
-        assert rep.first_violation[0] == 3
-        assert rep.equality_indices == frozenset({2})
 
     def test_verdict_iff_violation(self):
         rng = random.Random(29)

@@ -5,7 +5,7 @@ import pytest
 
 from trumpkit import mlocc, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
-                      float_backend, in_Mk, is_interior_of_M,
+                      in_Mk, is_interior_of_M,
                       lemma3_k_condition, majorizes, make_probvec,
                       nonclosedness_witness, scan_Mk, spectrum_majorizes,
                       tensor_power_spectrum)
@@ -167,15 +167,6 @@ class TestPowerSumRefutationInMk:
         for x in (pre.HOLD_X, pre.EARLY_X, pre.LATE_X):
             assert scan_Mk(x, pre.HOLD_Y, 5).refuting_order is None
 
-    def test_float_backend_enumerates(self):
-        be = float_backend(1e-12)
-        x = make_probvec([0.6, 0.3, 0.05, 0.05], backend=be)
-        y = make_probvec([0.6, 0.25, 0.1, 0.05], backend=be)
-        scan = scan_Mk(x, y, 3)
-        assert scan.refuting_order is None
-        assert scan.results == {1: "fails", 2: "fails", 3: "fails"}
-        assert not in_Mk(x, y, 3)
-
 
 class TestSumOfMembersInMk:
     # members of the paper pair are 3, 4, 5, ...: 6 = 3 + 3 and
@@ -267,18 +258,6 @@ class TestSumOfMembersInMk:
             assert 0 < work[id(s)] <= specvec._enumeration_cost(
                 len(s._counts), k)
 
-    def test_float_backend_skips_the_sweep(self, monkeypatch):
-        be = float_backend(1e-12)
-        x = make_probvec([0.4, 0.4, 0.1, 0.1], backend=be)
-        y = make_probvec([0.5, 0.25, 0.25, 0.0], backend=be)
-        want = {k: self.direct(x, y, k) for k in (4, 5, 6, 12)}
-
-        def refuse(*a, **kw):
-            raise AssertionError("swept on floats")
-        monkeypatch.setattr(mlocc, "_sum_of_members", refuse)
-        assert {k: in_Mk(x, y, k) for k in want} == want
-        assert want == {4: True, 5: True, 6: True, 12: True}
-
 
 class TestScanMk:
     def test_paper_pair_first_success(self):
@@ -364,23 +343,6 @@ class TestScanMkSettlesFromSmallerK:
         assert scan.results == {1: "boundary", 2: "boundary",
                                 **{k: "strict_interior" for k in range(3, 13)}}
         assert sorted(yields) == [1, 1, 2, 2, 3, 3]
-
-    def test_float_backend_walks_every_k(self, monkeypatch):
-        be = float_backend(1e-12)
-        x = make_probvec([float(v) for v in self.STRICT_X], backend=be)
-        y = make_probvec([float(v) for v in self.STRICT_Y], backend=be)
-        yields = self.counting_powers(monkeypatch)
-        walked = []
-        real = mlocc.spectrum_majorizes
-
-        def counting(sx, sy):
-            walked.append(sx.total_count)
-            return real(sx, sy)
-        monkeypatch.setattr(mlocc, "spectrum_majorizes", counting)
-        scan = scan_Mk(x, y, 6)
-        assert scan.results == {k: "strict_interior" for k in range(1, 7)}
-        assert sorted(yields) == sorted(list(range(1, 7)) * 2)
-        assert walked == [4 ** k for k in range(1, 7)]
 
 
 class TestLemma3Condition:

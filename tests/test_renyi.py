@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trumpkit import (DEFAULT_ALPHA_GRID, float_backend, majorizes,
+from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
                       r_properties_check, renyi_entropy, spectrum_of, tensor)
 from trumpkit.renyi import NEG_INF, POS_INF, equal_by_power_sums, power_sum
@@ -209,12 +209,6 @@ class TestExactLimitOrders:
         assert r_filter(x, y, grid=(0.0,)).mode == "dims_differ"
         assert r_filter(y, x, grid=(0.0,)).violating_alpha == 0.0
 
-    def test_float_backend_keeps_its_tolerance(self):
-        be = float_backend(1e-12)
-        x = make_probvec([0.5 + 1e-15, 0.25, 0.25 - 1e-15], backend=be)
-        y = make_probvec([0.5, 0.25, 0.25], backend=be)
-        assert not r_filter(x, y, grid=(0.5,)).violated
-
 
 # both endpoint tests pass and one copy fails in each of these pairs
 MID_X, MID_Y = fv("0.6", "0.3", "0.05", "0.05"), fv("0.6", "0.25", "0.1",
@@ -252,12 +246,6 @@ class TestPowerSumRefutation:
         # larger order -1 power sum, yet three copies convert
         assert power_sum(PAPER_X, -1) > power_sum(PAPER_Y, -1)
         assert refutation(PAPER_X, PAPER_Y) is None
-
-    def test_float_backend_answers_none(self):
-        be = float_backend(1e-12)
-        x = make_probvec([0.6, 0.3, 0.05, 0.05], backend=be)
-        y = make_probvec([0.6, 0.25, 0.1, 0.05], backend=be)
-        assert refutation(x, y) is None
 
     def test_every_order_rechecked_in_fractions(self):
         rng = random.Random(151)

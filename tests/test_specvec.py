@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from trumpkit import (EXACT, ProbVec, Spectrum, direct_sum, float_backend,
+from trumpkit import (ProbVec, Spectrum, direct_sum,
                       make_probvec, pad_to, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
 from trumpkit import specvec
@@ -47,11 +47,6 @@ class TestMakeProbvec:
     def test_float_literal_rejected_in_exact_mode(self):
         with pytest.raises(ValueError):
             make_probvec([0.4, 0.6])
-
-    def test_float_backend_accepts_numbers(self):
-        be = float_backend(1e-9)
-        x = make_probvec([0.4, 0.6], backend=be)
-        assert x.entries == (0.6, 0.4)
 
     def test_zeros_retained(self):
         x = make_probvec(["0.5", "0.25", "0.25", "0"])
