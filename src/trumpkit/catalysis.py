@@ -164,43 +164,59 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
     """Lift a verified catalyst to n copies: c^(x)n certifies the n-copy
     transformation.  For n_copies > 1 the catalyst is returned factored
     (a LiftedCatalyst), and verification runs on compressed spectra:
-    neither c^(x)n nor (x (x) c)^(x)n is built."""
+    neither c^(x)n nor (x (x) c)^(x)n is built.  The one-copy spectra of
+    x, y and c are built once, for the premise check and as the bases of
+    the three powers."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
-    if not _verify_single_copy(x, y, spectrum_of(c)):
+    _check_dims(x, y)
+    sx, sy, sc = spectrum_of(x), spectrum_of(y), spectrum_of(c)
+    if not _catalyzes(sx, sy, sc):
         raise ValueError("precondition fails: c is not a catalyst for x -> y")
     if n_copies == 1:
         return CatalystCert(c, "lifted(n=1)", True)
-    lifted = LiftedCatalyst(c, n_copies)
     # (x (x) c)^(x)n and x^(x)n (x) c^(x)n are the same multiset; the
     # factored form enumerates compositions over far fewer distinct values
-    verified = _catalyzes(tensor_power_spectrum(x, n_copies),
-                          tensor_power_spectrum(y, n_copies),
-                          lifted.spectrum())
-    return CatalystCert(lifted, "lifted(n=%d)" % n_copies, verified)
+    verified = _catalyzes(tensor_power_spectrum(x, n_copies, sx),
+                          tensor_power_spectrum(y, n_copies, sy),
+                          tensor_power_spectrum(c, n_copies, sc))
+    return CatalystCert(LiftedCatalyst(c, n_copies),
+                        "lifted(n=%d)" % n_copies, verified)
 
 
 def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
                             m_max: int) -> Dict[int, bool]:
     """For each m up to m_max: does borrowing m copies of c enable the
-    single-copy transformation?  Compressed spectra keep dim(c)^m implicit,
-    and each c^(x)m grows from c^(x)(m-1) (tensor_powers).
+    single-copy transformation?  Compressed spectra keep dim(c)^m
+    implicit.
 
     The answer is monotone in m: tensoring both sides of x (x) c^(x)m
     majorized by y (x) c^(x)m with c^(x)(m'-m) gives every m' > m.  So
-    every m after the first True is True and c^(x)m is grown no
-    further."""
+    the result is fixed by its least working m, which a galloping search
+    finds: m = 1, 2, 4, ... (the last probe capped at m_max) until one
+    works, then bisection of the last gap.  That takes at most
+    2 * ceil(log2 m_max) + 2 probes, and no c^(x)m is built past twice
+    the least working m (past m_max when none works)."""
     _check_dims(x, y)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    out = {}
-    for m, scm in enumerate(tensor_powers(c, m_max), 1):
-        out[m] = _catalyzes(sx, sy, scm)
-        if out[m]:
-            out.update(dict.fromkeys(range(m + 1, m_max + 1), True))
-            break
-    return out
+    sx, sy, sc = spectrum_of(x), spectrum_of(y), spectrum_of(c)
+
+    def works(m):
+        return _catalyzes(sx, sy, tensor_power_spectrum(c, m, sc))
+
+    lo, hi = 0, 1  # lo fails (0 stands for "none probed"); hi is probed
+    while not works(hi):
+        if hi == m_max:
+            return dict.fromkeys(range(1, m_max + 1), False)
+        lo, hi = hi, min(2 * hi, m_max)
+    while hi - lo > 1:  # lo fails, hi works
+        mid = (lo + hi) // 2
+        if works(mid):
+            hi = mid
+        else:
+            lo = mid
+    return {m: m >= hi for m in range(1, m_max + 1)}
 
 
 def _lattice_candidates(dim_c: int, resolution: int):

@@ -134,12 +134,12 @@ def cmd_catalyst(args) -> int:
         cert = catalysis.build_catalyst_thm1(x, y, k)
     elif args.action == "combine":
         if args.c is None or args.k is None:
-            raise SystemExit("combine requires --c and --k")
+            raise ValueError("combine requires --c and --k")
         cp = load_vector(args.c)
         cert = catalysis.combine_catalysts(x, y, args.k, cp)
     elif args.action == "lift":
         if args.c is None:
-            raise SystemExit("lift requires --c")
+            raise ValueError("lift requires --c")
         c = load_vector(args.c)
         cert = catalysis.lift_catalyst(x, y, c, args.n_copies)
     elif args.action == "search":
@@ -167,7 +167,7 @@ def cmd_catalyst(args) -> int:
             return 1
     else:  # scan
         if args.c is None:
-            raise SystemExit("scan requires --c")
+            raise ValueError("scan requires --c")
         c = load_vector(args.c)
         result = catalysis.multicopy_catalyst_scan(x, y, c, args.m_max)
         _emit({str(m): ok for m, ok in sorted(result.items())},

@@ -221,13 +221,12 @@ class TestMulticopyCatalystScan:
     @staticmethod
     def counting_powers(monkeypatch):
         grown = []
-        real = catalysis.tensor_powers
+        real = catalysis.tensor_power_spectrum
 
-        def counted(c, m_max):
-            for m, s in enumerate(real(c, m_max), 1):
-                grown.append(m)
-                yield s
-        monkeypatch.setattr(catalysis, "tensor_powers", counted)
+        def counted(c, m, base=None):
+            grown.append(m)
+            return real(c, m, base)
+        monkeypatch.setattr(catalysis, "tensor_power_spectrum", counted)
         return grown
 
     def test_stops_growing_after_first_success(self, monkeypatch):

@@ -129,6 +129,18 @@ class TestCatalystCommand:
                       "--c", ZP, "--k", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (("scan",), "scan requires --c"),
+        (("lift", "--n-copies", "2"), "lift requires --c"),
+        (("combine", "--c", Z), "combine requires --c and --k"),
+        (("combine", "--k", "3"), "combine requires --c and --k")])
+    def test_missing_option_exit_two(self, capsys, argv, message):
+        code = main(["catalyst", *argv, "--x", X, "--y", Y])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
 
 class TestPowerSumRefutationCommands:
     def test_mlocc_reports_not_member_with_order(self, capsys):

@@ -8,23 +8,29 @@ in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, the
 power-sum refutation against brute k-copy walks, in_Mk's sweep over
 sums of smaller members against direct enumeration on mid pairs, the two
 facts that settle scan_Mk verdicts from smaller k against brute walks,
-and scan_Mk against the per-k walk on benchmark-style pairs up to
-k_max = 20."""
+scan_Mk against the per-k walk on benchmark-style pairs up to
+k_max = 20, the galloping catalyst scan against the per-m walk and its
+probe bound, chained small powers against brute products, and lifted
+catalysts against an expanded n-copy check."""
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import accumulate
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, in_Mk,
-                      majorizes, make_probvec, mlocc,
+from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
+                      lift_catalyst, majorizes, make_probvec, mlocc,
+                      multicopy_catalyst_scan,
                       power_sum_refutation, scan_Mk,
                       spectrum_majorizes, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
-from trumpkit.catalysis import _mixed_power_catalyst, _verify_single_copy
+from trumpkit.catalysis import (_catalyzes, _mixed_power_catalyst,
+                                _verify_single_copy)
 from trumpkit.specvec import tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
@@ -439,3 +445,114 @@ def test_scan_Mk_matches_per_k_walk_up_to_20(case):
     assert scan.results == want
     assert scan.first_success == next(
         (k for k, v in want.items() if v != "fails"), None)
+
+
+@st.composite
+def scan_case(draw):
+    """x, y, a catalyst of 1-4 dims and m_max <= 20.  Near-uniform
+    two-value catalysts on the paper pair first work at m = 1, 3, 4, 5,
+    8, 11 or 20, or not at all; drawn parts add zeros and ties."""
+    x, y, _ = draw(st.one_of(pair_and_k(), st.just((*PAPER, 1))))
+    near_uniform = st.integers(1, 14).map(lambda j: [50 + j, 50 - j])
+    c = draw(st.one_of(st.integers(1, 4).flatmap(parts), near_uniform,
+                       near_uniform.map(lambda c: c + [0])))
+    return x, y, vec(c), draw(st.integers(1, 20))
+
+
+def per_m_scan(x, y, c, m_max):
+    """Reference: one _catalyzes walk for every m on the power chain."""
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    return {m: _catalyzes(sx, sy, s)
+            for m, s in enumerate(tensor_powers(c, m_max), 1)}
+
+
+SCAN_EXAMPLES = [(*PAPER, vec([3, 2, 2]), 8), (*PAPER, vec([11, 9]), 8),
+                 (*PAPER, vec([11, 9]), 20), (*PAPER, vec([53, 47]), 20),
+                 (*PAPER, vec([54, 46]), 11), (*PAPER, vec([54, 46]), 20),
+                 (*PAPER, vec([56, 44]), 20), (*PAPER, vec([51, 49]), 20)]
+
+
+def with_examples(test):
+    for case in SCAN_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@PROPS
+@given(scan_case())
+@with_examples
+def test_galloping_scan_matches_per_m_walk(case):
+    x, y, c, m_max = case
+    got = multicopy_catalyst_scan(x, y, c, m_max)
+    want = per_m_scan(x, y, c, m_max)
+    assert got == want
+    assert list(got) == list(want)
+
+
+@PROPS
+@given(scan_case())
+@with_examples
+def test_galloping_scan_probe_bound(case):
+    x, y, c, m_max = case
+    probes = []
+    real = catalysis.tensor_power_spectrum
+
+    def counted(c, m, base=None):
+        probes.append(m)
+        return real(c, m, base)
+
+    with mock.patch.object(catalysis, "tensor_power_spectrum", counted):
+        result = multicopy_catalyst_scan(x, y, c, m_max)
+    least = next((m for m, ok in result.items() if ok), None)
+    assert len(probes) <= 2 * math.ceil(math.log2(m_max)) + 2
+    assert max(probes) <= (2 * least if least else m_max)
+    assert least is None or least in probes
+
+
+@PROPS
+@given(st.integers(1, 8).flatmap(parts), st.integers(1, 3))
+def test_chained_small_powers_match_brute(x, k):
+    x = vec(x)
+    s, base = tensor_power_spectrum(x, k), spectrum_of(x)
+    brute = brute_tensor_power(x, k)
+    assert s.blocks == tuple((v, brute.count(v))
+                             for v in sorted(set(brute), reverse=True))
+    assert s._scale == base._scale ** k
+    assert s._mass == base._mass ** k
+    assert s.total_mass() == 1
+
+
+@st.composite
+def lift_case(draw):
+    """x, y, a catalyst c and n with (dim x * dim c)^n <= 4096, so the
+    n-copy check can be expanded entry by entry."""
+    n = draw(st.integers(1, 4))
+    dc = draw(st.integers(1, 4))
+    n_copies = draw(st.integers(1, int(math.log(4096, max(2, n * dc)))))
+    x = draw(parts(n))
+    y = draw(st.one_of(parts(n), st.just(x), st.just([1] * n)))
+    return vec(x), vec(y), vec(draw(parts(dc))), n_copies
+
+
+@PROPS
+@given(lift_case())
+@example((*PAPER, vec([3, 2]), 2))
+@example((*PAPER, vec([3, 2]), 3))
+@example((*PAPER, vec([3, 2, 2]), 2))
+@example((*PAPER, vec([11, 9]), 2))
+def test_lift_matches_expanded_check(case):
+    x, y, c, n_copies = case
+    if not brute_majorizes(tensor(x, c).entries, tensor(y, c).entries)[0]:
+        with pytest.raises(ValueError, match="not a catalyst"):
+            lift_catalyst(x, y, c, n_copies)
+        return
+    cert = lift_catalyst(x, y, c, n_copies)
+    full = tensor_power(c, n_copies)
+    xs, ys = (sorted((u * v for u in brute_tensor_power(p, n_copies)
+                      for v in full.entries), reverse=True)
+              for p in (x, y))
+    assert cert.verified == brute_majorizes(xs, ys)[0]
+    assert cert.to_json() == {"catalyst": full.to_json(),
+                              "source": "lifted(n=%d)" % n_copies,
+                              "verified": cert.verified,
+                              "dim_bound_ok": True}
