@@ -9,9 +9,11 @@ algorithms: absence after its trials is never read as nonexistence, and
 only a failed endpoint test or an exact power-sum refutation
 (renyi.power_sum_refutation) stops it before any trial.
 
-Construction and verification run on integer spectra: x (x) c is never
-built, and a lift to n copies is returned factored (LiftedCatalyst), so
-c^(x)n exists in full only when its expand() is called.
+Construction runs on integer spectra, and a lift to n copies is
+returned factored (LiftedCatalyst), so c^(x)n exists in full only when
+its expand() is called.  Every check x (x) c majorized by y (x) c is one
+signed pass over the product values (_catalyzes): neither x (x) c nor
+its spectrum is built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .majorize import spectrum_majorizes
+from .majorize import _product_majorizes, spectrum_majorizes
 from .mlocc import endpoint_filter_passes, in_Mk
 from .renyi import power_sum_refutation
 from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_direct_sum,
@@ -87,9 +89,10 @@ def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> Spectrum:
 
 
 def _catalyzes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
-    """Is sx (x) sc majorized by sy (x) sc?  Both products stay spectra."""
-    return spectrum_majorizes(spectrum_tensor(sx, sc),
-                              spectrum_tensor(sy, sc)).holds
+    """Is sx (x) sc majorized by sy (x) sc?  One signed pass over the
+    product values (majorize._product_majorizes) decides it: neither
+    product nor its spectrum is built."""
+    return _product_majorizes(sx, sy, sc)
 
 
 def _check_dims(x: ProbVec, y: ProbVec) -> None:
@@ -100,7 +103,7 @@ def _check_dims(x: ProbVec, y: ProbVec) -> None:
 
 def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
     """Is the catalyst with spectrum sc one for x -> y?  x (x) c and
-    y (x) c are compared as spectra and never built."""
+    y (x) c are never built (_catalyzes)."""
     _check_dims(x, y)
     return _catalyzes(spectrum_of(x), spectrum_of(y), sc)
 

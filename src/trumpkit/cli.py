@@ -10,12 +10,15 @@ written as (0.4 is 2/5), so every comparison is an exact rational one.
 from __future__ import annotations
 
 import argparse
+import heapq
 import json
 import sys
+from fractions import Fraction
+from itertools import accumulate, chain, islice, repeat
 
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
-from .specvec import load_vector, spectrum_of, spectrum_tensor
+from .specvec import load_vector, spectrum_of
 
 
 def _build_parser():
@@ -87,6 +90,19 @@ def _failed_endpoint(x, y):
     if x.entries[-1] < y.entries[-1]:
         return "x_n >= y_n"
     return None
+
+
+def _leading_prefix_masses(s, sc, count):
+    """e_1, ..., e_count of s (x) sc, read from a lazy merge of the rows
+    u * sc over the blocks (u, m) of s; the product is never built."""
+    def row(u, m):
+        return ((u * v, m * c) for v, c in zip(sc._int_vals, sc._counts))
+
+    merged = heapq.merge(*(row(u, m) for u, m in zip(s._int_vals, s._counts)),
+                         reverse=True)
+    entries = chain.from_iterable(repeat(v, min(c, count)) for v, c in merged)
+    scale = s._scale * sc._scale
+    return [Fraction(e, scale) for e in accumulate(islice(entries, count))]
 
 
 def cmd_majorize(args) -> int:
@@ -176,12 +192,12 @@ def cmd_catalyst(args) -> int:
     payload = cert.to_json()
     if args.transcript:
         sc = catalysis.reduce_catalyst(cert.catalyst)
-        xc = spectrum_tensor(spectrum_of(x), sc)
-        yc = spectrum_tensor(spectrum_of(y), sc)
+        count = min(x.dim * sc.total_count, 64) - 1
+        ex = _leading_prefix_masses(spectrum_of(x), sc, count)
+        ey = _leading_prefix_masses(spectrum_of(y), sc, count)
         payload["transcript"] = [
-            {"l": l, "ex": str(xc.prefix_mass(l)),
-             "ey": str(yc.prefix_mass(l))}
-            for l in range(1, min(xc.total_count, 64))]
+            {"l": l, "ex": str(a), "ey": str(b)}
+            for l, (a, b) in enumerate(zip(ex, ey), 1)]
     _emit(payload, args.as_json)
     return 0 if cert.verified else 1
 

@@ -2,12 +2,18 @@
 
 Standard majorization on sorted probability vectors, its strict-interior
 and generalized-interior refinements, and the compressed-spectrum variant
-used for tensor powers.  The spectrum comparison only evaluates prefix
-sums at block breakpoints: between consecutive breakpoints the difference
-e_l(sx) - e_l(sy) is linear in l (both prefix functions advance by a fixed
-per-unit value there), so its sign pattern over all l is determined by its
-endpoint values.  Vectors are compared through their spectra, so every
-comparison runs the one walk.
+used for tensor powers.  Two exact integer tests decide them:
+
+* the position walk (spectrum_majorizes) evaluates prefix sums at block
+  breakpoints: between consecutive breakpoints the difference
+  e_l(sx) - e_l(sy) is linear in l (both prefix functions advance by a
+  fixed per-unit value there), so its sign pattern over all l is
+  determined by its endpoint values.  Every report -- verdict, equality
+  positions, first violation -- comes from it, and vectors are compared
+  through their spectra;
+* the value pass (_product_majorizes) gives the bare verdict for products
+  sx (x) sc against sy (x) sc, as catalyst checks need, from one signed
+  multiset of product values, without building either product.
 """
 
 from __future__ import annotations
@@ -137,6 +143,63 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
         return MajReport("boundary", frozenset(equalities),
                          zero_segment=zero_segment)
     return MajReport("strict_interior")
+
+
+def _product_majorizes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
+    """Is sx (x) sc majorized by sy (x) sc?  Decided in value space; neither
+    product is built.
+
+    For p and q of equal length and mass, p is majorized by q exactly
+    when G(t) = sum (q_i - t)^+ - sum (p_i - t)^+ >= 0 for every real t
+    (Hardy-Littlewood-Polya).  G is piecewise linear with kinks only at
+    the values of p and q, is 0 above the largest of them and, below the
+    smallest, equals (sum q - sum p) - t * (len q - len p) = 0.  So G >= 0
+    everywhere iff G >= 0 at every value v, where G(v) = A - v * B with
+    A = sum delta(w) * w and B = sum delta(w) over the values w > v, and
+    delta(w) is w's count in q minus its count in p.
+
+    All numerators share the scale sx._scale * sy._scale * sc._scale: a
+    block (u, m) of sx and (v, c) of sc put -m * c at u * sy._scale * v, a
+    block (w, n) of sy and (v, c) of sc put +n * c at w * sx._scale * v.
+    One sort of the keys, one pass from the top, and the first negative
+    G(v) answers False.  Raises ValueError, as spectrum_majorizes on the
+    products would, when their total counts or masses differ.
+    """
+    nx, ny = sx.total_count * sc.total_count, sy.total_count * sc.total_count
+    if nx != ny:
+        raise ValueError("total_count mismatch: %d vs %d" % (nx, ny))
+    if sx._mass * sy._scale * sc._mass != sy._mass * sx._scale * sc._mass:
+        raise ValueError("total mass mismatch: %s vs %s" % (
+            Fraction(sx._mass * sc._mass, sx._scale * sc._scale),
+            Fraction(sy._mass * sc._mass, sy._scale * sc._scale)))
+    delta = {}
+    _add_products(delta, sx, sc, sy._scale, -1)
+    _add_products(delta, sy, sc, sx._scale, 1)
+    a = b = 0
+    for v in sorted(delta, reverse=True):
+        if a < v * b:
+            return False
+        d = delta[v]
+        a += d * v
+        b += d
+    return True
+
+
+def _add_products(delta, s, sc, factor, sign):
+    """Add sign * m * c to delta[u * factor * v] for every block (u, m) of
+    s and (v, c) of sc; the inner loop runs over the longer block list."""
+    get = delta.get
+    if len(s._counts) <= len(sc._counts):
+        outer, inner = s, sc
+    else:
+        outer, inner = sc, s
+    iv, ic = inner._int_vals, inner._counts
+    for u, m in zip(outer._int_vals, outer._counts):
+        u *= factor
+        m *= sign
+        for v, c in zip(iv, ic):
+            key = u * v
+            delta[key] = get(key, 0) + m * c
 
 
 def _fail_report(scale, equalities, zero_segment, lo, hi, ex_lo, ey_lo,

@@ -10,8 +10,10 @@ sums of smaller members against direct enumeration on mid pairs, the two
 facts that settle scan_Mk verdicts from smaller k against brute walks,
 scan_Mk against the per-k walk on benchmark-style pairs up to
 k_max = 20, the galloping catalyst scan against the per-m walk and its
-probe bound, chained small powers against brute products, and lifted
-catalysts against an expanded n-copy check."""
+probe bound, chained small powers against brute products, lifted
+catalysts against an expanded n-copy check, and the value pass that
+checks catalysts (x (x) c majorized by y (x) c, neither product built)
+against the walk on built products and the brute Fraction walk."""
 
 import math
 import random
@@ -556,3 +558,81 @@ def test_lift_matches_expanded_check(case):
                               "source": "lifted(n=%d)" % n_copies,
                               "verified": cert.verified,
                               "dim_bound_ok": True}
+
+
+@st.composite
+def product_case(draw):
+    """x^k, y^k and a catalyst spectrum: a power c^m of drawn parts or
+    a mixed-power catalyst of x and y (with or without a c'), so the
+    products carry zeros, ties, n = 1, uniform factors and denominators
+    near 1e4.  The fourth item is the length of x^k (x) catalyst."""
+    x, y, k = draw(pair_and_k())
+    c = vec(draw(st.integers(1, 4).flatmap(parts)))
+    m = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["power", "mixed", "mixed_with_c"]))
+    if kind == "power":
+        sc = tensor_power_spectrum(c, m)
+    else:
+        sc = _mixed_power_catalyst(x, y, m,
+                                   c if kind == "mixed_with_c" else None)[1]
+    sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
+    return sx, sy, sc, sx.total_count * sc.total_count
+
+
+@PROPS
+@given(product_case())
+@example((*(spectrum_of(v) for v in PAPER), spectrum_of(vec([3, 2])), 8))
+@example((*(tensor_power_spectrum(v, 3) for v in PAPER),
+          spectrum_of(vec([3, 2])), 128))
+def test_value_pass_matches_product_walk(case):
+    sx, sy, sc, _ = case
+    assert _catalyzes(sx, sy, sc) == spectrum_majorizes(
+        spectrum_tensor(sx, sc), spectrum_tensor(sy, sc)).holds
+
+
+@PROPS
+@given(product_case().filter(lambda case: case[3] <= 4096))
+def test_value_pass_matches_brute_walk(case):
+    sx, sy, sc, _ = case
+    xs, ys, cs = flat(sx), flat(sy), flat(sc)
+    brute = brute_majorizes(sorted((u * v for u in xs for v in cs),
+                                   reverse=True),
+                            sorted((u * v for u in ys for v in cs),
+                                   reverse=True))[0]
+    assert _catalyzes(sx, sy, sc) == brute
+
+
+def test_catalyst_checks_build_no_product_and_walk_none():
+    x, y = PAPER
+    c96 = catalysis.combine_catalysts(x, y, 3, vec([11, 9])).catalyst
+    assert c96.dim == 96
+
+    def forbidden(*args):
+        raise AssertionError("product built or walked")
+
+    with mock.patch.object(catalysis, "spectrum_tensor", forbidden), \
+            mock.patch.object(catalysis, "spectrum_majorizes", forbidden):
+        for n in (2, 3):
+            cert = lift_catalyst(x, y, c96, n)
+            assert cert.verified
+            assert cert.source == "lifted(n=%d)" % n
+            assert cert.catalyst == LiftedCatalyst(c96, n)
+        with pytest.raises(ValueError, match="not a catalyst"):
+            lift_catalyst(y, x, c96, 2)
+        assert multicopy_catalyst_scan(x, y, c96, 4) == dict.fromkeys(
+            range(1, 5), True)
+        for c, m_max, least in [([11, 9], 20, 8), ([53, 47], 20, 20),
+                                ([3, 2, 2], 8, 2), ([51, 49], 20, None)]:
+            assert multicopy_catalyst_scan(x, y, vec(c), m_max) == {
+                m: least is not None and m >= least
+                for m in range(1, m_max + 1)}
+
+
+def test_value_pass_rejects_count_and_mass_mismatch():
+    x, c = spectrum_of(PAPER[0]), spectrum_of(vec([3, 2]))
+    with pytest.raises(ValueError, match="^total_count mismatch: 8 vs 6$"):
+        _catalyzes(x, spectrum_of(vec([1, 1, 1])), c)
+    heavy = spectrum_of(ProbVec([F(1), F(1, 2), F(1, 2), F(0)]))
+    with pytest.raises(ValueError,
+                       match="^total mass mismatch: 1 vs 2$"):
+        _catalyzes(x, heavy, c)
