@@ -19,16 +19,16 @@ its spectrum is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
 from .majorize import _product_majorizes, spectrum_majorizes
 from .mlocc import endpoint_filter_passes, in_Mk
 from .renyi import power_sum_refutation
-from .specvec import (ProbVec, Spectrum, make_probvec, spectrum_direct_sum,
-                      spectrum_of, spectrum_tensor, tensor_power_spectrum,
-                      tensor_powers)
+from .specvec import (ProbVec, Spectrum, _check_dims, make_probvec,
+                      spectrum_direct_sum, spectrum_of, spectrum_tensor,
+                      tensor_power_spectrum, tensor_powers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,16 +37,21 @@ class LiftedCatalyst:
 
     ``dim``, ``==`` and ``to_json`` answer as the expanded vector would;
     only ``expand()`` builds its base.dim ** n_copies entries, and
-    ``spectrum()`` gives the compressed multiset without them.
+    ``spectrum()`` gives the compressed multiset without them.  A lift
+    that has built that spectrum passes it in as ``_spectrum`` (left out
+    of ``==`` and repr), and ``spectrum()`` returns it.
     """
     base: ProbVec
     n_copies: int
+    _spectrum: Optional[Spectrum] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.base.dim ** self.n_copies
 
     def spectrum(self) -> Spectrum:
+        if self._spectrum is not None:
+            return self._spectrum
         return tensor_power_spectrum(self.base, self.n_copies)
 
     def expand(self) -> ProbVec:
@@ -93,12 +98,6 @@ def _catalyzes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
     product values (majorize._product_majorizes) decides it: neither
     product nor its spectrum is built."""
     return _product_majorizes(sx, sy, sc)
-
-
-def _check_dims(x: ProbVec, y: ProbVec) -> None:
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch: %d vs %d (pad explicitly)"
-                         % (x.dim, y.dim))
 
 
 def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
@@ -180,10 +179,10 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
         return CatalystCert(c, "lifted(n=1)", True)
     # (x (x) c)^(x)n and x^(x)n (x) c^(x)n are the same multiset; the
     # factored form enumerates compositions over far fewer distinct values
+    scn = tensor_power_spectrum(c, n_copies, sc)
     verified = _catalyzes(tensor_power_spectrum(x, n_copies, sx),
-                          tensor_power_spectrum(y, n_copies, sy),
-                          tensor_power_spectrum(c, n_copies, sc))
-    return CatalystCert(LiftedCatalyst(c, n_copies),
+                          tensor_power_spectrum(y, n_copies, sy), scn)
+    return CatalystCert(LiftedCatalyst(c, n_copies, scn),
                         "lifted(n=%d)" % n_copies, verified)
 
 

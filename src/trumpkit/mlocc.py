@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .majorize import spectrum_majorizes
+from .majorize import _END_WALK_SHARE, _ends_refute, spectrum_majorizes
 from .renyi import power_sum_refutation
-from .specvec import (ProbVec, Spectrum, _enumeration_cost, spectrum_of,
-                      tensor_power_spectrum, tensor_powers)
+from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims,
+                      _enumeration_cost, _growth_cost, _power_at,
+                      spectrum_of, tensor_power_spectrum, tensor_powers)
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,17 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     which raises on a total mass mismatch and answers True when it holds;
     False at k = 1, when the endpoint filter fails or when a power sum
     refutes the pair; True when, for k >= 4, k is a sum of smaller
-    members; only then are both k-th powers enumerated,
-    from the spectra already built.
+    members; False when, for k > _CHAIN_MAX_K, a walk from both ends of
+    the lazily streamed k-th powers finds a violation within its budget
+    (majorize._ends_refute: from the top a prefix excess of x; from the
+    bottom a suffix deficit of x, which is the prefix excess
+    e_(N-j)(x) > e_(N-j)(y) because both powers hold N = n^k entries of
+    equal total mass); only then are both k-th powers enumerated, from
+    the spectra already built, and walked in full.  Only False comes from
+    the end walk: every True is a full walk, or a sum of members, each a
+    full walk.
     """
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(x, y)
     if k < 1:
         raise ValueError("k must be >= 1")
     sx, sy = spectrum_of(x), spectrum_of(y)
@@ -80,6 +87,8 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
         return False
     if k >= 4 and _sum_of_members(x, y, k, sx, sy):
         return True
+    if k > _CHAIN_MAX_K and _ends_refute(sx, sy, k):
+        return False
     return spectrum_majorizes(tensor_power_spectrum(x, k, sx),
                               tensor_power_spectrum(y, k, sy)).holds
 
@@ -96,25 +105,46 @@ def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
     x and y grow from sx and sy (tensor_powers) and are walked one j at
     a time; the sums up to k of the members found are kept as bits of an
     integer.
+    A sum of two or more members has one member <= k / 2, so the sweep
+    answers False once it passes k / 2 with no member found.  Until the
+    first member is found, each j > _CHAIN_MAX_K is first tried from the
+    ends of the lazily streamed j-th powers (majorize._ends_refute), for
+    at most 1 / _END_WALK_SHARE of the work of growing them; a j refuted
+    there is no member and is not grown, and a later j that is grown
+    skips ahead (specvec._power_at).
     The sweep gives up, answering False, before the work of growing the
-    next power (the cheaper of tensor_powers' chain step and enumeration)
-    would take either side past the direct path's estimate for
-    enumerating its k-th power, so an undecided pair spends at most that
-    estimate again before the direct path runs.
+    next power (the cheaper of tensor_powers' chain and enumeration), or
+    that of the end walk that spared it, would take either side past the
+    direct path's estimate for enumerating its k-th power.  An end walk
+    that does not refute its j costs at most half the growth that
+    follows, so an undecided pair spends at most 1.5 times that estimate
+    before the direct path runs.
     """
+    pairs, bases = (x, y), [sx, sy]
     powers = [tensor_powers(x, k - 2, sx), tensor_powers(y, k - 2, sy)]
-    last = [next(p) for p in powers]  # S_1: the bases themselves
-    dims = [len(s._counts) for s in last]
-    budgets = [_enumeration_cost(d, k) for d in dims]
+    held = [next(p) for p in powers]  # S_1: the bases themselves
+    grown = 1  # the k of the powers held
+    budgets = [_enumeration_cost(len(s._counts), k) for s in bases]
     spent = [0, 0]
     sums, mask = 1, (1 << (k + 1)) - 1  # bit s set: s is a sum of members
     for j in range(2, k - 1):
-        for i, d in enumerate(dims):
-            spent[i] += min(d * len(last[i]._counts), _enumeration_cost(d, j))
-            if spent[i] > budgets[i]:
-                return False
-        last = [next(p) for p in powers]
-        if spectrum_majorizes(*last).holds:
+        if sums == 1 and 2 * j > k:
+            return False  # a sum of two or more members has one <= k / 2
+        costs = [_growth_cost(b, s, grown, j) for b, s in zip(bases, held)]
+        # no member yet: the ends of the j-th powers first
+        refuted = (sums == 1 and j > _CHAIN_MAX_K
+                   and _ends_refute(*bases, j, sum(costs)))
+        spent = [s + (c // _END_WALK_SHARE if refuted else c)
+                 for s, c in zip(spent, costs)]
+        if any(s > b for s, b in zip(spent, budgets)):
+            return False
+        if refuted:
+            continue
+        for i, v in enumerate(pairs):
+            held[i], powers[i] = _power_at(v, bases[i], powers[i], held[i],
+                                           grown, j, k - 2)
+        grown = j
+        if spectrum_majorizes(*held).holds:
             for _ in range(k // j):
                 sums |= (sums << j) & mask
             if sums >> k & 1:
@@ -162,13 +192,21 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     The sums a + b with a strict and b a member, and the sums of two
     members, are kept as bits of two integers.  At each k > 1 the checks
     run in this order: 'strict_interior' when k is a strict sum; 'boundary'
-    when the pair has an endpoint tie and k is a sum of members;
-    otherwise x^(x)k and y^(x)k are grown from the previous powers
-    (tensor_powers) and walked.  Powers are grown only up to the last k
-    that is walked.  (At n = 1 every k is strictly interior, which the
-    first check finds.)"""
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
+    when the pair has an endpoint tie and k is a sum of members; 'fails'
+    when no k has converted yet, k > _CHAIN_MAX_K and a walk from both
+    ends of the lazily streamed k-th powers finds a violation within 1 /
+    _END_WALK_SHARE of the work of growing them (majorize._ends_refute:
+    from the top a prefix excess of x; from the bottom a suffix deficit of
+    x, which is the prefix excess e_(N-j)(x) > e_(N-j)(y) because both
+    powers hold N = n^k entries of equal total mass); otherwise x^(x)k and
+    y^(x)k are grown from the last powers grown (tensor_powers), or
+    enumerated where that is cheaper after skipped k (specvec._power_at),
+    and walked in full.  Only 'fails' comes from the end walk; it is not
+    tried once some k converts, since later k then mostly convert too and
+    the walk cannot refute them.  Powers are grown only up to the last k
+    that is walked in full.  (At n = 1 every k is strictly interior,
+    which the first check finds.)"""
+    _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     every_k_fails = {k: "fails" for k in range(1, k_max + 1)}
@@ -176,8 +214,10 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
         return MloccScan(x, y, k_max, every_k_fails, None,
                          short_circuited=True)
     tie = x.entries[0] == y.entries[0] or x.entries[-1] == y.entries[-1]
-    powers = tensor_powers(x, k_max), tensor_powers(y, k_max)
-    grown = 0
+    pairs = x, y
+    powers = [tensor_powers(v, k_max) for v in pairs]
+    bases = [next(p) for p in powers]  # S_1 of x and of y
+    held, grown = list(bases), 1  # the last powers grown, and their k
     # bit k set: k is a member / strict / a sum of two members / a strict
     # plus a member
     members = strict = member_sums = strict_sums = 0
@@ -188,10 +228,17 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
             verdict = "strict_interior"
         elif tie and member_sums >> k & 1:
             verdict = "boundary"
+        elif first is None and k > _CHAIN_MAX_K and _ends_refute(
+                *bases, k, sum(_growth_cost(b, s, grown, k)
+                               for b, s in zip(bases, held))):
+            verdict = "fails"
         else:
-            for _ in range(grown, k):
-                sxk, syk = map(next, powers)
-            grown = k
+            if k > grown:
+                for i, v in enumerate(pairs):
+                    held[i], powers[i] = _power_at(v, bases[i], powers[i],
+                                                   held[i], grown, k, k_max)
+                grown = k
+            sxk, syk = held
             rep = spectrum_majorizes(sxk, syk)
             if k == 1 and not rep.holds:
                 order = power_sum_refutation(sxk, syk)

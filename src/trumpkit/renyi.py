@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .specvec import ProbVec, Spectrum
+from .specvec import ProbVec, Spectrum, _check_dims
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -199,8 +199,7 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
     Reports the first grid order where x's entropy is strictly below y's;
     "no_violation_found" is not a membership certificate.
     """
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(x, y)
     if grid is None:
         grid = DEFAULT_ALPHA_GRID
     if not grid:
@@ -232,8 +231,7 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
 def equal_by_power_sums(x: ProbVec, y: ProbVec) -> bool:
     """Decisive multiset-equality test: matching power sums at orders 1..n force equal sorted vectors (Newton's identities
     determine the elementary symmetric polynomials, hence the multiset)."""
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(x, y)
     n = x.dim
     return all(power_sum(x, a) == power_sum(y, a) for a in range(1, n + 1))
 
@@ -242,8 +240,7 @@ def r_properties_check(x: ProbVec, y: ProbVec, grid=None) -> dict:
     """Structural consistency record for one pair: the endpoint conditions
     a dominance pass must imply, bidirectional grid passes, and the exact
     equality verdict."""
-    if x.dim != y.dim:
-        raise ValueError("dimension mismatch")
+    _check_dims(x, y)
     forward = r_filter(x, y, grid)
     backward = r_filter(y, x, grid)
     rec = {

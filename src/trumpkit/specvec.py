@@ -9,6 +9,7 @@ at n=4, k=30 stays at a few thousand blocks instead of 4^30 entries.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import sys
@@ -137,6 +138,14 @@ def pad_to(x: ProbVec, n: int) -> ProbVec:
     if n < x.dim:
         raise ValueError("cannot pad to a smaller dimension")
     return ProbVec(x.entries + (Fraction(0),) * (n - x.dim), _sorted=True)
+
+
+def _check_dims(x: ProbVec, y: ProbVec) -> None:
+    """Raise unless x and y have the same dimension; padding with zeros
+    is the caller's explicit act (pad_to), since it changes answers."""
+    if x.dim != y.dim:
+        raise ValueError("dimension mismatch: %d vs %d (pad explicitly)"
+                         % (x.dim, y.dim))
 
 
 def tensor(a: ProbVec, b: ProbVec) -> ProbVec:
@@ -312,6 +321,11 @@ def spectrum_direct_sum(parts, weight: int) -> Spectrum:
 # (measured on 3-5 distinct values, k up to 40: the two break even near 3).
 _COMPOSITION_COST = 3
 
+# A composition read by the end walk (majorize._ends_refute, over
+# _power_blocks) costs about this many block products: 1.8-2.8 us
+# against 0.2-0.4 us a product, on 3-5 distinct values at k = 12-60.
+_READ_COST = 8
+
 
 # Single powers up to this k are chained, never enumerated (see
 # tensor_power_spectrum).
@@ -344,15 +358,61 @@ def tensor_powers(x: ProbVec, k_max: int, base: Optional[Spectrum] = None):
     distinct values: both are properties of x, not settings.  With d near
     the recursion limit every step tensors.
     """
-    s = base = spectrum_of(x) if base is None else base
+    base = spectrum_of(x) if base is None else base
+    return _powers_from(x, base, 1, base, k_max)
+
+
+def _powers_from(x: ProbVec, base: Spectrum, j: int, s: Spectrum,
+                 k_max: int):
+    """Yield s, the spectrum of x^(x)j, then those of x^(x)(j+1), ...,
+    x^(x)k_max, each grown from the previous one as tensor_powers
+    grows them."""
     d = len(base._counts)
-    for k in range(1, k_max + 1):
-        if k > 1:
+    for k in range(j, k_max + 1):
+        if k > j:
             cheaper = _walk_too_deep(d) or (
                 d * len(s._counts) <= _enumeration_cost(d, k))
             s = (spectrum_tensor(s, base) if cheaper
                  else tensor_power_spectrum(x, k, base))
         yield s
+
+
+def _chain_cost(base: Spectrum, s: Spectrum, j: int, k: int) -> int:
+    """Estimated block products of the k - j chain steps from s = S_j to
+    S_k.  The step from S_i costs d * |S_i|, and |S_i| is taken to grow
+    as the C(d+i-1, d-1) compositions do, times the share of them that
+    s keeps distinct; the compositions of i = j..k-1 add up to
+    C(d+k-1, d) - C(d+j-1, d)."""
+    d = len(base._counts)
+    return (d * len(s._counts)
+            * (math.comb(d + k - 1, d) - math.comb(d + j - 1, d))
+            // math.comb(d + j - 1, d - 1))
+
+
+def _growth_cost(base: Spectrum, s: Spectrum, j: int, k: int) -> int:
+    """Estimated block products of growing S_k from s = S_j: the cheaper
+    of the chain and one enumeration of S_k."""
+    return min(_chain_cost(base, s, j, k),
+               _enumeration_cost(len(base._counts), k))
+
+
+def _power_at(x: ProbVec, base: Spectrum, powers, s: Spectrum, j: int,
+              k: int, k_max: int):
+    """The spectrum of x^(x)k and the generator to grow later powers
+    from, given powers, which last yielded s = S_j (j <= k).
+
+    Powers skipped since j break the chain of tensor_powers.  When the
+    chain from S_j would cost more than enumerating S_k (_chain_cost),
+    S_k is enumerated and a new chain starts from it; otherwise the chain
+    grows on, choosing at each step as tensor_powers does."""
+    if k - j > 1 and (_chain_cost(base, s, j, k)
+                      > _enumeration_cost(len(base._counts), k)):
+        powers = _powers_from(x, base, k,
+                              tensor_power_spectrum(x, k, base), k_max)
+        j = k - 1
+    for _ in range(j, k):
+        s = next(powers)
+    return s, powers
 
 
 def tensor_power_spectrum(x: ProbVec, k: int,
@@ -416,6 +476,71 @@ def tensor_power_spectrum(x: ProbVec, k: int,
     else:
         walk(0, k, pw[0][0], 1)
     return _from_counts(merged, base._scale ** k, base._mass ** k)
+
+
+def _power_blocks(base: Spectrum, k: int, top: bool, factor: int):
+    """Stream the blocks of the k-th power of base lazily, as
+    (numerator over (factor * base._scale) ** k, count, compositions read)
+    triples: values decreasing from the top end, or increasing from the
+    bottom end when top is False.
+
+    The blocks are those of tensor_power_spectrum, each numerator times
+    factor ** k: a composition a of k over base's distinct numerators p_i
+    (counts m_i) has the value prod (factor * p_i)^a_i and the count
+    multinomial(k; a) * prod m_i^a_i.  Moving one unit from index i to
+    i + 1 lowers the value, so a best-first heap from (k, 0, ..., 0) pops
+    the compositions in decreasing order, and equal values pop together
+    and merge into one block.  A composition with last nonzero index h has
+    one parent, itself with a unit moved from h back to h - 1; so its
+    children move a unit from i to i + 1 for i in {h - 1, h} only, each
+    composition is pushed exactly once with no visited set, and a pop
+    pushes at most 2.  A child's value is v * p_(i+1) / p_i and its count
+    c * a_i * m_(i+1) / ((a_(i+1) + 1) * m_i), both exact integer
+    divisions.  Those moves read only h, a_(h-1) and a_h, and a child's
+    last nonzero index is i + 1, so the heap keeps these three in place
+    of the composition.  The bottom end runs the same walk over the
+    numerators in reverse order.  A zero numerator is never divided by:
+    its block holds the n^k - (n - m_0)^k products with a zero factor,
+    n the total count and m_0 the zero count, and it is given directly,
+    last from the top and first from the bottom.
+    """
+    nums, mults = [p * factor for p in base._int_vals], list(base._counts)
+    zeros = 0
+    if not nums[-1]:
+        n = base.total_count
+        zeros = n ** k - (n - mults.pop()) ** k
+        nums.pop()
+    if not top:
+        if zeros:
+            yield 0, zeros, 1
+        nums.reverse()
+        mults.reverse()
+    # heapq pops the least key first: the keys are the values, negated
+    # from the top.  An entry is (key, count, h, a_(h-1), a_h): the
+    # children of a composition need nothing else of it.
+    sign, last = (-1 if top else 1), len(nums) - 1
+    heap = [(sign * nums[0] ** k, mults[0] ** k, 0, 0, k)]
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        key, c, h, prev, cur = pop(heap)
+        total = read = 0
+        while True:
+            total += c
+            read += 1
+            if prev:  # a unit from h - 1 to h
+                push(heap, (key * nums[h] // nums[h - 1],
+                            c * prev * mults[h] // ((cur + 1) * mults[h - 1]),
+                            h, prev - 1, cur + 1))
+            if h < last:  # a unit from h to h + 1
+                push(heap, (key * nums[h + 1] // nums[h],
+                            c * cur * mults[h + 1] // mults[h],
+                            h + 1, cur - 1, 1))
+            if not heap or heap[0][0] != key:
+                break
+            key, c, h, prev, cur = pop(heap)
+        yield sign * key, total, read
+    if top and zeros:
+        yield 0, zeros, 1
 
 
 # --- vector literal I/O -----------------------------------------------------

@@ -280,3 +280,18 @@ class TestFactoredLift:
         assert cert.catalyst.dim == 96 ** 3
         assert not hasattr(cert.catalyst, "entries")
         assert cert.catalyst.base == c2
+
+    def test_lift_keeps_the_spectrum_it_built(self, monkeypatch):
+        cert = lift_catalyst(PAPER_X, PAPER_Y, Z, 3)
+        lifted = cert.catalyst
+        want = reduce_catalyst(LiftedCatalyst(Z, 3))
+
+        def refuse(*a, **kw):
+            raise AssertionError("rebuilt c^(x)n")
+        monkeypatch.setattr(catalysis, "tensor_power_spectrum", refuse)
+        assert reduce_catalyst(lifted) is lifted._spectrum
+        assert reduce_catalyst(lifted) == want
+        assert lifted.to_json() == want.expand().to_json()
+        # the kept spectrum is neither compared nor shown
+        assert lifted == LiftedCatalyst(Z, 3)
+        assert repr(lifted) == repr(LiftedCatalyst(Z, 3))

@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from trumpkit import make_probvec, tensor, tensor_power
+from trumpkit import catalysis, make_probvec, tensor, tensor_power
 from trumpkit.cli import main
 from trumpkit.specvec import load_vector
 
@@ -67,6 +67,14 @@ class TestMloccCommand:
         assert code == 1
         assert json.loads(out)["flag"] == "unknown"
 
+    def test_dimension_mismatch_prints_both_dimensions(self, capsys):
+        code = main(["mlocc", "--x", X, "--y", Y3])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert ("dimension mismatch: 4 vs 3 (pad explicitly)"
+                in captured.err)
+
     def test_filtered_pair_reports_not_member(self, tmp_path, capsys):
         xf = tmp_path / "x.json"
         xf.write_text('["0.6", "0.2", "0.1", "0.1"]')
@@ -117,6 +125,24 @@ class TestCatalystCommand:
         assert cert["transcript"] == [
             {"l": l, "ex": str(ex[l - 1]), "ey": str(ey[l - 1])}
             for l in range(1, min(len(ex), 64))]
+
+    def test_transcript_reuses_the_lifted_spectrum(self, capsys,
+                                                   monkeypatch):
+        argv = ("catalyst", "lift", "--x", X, "--y", Y, "--c", Z,
+                "--n-copies", "3", "--transcript", "--json")
+        want = run(capsys, *argv)
+        real = catalysis.lift_catalyst
+
+        def lift_then_refuse(*args):
+            cert = real(*args)
+
+            def refuse(*a, **kw):
+                raise AssertionError("rebuilt c^(x)n")
+            monkeypatch.setattr(catalysis, "tensor_power_spectrum", refuse)
+            return cert
+        monkeypatch.setattr(catalysis, "lift_catalyst", lift_then_refuse)
+        assert run(capsys, *argv) == want
+        assert want[0] == 0
 
     def test_lift_json_is_the_tensor_power(self, capsys):
         _, out = run(capsys, "catalyst", "lift", "--x", X, "--y", Y,

@@ -13,7 +13,9 @@ k_max = 20, the galloping catalyst scan against the per-m walk and its
 probe bound, chained small powers against brute products, lifted
 catalysts against an expanded n-copy check, and the value pass that
 checks catalysts (x (x) c majorized by y (x) c, neither product built)
-against the walk on built products and the brute Fraction walk."""
+against the walk on built products and the brute Fraction walk, the
+lazy block streams of a power against its spectrum, and the end walk's
+refutations against brute walks and the full walk."""
 
 import math
 import random
@@ -33,7 +35,9 @@ from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
                       tensor, tensor_power, tensor_power_spectrum)
 from trumpkit.catalysis import (_catalyzes, _mixed_power_catalyst,
                                 _verify_single_copy)
-from trumpkit.specvec import tensor_powers
+from trumpkit import specvec
+from trumpkit.majorize import _ends_refute
+from trumpkit.specvec import _power_blocks, tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
                       brute_strict_interior, brute_tensor_power,
@@ -636,3 +640,94 @@ def test_value_pass_rejects_count_and_mass_mismatch():
     with pytest.raises(ValueError,
                        match="^total mass mismatch: 1 vs 2$"):
         _catalyzes(x, heavy, c)
+
+
+@st.composite
+def stream_case(draw):
+    """A vector over 1-5 distinct nonzero numerators, from primes, powers
+    of two (their products collide) or 1..6, with ties and zeros, and
+    k <= 8."""
+    pool = draw(st.sampled_from([PRIMES, POWERS_OF_TWO, list(range(1, 7))]))
+    nums = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5,
+                         unique=True))
+    ties = draw(st.lists(st.sampled_from(nums), max_size=3))
+    zeros = draw(st.integers(0, 2))
+    return vec(nums + ties + [0] * zeros), draw(st.integers(1, 8))
+
+
+@PROPS
+@given(stream_case(), st.integers(1, 3))
+@example((vec([4, 2, 2, 1, 0]), 8), 1)
+@example((vec([1]), 5), 2)
+def test_lazy_streams_drain_to_the_power_spectrum(case, factor):
+    x, k = case
+    s, base = tensor_power_spectrum(x, k), spectrum_of(x)
+    want = [(v * factor ** k, c) for v, c in zip(s._int_vals, s._counts)]
+    top = list(_power_blocks(base, k, True, factor))
+    bottom = list(_power_blocks(base, k, False, factor))
+    assert [(v, c) for v, c, _ in top] == want
+    assert [(v, c) for v, c, _ in bottom] == want[::-1]
+    # each composition over the nonzero values is read exactly once; the
+    # zero block is given as one read
+    nonzero = sum(1 for v in base._int_vals if v)
+    reads = math.comb(nonzero + k - 1, k) + (nonzero < len(base._counts))
+    assert sum(r for *_, r in top) == sum(r for *_, r in bottom) == reads
+
+
+# fails at every k up to 60, first from the top after a few compositions
+CENSUS = (vec([17, 13, 5, 4, 1]), vec([20, 8, 8, 3, 1]))
+# fails at k = 8, from an end after 17 compositions
+UNDECIDED = (vec([4, 3, 1, 1]), vec([6, 2, 2, 1]))
+
+
+@PROPS
+@given(pair_and_big_k())
+@example((*CENSUS, 5))
+@example((*UNDECIDED, 5))
+@example((*PAPER, 2))
+def test_end_walk_fails_agree_with_brute(case):
+    # with no budget an end runs through the whole power, so the walk
+    # then decides every k
+    x, y, k = case
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    holds = brute_majorizes(brute_tensor_power(x, k),
+                            brute_tensor_power(y, k))[0]
+    assert not (_ends_refute(sx, sy, k) and holds)
+    assert _ends_refute(sx, sy, k, 10 ** 12) == (not holds)
+
+
+@PROPS
+@given(mid_pair_and_k())
+@example((*CENSUS, 16))
+@example((*UNDECIDED, 8))
+def test_end_walk_fails_agree_on_mid_pairs(case):
+    x, y, k = case
+    holds = spectrum_majorizes(tensor_power_spectrum(x, k),
+                               tensor_power_spectrum(y, k)).holds
+    if x.dim ** k <= 4096:
+        assert holds == brute_majorizes(brute_tensor_power(x, k),
+                                        brute_tensor_power(y, k))[0]
+    if _ends_refute(spectrum_of(x), spectrum_of(y), k):
+        assert not holds
+
+
+def test_census_pair_needs_no_large_power(monkeypatch):
+    # powers up to _CHAIN_MAX_K grow by the cheap chain, where the end
+    # walk does not run; every larger k is refuted from the ends
+    real = tensor_powers
+
+    def chain_only(x, k_max, base=None):
+        for k, s in enumerate(real(x, k_max, base), 1):
+            if k > specvec._CHAIN_MAX_K:
+                raise AssertionError("grew power %d" % k)
+            yield s
+
+    def refuse(*a, **kw):
+        raise AssertionError("enumerated a power")
+    monkeypatch.setattr(mlocc, "tensor_powers", chain_only)
+    monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+    monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+    assert not in_Mk(*CENSUS, 60)
+    scan = scan_Mk(*CENSUS, 60)
+    assert scan.results == {k: "fails" for k in range(1, 61)}
+    assert scan.first_success is None and scan.refuting_order is None

@@ -172,9 +172,14 @@ class TestSumOfMembersInMk:
     # members of the paper pair are 3, 4, 5, ...: 6 = 3 + 3 and
     # 1000 = 4 * 250 are sums of members the sweep finds by j = 4, while
     # 5 is not a sum of 2 or 3 and takes the direct path
-    # UNDECIDED fails at k = 8; its sweep runs out of budget after j = 5
+    # UNDECIDED fails at k = 8; its sweep stops at j = 5, past k / 2 with
+    # no member, and the end walk then refutes it
     UNDECIDED = (fv(F(4, 9), F(1, 3), F(1, 9), F(1, 9)),
                  fv(F(6, 11), F(2, 11), F(2, 11), F(1, 11)), 8)
+    # DEEP fails at every k up to 30 and at 60; its sweep runs out of
+    # budget at j = 21, before k / 2
+    DEEP = (fv(*(F(p, 10655) for p in (2741, 2741, 2411, 1381, 1381))),
+            fv(*(F(q, 9097) for q in (2591, 2591, 1399, 1399, 1117))), 60)
 
     @staticmethod
     def direct(x, y, k):
@@ -218,14 +223,42 @@ class TestSumOfMembersInMk:
         assert calls == [5, 5]
         calls.clear()
         x, y, k = self.UNDECIDED
+        # the end walk refutes UNDECIDED (test_end_walk_refutes_undecided);
+        # held at no verdict, it leaves k to the direct path
+        monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
         assert not in_Mk(x, y, k)
         assert not self.direct(x, y, k)
         assert calls == [k, k]
 
+    def test_budget_stops_the_sweep_before_half_k(self, monkeypatch):
+        monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
+        grown = []
+        real = mlocc.tensor_powers
+
+        def counted(x, k_max, base=None):
+            for j, s in enumerate(real(x, k_max, base), 1):
+                grown.append(j)
+                yield s
+        monkeypatch.setattr(mlocc, "tensor_powers", counted)
+        calls = self.count_direct(monkeypatch)
+        x, y, k = self.DEEP
+        assert not in_Mk(x, y, k)
+        assert calls == [k, k]
+        assert 3 < max(grown) < k // 2
+
+    def test_end_walk_refutes_undecided(self, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("enumerated the k-th power")
+        monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+        x, y, k = self.UNDECIDED
+        assert not in_Mk(x, y, k)
+
     def test_undecided_sweep_stays_within_direct_estimate(self,
                                                           monkeypatch):
         # block products of chain steps and weighted compositions of
-        # enumerated steps, per side, against the estimate for S_k
+        # enumerated steps, per side, against the estimate for S_k; the
+        # end walk, held at no verdict, leaves k to the direct path
+        monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
         x, y, k = self.UNDECIDED
         bases, work, steps = [], {}, []  # steps: n^j of each power grown
         real_of = mlocc.spectrum_of
@@ -252,7 +285,7 @@ class TestSumOfMembersInMk:
         calls = self.count_direct(monkeypatch)
         assert not in_Mk(x, y, k)
         assert calls == [k, k]
-        # the sweep stopped short of j = k - 2 on the budget alone
+        # the sweep stopped short of j = k - 2
         assert 0 < max(steps) < x.dim ** (k - 2)
         for s in bases:
             assert 0 < work[id(s)] <= specvec._enumeration_cost(
