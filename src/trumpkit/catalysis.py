@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Optional, Tuple, Union
 
-from .majorize import _product_majorizes, spectrum_majorizes
+from .majorize import _product_majorizes, _verdict
 from .mlocc import endpoint_filter_passes, in_Mk
 from .renyi import power_sum_refutation
 from .specvec import (ProbVec, Spectrum, _check_dims, make_probvec,
@@ -252,7 +252,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     if not endpoint_filter_passes(x, y):
         return None
     sx, sy = spectrum_of(x), spectrum_of(y)
-    if (not spectrum_majorizes(sx, sy).holds
+    if (_verdict(sx, sy) == "fails"
             and power_sum_refutation(sx, sy) is not None):
         return None
     if dim_c == 1:

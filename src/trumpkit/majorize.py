@@ -4,13 +4,16 @@ Standard majorization on sorted probability vectors, its strict-interior
 and generalized-interior refinements, and the compressed-spectrum variant
 used for tensor powers.  Three exact integer tests decide them:
 
-* the position walk (spectrum_majorizes) evaluates prefix sums at block
-  breakpoints: between consecutive breakpoints the difference
-  e_l(sx) - e_l(sy) is linear in l (both prefix functions advance by a
-  fixed per-unit value there), so its sign pattern over all l is
-  determined by its endpoint values.  Every report -- verdict, equality
-  positions, first violation -- comes from it, and vectors are compared
-  through their spectra;
+* the position walk (_verdict) compares prefix sums at x's breakpoints
+  only: between two of them e_l(sx) is linear and e_l(sy) concave in l,
+  so the gap e_l(sy) - e_l(sx) is concave there, its minimum sits at an
+  end, and a zero inside forces zeros at both ends.  Only an interval
+  that fails at its right end, or is tight at both, is stepped through
+  at every breakpoint of either spectrum, for the report's detail.
+  spectrum_majorizes and majorizes build the full report -- verdict,
+  equality positions, first violation -- and vectors are compared
+  through their spectra.  in_Mk, scan_Mk and search_catalyst read only
+  the bare verdict, for which the walk builds no report or Fraction;
 * the value pass (_product_majorizes) gives the bare verdict for products
   sx (x) sc against sy (x) sc, as catalyst checks need, from one signed
   multiset of product values, without building either product;
@@ -99,12 +102,27 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
 
 def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
     """Compressed-spectrum majorization, equivalent to majorizes() on the
-    fully expanded vectors but evaluated only at breakpoints.
+    fully expanded vectors but evaluated only at breakpoints, with its
+    full report (see _verdict)."""
+    return _verdict(sx, sy, True)
 
-    One linear merge walk over both block lists: each step advances to the
-    next breakpoint of either spectrum and updates both prefix masses as
-    numerators over one common scale, and every comparison is one of
-    integers.
+
+def _verdict(sx: Spectrum, sy: Spectrum, report: bool = False):
+    """The walk behind spectrum_majorizes: 'fails', 'boundary' or
+    'strict_interior', and with report set the MajReport instead.  The
+    bare verdict builds no report, set or Fraction.
+
+    It steps through x's blocks with a pointer into y's and compares the
+    integer prefix masses, over one common scale, at x's breakpoints
+    only.  Between two of them e_l(sx) is linear and e_l(sy) concave, so
+    the gap e_l(sy) - e_l(sx) is concave: its minimum over the interval
+    sits at an end, and a zero inside forces zeros at both ends.  So the
+    first x-interval whose right end fails holds the first violation, and
+    every equality and zero segment lies in an interval tight at both
+    ends or in that failing one.  Only there does the walk step through
+    the union of both breakpoint sets, from the state at the interval's
+    left end: for the first violation, and for the equalities and zero
+    segments that the report lists and the verdict reads.
     """
     if sx.total_count != sy.total_count:
         raise ValueError("total_count mismatch: %d vs %d"
@@ -115,36 +133,61 @@ def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
         raise ValueError("total mass mismatch: %s vs %s"
                          % (sx.total_mass(), sy.total_mass()))
     total = sx.total_count
-    xv, xc, yv, yc = sx._int_vals, sx._counts, sy._int_vals, sy._counts
-    i = j = rx = ry = vx = vy = l = ex = ey = 0
-    equalities = set()
+    yv, yc = sy._int_vals, sy._counts
+    j = ry = vy = l = ex = ey = 0
+    equalities = []
     zero_segment = False
-    prev_eq = True
-    while l < total:
-        if not rx:
-            vx, rx, i = xv[i] * mx, xc[i], i + 1
-        if not ry:
+    tight = True  # the gap is zero at l
+    for vx, cx in zip(sx._int_vals, sx._counts):
+        vx *= mx
+        j0 = j
+        ry0 = ry
+        vy0 = vy
+        ey0 = ey
+        need = cx
+        while ry < need:
+            ey += vy * ry
+            need -= ry
             vy, ry, j = yv[j] * my, yc[j], j + 1
-        step = rx if rx < ry else ry
-        l += step
-        ex += vx * step
-        ey += vy * step
-        diff = ex - ey
-        if diff > 0:
-            return _fail_report(scale, equalities, zero_segment, l - step, l,
-                                ex - vx * step, ey - vy * step, vx, vy)
-        eq = diff == 0
-        if eq and l < total:
-            equalities.add(l)
-        # zero at both ends of a segment: identically zero on all of it
-        zero_segment |= eq and prev_eq and step > 1
-        prev_eq = eq
-        rx -= step
-        ry -= step
-    if equalities or zero_segment:
-        return MajReport("boundary", frozenset(equalities),
-                         zero_segment=zero_segment)
-    return MajReport("strict_interior")
+        ey += vy * need
+        ry -= need
+        ex_hi = ex + vx * cx
+        if ex_hi < ey or ex_hi == ey and (cx == 1 or not tight):
+            l += cx
+            ex = ex_hi
+            tight = ex == ey
+            if tight and l < total:
+                equalities.append(l)
+            continue
+        if not report and ex_hi > ey:
+            return "fails"
+        # the right end fails, or both ends are tight: the union detail
+        j, ry, vy, ey = j0, ry0, vy0, ey0
+        hi = l + cx
+        while l < hi:
+            if not ry:
+                vy, ry, j = yv[j] * my, yc[j], j + 1
+            step = hi - l if hi - l < ry else ry
+            l += step
+            ex += vx * step
+            ey += vy * step
+            if ex > ey:
+                return _fail_report(scale, equalities, zero_segment,
+                                    l - step, l, ex - vx * step,
+                                    ey - vy * step, vx, vy)
+            eq = ex == ey
+            if eq and l < total:
+                equalities.append(l)
+            # zero at both ends of a segment: identically zero on it
+            zero_segment |= eq and tight and step > 1
+            tight = eq
+            ry -= step
+    verdict = ("boundary" if equalities or zero_segment
+               else "strict_interior")
+    if not report:
+        return verdict
+    return MajReport(verdict, frozenset(equalities),
+                     zero_segment=zero_segment)
 
 
 # The end walk spends at most 1 / _END_WALK_SHARE of the work it may
@@ -231,14 +274,20 @@ def _product_majorizes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
     smallest, equals (sum q - sum p) - t * (len q - len p) = 0.  So G >= 0
     everywhere iff G >= 0 at every value v, where G(v) = A - v * B with
     A = sum delta(w) * w and B = sum delta(w) over the values w > v, and
-    delta(w) is w's count in q minus its count in p.
+    delta(w) is w's count in q minus its count in p.  Only the values with
+    delta(v) > 0 need the test: G's slope is -B just above v and
+    -(B + delta(v)) just below, so it rises through v only where
+    delta(v) > 0.  Between two such values G is concave, so its minimum
+    there sits at one of them, or at the largest or the smallest value,
+    where G is 0.  Every delta still goes into A and B.
 
     All numerators share the scale sx._scale * sy._scale * sc._scale: a
     block (u, m) of sx and (v, c) of sc put -m * c at u * sy._scale * v, a
     block (w, n) of sy and (v, c) of sc put +n * c at w * sx._scale * v.
     One sort of the keys, one pass from the top, and the first negative
-    G(v) answers False.  Raises ValueError, as spectrum_majorizes on the
-    products would, when their total counts or masses differ.
+    G(v) at a value with delta(v) > 0 answers False.  Raises ValueError,
+    as spectrum_majorizes on the products would, when their total counts
+    or masses differ.
     """
     nx, ny = sx.total_count * sc.total_count, sy.total_count * sc.total_count
     if nx != ny:
@@ -252,9 +301,9 @@ def _product_majorizes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
     _add_products(delta, sy, sc, sx._scale, 1)
     a = b = 0
     for v in sorted(delta, reverse=True):
-        if a < v * b:
-            return False
         d = delta[v]
+        if d > 0 and a < v * b:
+            return False
         a += d * v
         b += d
     return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .majorize import _END_WALK_SHARE, _ends_refute, spectrum_majorizes
+from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
 from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims,
                       _enumeration_cost, _growth_cost, _power_at,
@@ -80,7 +80,7 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     if k < 1:
         raise ValueError("k must be >= 1")
     sx, sy = spectrum_of(x), spectrum_of(y)
-    if spectrum_majorizes(sx, sy).holds:
+    if _verdict(sx, sy) != "fails":
         return True
     if (k == 1 or not endpoint_filter_passes(x, y)
             or power_sum_refutation(sx, sy) is not None):
@@ -89,8 +89,8 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
         return True
     if k > _CHAIN_MAX_K and _ends_refute(sx, sy, k):
         return False
-    return spectrum_majorizes(tensor_power_spectrum(x, k, sx),
-                              tensor_power_spectrum(y, k, sy)).holds
+    return _verdict(tensor_power_spectrum(x, k, sx),
+                    tensor_power_spectrum(y, k, sy)) != "fails"
 
 
 def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
@@ -144,7 +144,7 @@ def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
             held[i], powers[i] = _power_at(v, bases[i], powers[i], held[i],
                                            grown, j, k - 2)
         grown = j
-        if spectrum_majorizes(*held).holds:
+        if _verdict(*held) != "fails":
             for _ in range(k // j):
                 sums |= (sums << j) & mask
             if sums >> k & 1:
@@ -238,14 +238,12 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
                     held[i], powers[i] = _power_at(v, bases[i], powers[i],
                                                    held[i], grown, k, k_max)
                 grown = k
-            sxk, syk = held
-            rep = spectrum_majorizes(sxk, syk)
-            if k == 1 and not rep.holds:
-                order = power_sum_refutation(sxk, syk)
+            verdict = _verdict(*held)
+            if k == 1 and verdict == "fails":
+                order = power_sum_refutation(*held)
                 if order is not None:
                     return MloccScan(x, y, k_max, every_k_fails, None,
                                      refuting_order=order)
-            verdict = rep.verdict
         results[k] = verdict
         if verdict == "fails":
             continue

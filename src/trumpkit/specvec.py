@@ -13,7 +13,6 @@ import heapq
 import json
 import math
 import sys
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -277,12 +276,21 @@ def _from_counts(merged, scale, mass) -> Spectrum:
 
 
 def spectrum_of(x: ProbVec) -> Spectrum:
-    """Spectrum of a vector: the entries' numerators over the lcm of
-    their denominators go straight into the state, equal values merged
-    as integers."""
+    """Spectrum of a vector: one pass over the sorted entries puts their
+    numerators over the lcm of the denominators straight into the state,
+    equal neighbours merged and the mass summed as integers."""
     scale = math.lcm(*(v.denominator for v in x.entries))
-    nums = [v.numerator * (scale // v.denominator) for v in x.entries]
-    return _from_counts(Counter(nums), scale, sum(nums))
+    vals, counts, mass, last = [], [], 0, None
+    for v in x.entries:
+        u = v.numerator * (scale // v.denominator)
+        mass += u
+        if u == last:
+            counts[-1] += 1
+        else:
+            vals.append(u)
+            counts.append(1)
+            last = u
+    return object.__new__(Spectrum)._set(vals, counts, scale, mass)
 
 
 def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:

@@ -14,8 +14,10 @@ probe bound, chained small powers against brute products, lifted
 catalysts against an expanded n-copy check, and the value pass that
 checks catalysts (x (x) c majorized by y (x) c, neither product built)
 against the walk on built products and the brute Fraction walk, the
-lazy block streams of a power against its spectrum, and the end walk's
-refutations against brute walks and the full walk."""
+lazy block streams of a power against its spectrum, the end walk's
+refutations against brute walks and the full walk, the position walk's
+report against the brute Fraction walk field by field, and the callers
+of its bare verdict, which build no report."""
 
 import math
 import random
@@ -28,20 +30,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
-                      lift_catalyst, majorizes, make_probvec, mlocc,
-                      multicopy_catalyst_scan,
-                      power_sum_refutation, scan_Mk,
+                      lift_catalyst, majorize, majorizes, make_probvec,
+                      mlocc, multicopy_catalyst_scan,
+                      power_sum_refutation, scan_Mk, search_catalyst,
                       spectrum_majorizes, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
 from trumpkit.catalysis import (_catalyzes, _mixed_power_catalyst,
                                 _verify_single_copy)
 from trumpkit import specvec
-from trumpkit.majorize import _ends_refute
-from trumpkit.specvec import _power_blocks, tensor_powers
+from trumpkit.majorize import _ends_refute, _verdict
+from trumpkit.specvec import _power_blocks, load_vector, tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
                       brute_strict_interior, brute_tensor_power,
-                      power_sum_refutes, random_mid_pair)
+                      corpus_path, power_sum_refutes, random_mid_pair)
 
 # small parts give ties, zeros and uniform vectors; parts near 2000 give
 # denominators near 1e4 once normalized
@@ -135,6 +137,65 @@ def test_majorizes_matches_per_entry_oracle(pair):
     assert rep.verdict == verdict
     assert rep.equality_indices == equalities
     assert rep.first_violation == first
+
+
+@st.composite
+def walk_case(draw):
+    """x, y and k <= 4 for the position walk: free draws (zeros, ties),
+    equal pairs, a uniform x (a single block), and pairs that share a head
+    block of two or more entries, so that the walk crosses a zero segment
+    before it holds or fails."""
+    kind = draw(st.sampled_from(["free", "equal", "uniform", "head"]))
+    n = draw(st.integers(4 if kind == "head" else 1, 5))
+    k = draw(st.integers(1, 4 if n <= 3 else 3))
+    x = draw(parts(n))
+    y = draw(parts(n)) if kind == "free" else x
+    if kind == "uniform":
+        x = [1] * n
+    elif kind == "head":
+        # one to four units move between two tail entries, both below h
+        h, r = draw(st.integers(2, 6)), draw(st.integers(2, n - 2))
+        tail = draw(st.lists(st.integers(1, h - 1), min_size=n - r,
+                             max_size=n - r))
+        i, j = draw(st.permutations(range(n - r)))[:2]
+        d = draw(st.integers(1, min(h - tail[i], tail[j], 4)))
+        moved = list(tail)
+        moved[i] += d
+        moved[j] -= d
+        x, y = [h] * r + tail, [h] * r + moved
+        if draw(st.booleans()):
+            x, y = y, x
+    return vec(x), vec(y), k
+
+
+@settings(PROPS, max_examples=200)
+@given(walk_case())
+@example((vec([1, 1, 1]), vec([1, 1, 1]), 2))
+@example((vec([1, 1, 1, 1]), vec([4, 3, 2, 1]), 2))
+@example((vec([3, 3, 3, 1, 0]), vec([3, 3, 2, 2, 0]), 1))
+@example((vec([3, 3, 1, 1]), vec([3, 3, 2, 0]), 2))
+def test_walk_report_matches_brute_field_by_field(case):
+    x, y, k = case
+    sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
+    rep = spectrum_majorizes(sx, sy)
+    xs, ys = brute_tensor_power(x, k), brute_tensor_power(y, k)
+    verdict, equalities, first = brute_majorization_report(xs, ys)
+    gap = [b - a for a, b in zip(accumulate([0] + xs), accumulate([0] + ys))]
+    bps = sorted({0, *sx.breakpoints(), *sy.breakpoints()})
+    # the walk reports on the segments between breakpoints of either
+    # spectrum that lie before the one holding the first violation
+    stop = first[0] if first else len(xs) + 1
+    walked = [(lo, hi) for lo, hi in zip(bps, bps[1:]) if hi < stop]
+    assert rep.verdict == verdict
+    assert rep.first_violation == first
+    assert rep.equality_indices == equalities & set(bps)
+    assert rep.zero_segment == any(hi - lo > 1 and gap[lo] == gap[hi] == 0
+                                   for lo, hi in walked)
+    assert _verdict(sx, sy) == rep.verdict
+    if k == 1:
+        full = majorizes(x, y)
+        assert (full.verdict, full.equality_indices,
+                full.first_violation) == (verdict, equalities, first)
 
 
 def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):
@@ -615,7 +676,7 @@ def test_catalyst_checks_build_no_product_and_walk_none():
         raise AssertionError("product built or walked")
 
     with mock.patch.object(catalysis, "spectrum_tensor", forbidden), \
-            mock.patch.object(catalysis, "spectrum_majorizes", forbidden):
+            mock.patch.object(catalysis, "_verdict", forbidden):
         for n in (2, 3):
             cert = lift_catalyst(x, y, c96, n)
             assert cert.verified
@@ -731,3 +792,27 @@ def test_census_pair_needs_no_large_power(monkeypatch):
     scan = scan_Mk(*CENSUS, 60)
     assert scan.results == {k: "fails" for k in range(1, 61)}
     assert scan.first_success is None and scan.refuting_order is None
+
+
+def test_verdict_only_callers_build_no_report():
+    # in_Mk, scan_Mk and search_catalyst read the bare verdict of each
+    # walk, so no MajReport, and no Fraction for a violation, is built
+    mid = (load_vector(corpus_path("x_0.425_0.325_0.125_0.1_0.025.json")),
+           load_vector(corpus_path("y_0.5_0.2_0.2_0.075_0.025.json")))
+    tied = (load_vector(corpus_path("y_0.6_0.25_0.1_0.05.json")),
+            load_vector(corpus_path("x_0.6_0.3_0.05_0.05.json")))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("report built")
+
+    with mock.patch.object(majorize, "_fail_report", forbidden), \
+            mock.patch.object(majorize, "MajReport", forbidden):
+        assert not in_Mk(*mid, 60)
+        assert scan_Mk(*mid, 20).results == dict.fromkeys(range(1, 21),
+                                                           "fails")
+        assert in_Mk(*tied, 7)
+        assert scan_Mk(*tied, 10).results == dict.fromkeys(range(1, 11),
+                                                           "boundary")
+        assert search_catalyst(*tied[::-1], 2, 100) is None
+        with pytest.raises(AssertionError, match="report built"):
+            spectrum_majorizes(*map(spectrum_of, mid))
