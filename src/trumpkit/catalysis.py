@@ -12,8 +12,8 @@ only a failed endpoint test or an exact power-sum refutation
 Construction runs on integer spectra, and a lift to n copies is
 returned factored (LiftedCatalyst), so c^(x)n exists in full only when
 its expand() is called.  Every check x (x) c majorized by y (x) c is one
-signed pass over the product values (_catalyzes): neither x (x) c nor
-its spectrum is built.
+signed pass over the product values (majorize._product_majorizes):
+neither x (x) c nor its spectrum is built.
 """
 
 from __future__ import annotations
@@ -93,18 +93,11 @@ def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> Spectrum:
     return c.spectrum() if isinstance(c, LiftedCatalyst) else spectrum_of(c)
 
 
-def _catalyzes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
-    """Is sx (x) sc majorized by sy (x) sc?  One signed pass over the
-    product values (majorize._product_majorizes) decides it: neither
-    product nor its spectrum is built."""
-    return _product_majorizes(sx, sy, sc)
-
-
 def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
     """Is the catalyst with spectrum sc one for x -> y?  x (x) c and
-    y (x) c are never built (_catalyzes)."""
+    y (x) c are never built (majorize._product_majorizes)."""
     _check_dims(x, y)
-    return _catalyzes(spectrum_of(x), spectrum_of(y), sc)
+    return _product_majorizes(spectrum_of(x), spectrum_of(y), sc)
 
 
 def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int,
@@ -152,8 +145,9 @@ def combine_catalysts(x: ProbVec, y: ProbVec, k: int,
     """Turn a k-copy catalyst-assisted witness into a single-copy catalyst
     c'' = c (x) c', with c the k-copy construction over (x, y)."""
     _check_dims(x, y)
-    if not _catalyzes(tensor_power_spectrum(x, k), tensor_power_spectrum(y, k),
-                      spectrum_of(c_prime)):
+    if not _product_majorizes(tensor_power_spectrum(x, k),
+                              tensor_power_spectrum(y, k),
+                              spectrum_of(c_prime)):
         raise ValueError("precondition fails: x^(x)%d (x) c' not majorized "
                          "by y^(x)%d (x) c'" % (k, k))
     c2, sc2 = _mixed_power_catalyst(x, y, k, c_prime)
@@ -173,15 +167,16 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
         raise ValueError("n_copies must be >= 1")
     _check_dims(x, y)
     sx, sy, sc = spectrum_of(x), spectrum_of(y), spectrum_of(c)
-    if not _catalyzes(sx, sy, sc):
+    if not _product_majorizes(sx, sy, sc):
         raise ValueError("precondition fails: c is not a catalyst for x -> y")
     if n_copies == 1:
         return CatalystCert(c, "lifted(n=1)", True)
     # (x (x) c)^(x)n and x^(x)n (x) c^(x)n are the same multiset; the
     # factored form enumerates compositions over far fewer distinct values
     scn = tensor_power_spectrum(c, n_copies, sc)
-    verified = _catalyzes(tensor_power_spectrum(x, n_copies, sx),
-                          tensor_power_spectrum(y, n_copies, sy), scn)
+    verified = _product_majorizes(tensor_power_spectrum(x, n_copies, sx),
+                                  tensor_power_spectrum(y, n_copies, sy),
+                                  scn)
     return CatalystCert(LiftedCatalyst(c, n_copies, scn),
                         "lifted(n=%d)" % n_copies, verified)
 
@@ -205,7 +200,7 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     sx, sy, sc = spectrum_of(x), spectrum_of(y), spectrum_of(c)
 
     def works(m):
-        return _catalyzes(sx, sy, tensor_power_spectrum(c, m, sc))
+        return _product_majorizes(sx, sy, tensor_power_spectrum(c, m, sc))
 
     lo, hi = 0, 1  # lo fails (0 stands for "none probed"); hi is probed
     while not works(hi):
@@ -257,7 +252,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         return None
     if dim_c == 1:
         c = ProbVec([Fraction(1)])
-        if _catalyzes(sx, sy, spectrum_of(c)):
+        if _product_majorizes(sx, sy, spectrum_of(c)):
             return CatalystCert(c, "search(seed=%d, dim=1)" % seed, True)
         return None
 
@@ -267,7 +262,7 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         nonlocal trials
         trials += 1
         c = make_probvec(vals, normalize=True)
-        if _catalyzes(sx, sy, spectrum_of(c)):
+        if _product_majorizes(sx, sy, spectrum_of(c)):
             return CatalystCert(
                 c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
         return None

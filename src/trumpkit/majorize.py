@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .specvec import (_READ_COST, ProbVec, Spectrum, _check_dims,
-                      _enumeration_cost, _power_blocks, spectrum_of)
+                      _power_blocks, spectrum_of)
 
 
 @dataclass(frozen=True)
@@ -199,8 +199,7 @@ def _verdict(sx: Spectrum, sy: Spectrum, report: bool = False):
 _END_WALK_SHARE = 2
 
 
-def _ends_refute(sx: Spectrum, sy: Spectrum, k: int,
-                 work: Optional[int] = None) -> bool:
+def _ends_refute(sx: Spectrum, sy: Spectrum, k: int, work: int) -> bool:
     """Does x^(x)k fail to be majorized by y^(x)k, as seen from either end
     of the sorted powers?  True proves it; False only says that no
     violation was found within the budget.  Neither power is built.
@@ -215,13 +214,10 @@ def _ends_refute(sx: Spectrum, sy: Spectrum, k: int,
     the gap is linear, so the breakpoints suffice.  The two ends take a
     breakpoint each in turn until one finds a violation, one runs through
     the whole power, or the compositions read cost more than
-    1 / _END_WALK_SHARE of work, the estimated block products of the path
-    the walk may spare (by default, enumerating both powers).  sx and sy
-    must carry equal counts and masses, as the one-copy walk checks.
+    1 / _END_WALK_SHARE of work, the estimated block products of the
+    growth of both powers that the walk may spare.  sx and sy must carry
+    equal counts and masses, as the one-copy walk checks.
     """
-    if work is None:
-        work = (_enumeration_cost(len(sx._counts), k)
-                + _enumeration_cost(len(sy._counts), k))
     budget = work // (_READ_COST * _END_WALK_SHARE)
     ends = (_excess_steps(_power_blocks(sx, k, True, sy._scale),
                           _power_blocks(sy, k, True, sx._scale)),

@@ -1,10 +1,10 @@
 """Multiple-copy transformation analysis.
 
-Membership in the k-copy convertibility set (x^(x)k majorized by y^(x)k),
-bounded scans over k, the single-equality boundary criterion and its
-uniform-k corollary, interior classification of the multi-copy region,
-the usefulness characterization with its averaging witness, and the
-non-closedness perturbation witness.
+Membership in the k-copy convertibility set (x^(x)k majorized by y^(x)k)
+and bounded scans over k, both answered by one k-sweep (_sweep), the
+single-equality boundary criterion and its uniform-k corollary, interior
+classification of the multi-copy region, the usefulness characterization
+with its averaging witness, and the non-closedness perturbation witness.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
 from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims,
                       _enumeration_cost, _growth_cost, _power_at,
-                      spectrum_of, tensor_power_spectrum, tensor_powers)
+                      spectrum_of, tensor_powers)
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,13 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     Exact facts settle most pairs without building x^(x)k: x majorized
     by y implies x^(x)k majorized by y^(x)k for every k; membership at
     any k needs x_1 <= y_1 and x_n >= y_n, and it needs the power sums
-    that power_sum_refutation compares; and the k that convert are closed
-    under addition (_sum_of_members).  The checks run in this order:
+    that power_sum_refutation compares.  The checks run in this order:
     dimensions; k >= 1; the one-copy walk on the spectra of x and y,
     which raises on a total mass mismatch and answers True when it holds;
     False at k = 1, when the endpoint filter fails or when a power sum
-    refutes the pair; True when, for k >= 4, k is a sum of smaller
-    members; False when, for k > _CHAIN_MAX_K, a walk from both ends of
-    the lazily streamed k-th powers finds a violation within its budget
-    (majorize._ends_refute: from the top a prefix excess of x; from the
-    bottom a suffix deficit of x, which is the prefix excess
-    e_(N-j)(x) > e_(N-j)(y) because both powers hold N = n^k entries of
-    equal total mass); only then are both k-th powers enumerated, from
-    the spectra already built, and walked in full.  Only False comes from
-    the end walk: every True is a full walk, or a sum of members, each a
-    full walk.
+    refutes the pair.  Only then does the k-sweep (_sweep) run, asked
+    for k's verdict alone: it answers True once k is a sum of members
+    and otherwise settles k by its rules, from the last powers it grew.
     """
     _check_dims(x, y)
     if k < 1:
@@ -85,71 +77,134 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     if (k == 1 or not endpoint_filter_passes(x, y)
             or power_sum_refutation(sx, sy) is not None):
         return False
-    if k >= 4 and _sum_of_members(x, y, k, sx, sy):
-        return True
-    if k > _CHAIN_MAX_K and _ends_refute(sx, sy, k):
-        return False
-    return _verdict(tensor_power_spectrum(x, k, sx),
-                    tensor_power_spectrum(y, k, sy)) != "fails"
+    return _sweep(x, y, sx, sy, "fails", k, last_only=True)[k] != "fails"
 
 
-def _sum_of_members(x: ProbVec, y: ProbVec, k: int, sx: Spectrum,
-                    sy: Spectrum) -> bool:
-    """Is k a sum of members j in 2..k-2, for a pair that fails at one
-    copy?
+def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
+           k_max: int, last_only: bool = False) -> Dict[int, str]:
+    """Verdicts of x^(x)k against y^(x)k for k = 1..k_max, given the
+    spectra sx and sy of x and y and their one-copy verdict.
 
-    Members are closed under addition.  If a and b are members,
-    x^(x)(a+b) = x^(x)a (x) x^(x)b is majorized by y^(x)a (x) x^(x)b,
-    which is majorized by y^(x)a (x) y^(x)b = y^(x)(a+b), because u
-    majorized by v implies u (x) w majorized by v (x) w.  The powers of
-    x and y grow from sx and sy (tensor_powers) and are walked one j at
-    a time; the sums up to k of the members found are kept as bits of an
-    integer.
-    A sum of two or more members has one member <= k / 2, so the sweep
-    answers False once it passes k / 2 with no member found.  Until the
-    first member is found, each j > _CHAIN_MAX_K is first tried from the
-    ends of the lazily streamed j-th powers (majorize._ends_refute), for
-    at most 1 / _END_WALK_SHARE of the work of growing them; a j refuted
-    there is no member and is not grown, and a later j that is grown
-    skips ahead (specvec._power_at).
-    The sweep gives up, answering False, before the work of growing the
-    next power (the cheaper of tensor_powers' chain and enumeration), or
-    that of the end walk that spared it, would take either side past the
-    direct path's estimate for enumerating its k-th power.  An end walk
-    that does not refute its j costs at most half the growth that
-    follows, so an undecided pair spends at most 1.5 times that estimate
-    before the direct path runs.
+    Three facts settle a k from smaller ones.
+      - Members are closed under addition.  If a and b are members,
+        x^(x)(a+b) = x^(x)a (x) x^(x)b is majorized by y^(x)a (x) x^(x)b,
+        which is majorized by y^(x)a (x) y^(x)b = y^(x)(a+b), because u
+        majorized by v implies u (x) w majorized by v (x) w.
+      - Strict interior at a plus membership at b gives strict interior
+        at a + b, so a pair strictly interior at one copy is strictly
+        interior at every k.  Proof: let u = x^(x)a be strictly interior
+        to v = y^(x)a and w = x^(x)b be majorized by y^(x)b.  Strictness
+        at l = 1 and l = n^a - 1 gives x_1 < y_1 and x_n > y_n >= 0, so
+        w > 0.  Some top-l set of u (x) w is a staircase, s_j top entries
+        of u against w_j, so e_l(u (x) w) = sum_j w_j e_(s_j)(u)
+        <= sum_j w_j e_(s_j)(v) <= e_l(v (x) w).  Equality needs every
+        s_j in {0, n^a}: whole columns J that are also a top-l set of
+        v (x) w, so v_min w_j >= v_max w_j' for j in J, j' outside.  But
+        of two neighbouring distinct values of w the smaller is at least
+        x_n / x_1 times the larger, and x_n / x_1 > y_n / y_1
+        >= v_min / v_max (v_min < v_max, as v is not uniform).  So
+        e_l(x^(x)(a+b)) < e_l(y^(x)a (x) x^(x)b) <= e_l(y^(x)(a+b)) for
+        0 < l < n^(a+b).
+      - With x_1 = y_1 or x_n = y_n, every member is 'boundary': x_1^k =
+        y_1^k is an equality at l = 1, x_n^k = y_n^k one at l = n^k - 1.
+    The sums of members found (closed under adding each member as it is
+    found), the strict k, and the sums of a strict k and a sum of members
+    are kept as bits of three integers.  At each k > 1 the rules run in
+    this order:
+      1. 'strict_interior' when k is a strict plus a sum of members;
+      2. 'boundary' when the pair has an endpoint tie and k is a sum of
+         members;
+      3. 'fails' when no k has converted yet, k > _CHAIN_MAX_K and a walk
+         from both ends of the lazily streamed k-th powers finds a
+         violation within 1 / _END_WALK_SHARE of the work of growing them
+         from the last powers grown (majorize._ends_refute: from the top
+         a prefix excess of x; from the bottom a suffix deficit of x,
+         which is the prefix excess e_(N-j)(x) > e_(N-j)(y) because both
+         powers hold N = n^k entries of equal total mass).  Only 'fails'
+         comes from the end walk.  It is not tried once some k converts,
+         since later k then mostly convert too and the walk cannot
+         refute them;
+      4. otherwise x^(x)k and y^(x)k are grown from the last powers grown
+         (tensor_powers), or enumerated where that is cheaper after
+         skipped k (specvec._power_at), and walked in full.
+    Powers are grown only up to the last k walked in full.  (At n = 1
+    every k is strictly interior, which rule 1 finds.)
+
+    With last_only, only k_max's verdict is wanted, and the one-copy
+    verdict must be 'fails'.  The sweep then returns as soon as k_max is
+    a sum of members, with the verdict 'member' (boundary or strict
+    interior, not told apart), and it skips straight to k_max:
+      - once it passes k_max / 2 with no member found, since a sum of two
+        or more members has one <= k_max / 2;
+      - at k_max - 1, since 1 is not a member;
+      - before growing the next power would take either side past the
+        estimate for enumerating its k_max-th power, a k refuted by the
+        end walk counting 1 / _END_WALK_SHARE of the growth it spared.
+        An end walk that does not refute its k costs at most half the
+        growth that follows, so an undecided pair spends at most 1.5
+        times that estimate before k_max itself is settled.
+    Returns the verdicts of the k settled, in increasing k, the given
+    one-copy verdict first.
     """
-    pairs, bases = (x, y), [sx, sy]
-    powers = [tensor_powers(x, k - 2, sx), tensor_powers(y, k - 2, sy)]
+    tie = x.entries[0] == y.entries[0] or x.entries[-1] == y.entries[-1]
+    pairs, bases = (x, y), (sx, sy)
+    powers = [tensor_powers(v, k_max, b) for v, b in zip(pairs, bases)]
     held = [next(p) for p in powers]  # S_1: the bases themselves
     grown = 1  # the k of the powers held
-    budgets = [_enumeration_cost(len(s._counts), k) for s in bases]
+    budgets = ([_enumeration_cost(len(b._counts), k_max) for b in bases]
+               if last_only else None)
     spent = [0, 0]
-    sums, mask = 1, (1 << (k + 1)) - 1  # bit s set: s is a sum of members
-    for j in range(2, k - 1):
-        if sums == 1 and 2 * j > k:
-            return False  # a sum of two or more members has one <= k / 2
-        costs = [_growth_cost(b, s, grown, j) for b, s in zip(bases, held)]
-        # no member yet: the ends of the j-th powers first
-        refuted = (sums == 1 and j > _CHAIN_MAX_K
-                   and _ends_refute(*bases, j, sum(costs)))
-        spent = [s + (c // _END_WALK_SHARE if refuted else c)
-                 for s, c in zip(spent, costs)]
-        if any(s > b for s, b in zip(spent, budgets)):
-            return False
-        if refuted:
+    mask = (1 << (k_max + 1)) - 1
+    # bit k set: k is a sum of members (bit 0: the empty sum) / strict / a
+    # strict plus a sum of members
+    sums, strict, strict_sums = 1, 0, 0
+    results, k = {}, 1
+    while True:
+        results[k] = verdict
+        if verdict != "fails":
+            if not sums >> k & 1:  # close the sums under adding k
+                step = k
+                while step <= k_max:
+                    sums |= sums << step & mask
+                    step *= 2
+            strict_sums |= strict << k
+            if verdict == "strict_interior":
+                strict |= 1 << k
+                strict_sums |= sums << k
+            if last_only and sums >> k_max & 1:
+                return {k_max: "member"}
+        k += 1
+        if k > k_max:
+            return results
+        if last_only and (k == k_max - 1 or sums == 1 and 2 * k > k_max):
+            k = k_max
+        if strict_sums >> k & 1:
+            verdict = "strict_interior"
             continue
+        if tie and sums >> k & 1:
+            verdict = "boundary"
+            continue
+        costs = None
+        if last_only and k < k_max:
+            costs = [_growth_cost(b, s, grown, k)
+                     for b, s in zip(bases, held)]
+            if any(s + c > b for s, c, b in zip(spent, costs, budgets)):
+                k, costs = k_max, None
+        if sums == 1 and k > _CHAIN_MAX_K:
+            costs = costs or [_growth_cost(b, s, grown, k)
+                              for b, s in zip(bases, held)]
+            if _ends_refute(*bases, k, sum(costs)):
+                spent = [s + c // _END_WALK_SHARE
+                         for s, c in zip(spent, costs)]
+                verdict = "fails"
+                continue
+        if costs:
+            spent = [s + c for s, c in zip(spent, costs)]
         for i, v in enumerate(pairs):
             held[i], powers[i] = _power_at(v, bases[i], powers[i], held[i],
-                                           grown, j, k - 2)
-        grown = j
-        if _verdict(*held) != "fails":
-            for _ in range(k // j):
-                sums |= (sums << j) & mask
-            if sums >> k & 1:
-                return True
-    return False
+                                           grown, k, k_max)
+        grown = k
+        verdict = _verdict(*held)
 
 
 def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
@@ -168,44 +223,8 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     (short_circuited).  k = 1 is always walked; that walk raises on a
     total mass mismatch.  When it fails and a power sum refutes the pair
     (power_sum_refutation), every k is marked 'fails' and no second power
-    is built.
-
-    Two facts then fix many verdicts from smaller k:
-      - strict interior at a plus membership at b gives strict interior
-        at a + b, so a pair strictly interior at one copy is strictly
-        interior at every k;
-      - with x_1 = y_1 or x_n = y_n, every member k is 'boundary' (x_1^k
-        = y_1^k is an equality at l = 1, x_n^k = y_n^k one at l = n^k - 1),
-        and members are closed under addition (_sum_of_members).
-    Proof of the first: let u = x^(x)a be strictly interior to
-    v = y^(x)a and w = x^(x)b be majorized by y^(x)b.  Strictness at l = 1
-    and l = n^a - 1 gives x_1 < y_1 and x_n > y_n >= 0, so w > 0.  Some
-    top-l set of u (x) w is a staircase, s_j top entries of u against w_j,
-    so e_l(u (x) w) = sum_j w_j e_(s_j)(u) <= sum_j w_j e_(s_j)(v)
-    <= e_l(v (x) w).  Equality needs every s_j in {0, n^a}: whole columns
-    J that are also a top-l set of v (x) w, so v_min w_j >= v_max w_j'
-    for j in J, j' outside.  But of two neighbouring distinct values of w
-    the smaller is at least x_n / x_1 times the larger, and x_n / x_1 >
-    y_n / y_1 >= v_min / v_max (v_min < v_max, as v is not uniform).  So
-    e_l(x^(x)(a+b)) < e_l(y^(x)a (x) x^(x)b) <= e_l(y^(x)(a+b)) for
-    0 < l < n^(a+b).
-    The sums a + b with a strict and b a member, and the sums of two
-    members, are kept as bits of two integers.  At each k > 1 the checks
-    run in this order: 'strict_interior' when k is a strict sum; 'boundary'
-    when the pair has an endpoint tie and k is a sum of members; 'fails'
-    when no k has converted yet, k > _CHAIN_MAX_K and a walk from both
-    ends of the lazily streamed k-th powers finds a violation within 1 /
-    _END_WALK_SHARE of the work of growing them (majorize._ends_refute:
-    from the top a prefix excess of x; from the bottom a suffix deficit of
-    x, which is the prefix excess e_(N-j)(x) > e_(N-j)(y) because both
-    powers hold N = n^k entries of equal total mass); otherwise x^(x)k and
-    y^(x)k are grown from the last powers grown (tensor_powers), or
-    enumerated where that is cheaper after skipped k (specvec._power_at),
-    and walked in full.  Only 'fails' comes from the end walk; it is not
-    tried once some k converts, since later k then mostly convert too and
-    the walk cannot refute them.  Powers are grown only up to the last k
-    that is walked in full.  (At n = 1 every k is strictly interior,
-    which the first check finds.)"""
+    is built.  Otherwise the k-sweep (_sweep) settles every k > 1, from
+    smaller k where its rules allow."""
     _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -213,48 +232,15 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     if not endpoint_filter_passes(x, y):
         return MloccScan(x, y, k_max, every_k_fails, None,
                          short_circuited=True)
-    tie = x.entries[0] == y.entries[0] or x.entries[-1] == y.entries[-1]
-    pairs = x, y
-    powers = [tensor_powers(v, k_max) for v in pairs]
-    bases = [next(p) for p in powers]  # S_1 of x and of y
-    held, grown = list(bases), 1  # the last powers grown, and their k
-    # bit k set: k is a member / strict / a sum of two members / a strict
-    # plus a member
-    members = strict = member_sums = strict_sums = 0
-    results = {}
-    first = None
-    for k in range(1, k_max + 1):
-        if strict_sums >> k & 1:
-            verdict = "strict_interior"
-        elif tie and member_sums >> k & 1:
-            verdict = "boundary"
-        elif first is None and k > _CHAIN_MAX_K and _ends_refute(
-                *bases, k, sum(_growth_cost(b, s, grown, k)
-                               for b, s in zip(bases, held))):
-            verdict = "fails"
-        else:
-            if k > grown:
-                for i, v in enumerate(pairs):
-                    held[i], powers[i] = _power_at(v, bases[i], powers[i],
-                                                   held[i], grown, k, k_max)
-                grown = k
-            verdict = _verdict(*held)
-            if k == 1 and verdict == "fails":
-                order = power_sum_refutation(*held)
-                if order is not None:
-                    return MloccScan(x, y, k_max, every_k_fails, None,
-                                     refuting_order=order)
-        results[k] = verdict
-        if verdict == "fails":
-            continue
-        if first is None:
-            first = k
-        members |= 1 << k
-        if verdict == "strict_interior":
-            strict |= 1 << k
-            strict_sums |= members << k
-        member_sums |= members << k
-        strict_sums |= strict << k
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    verdict = _verdict(sx, sy)
+    if verdict == "fails":
+        order = power_sum_refutation(sx, sy)
+        if order is not None:
+            return MloccScan(x, y, k_max, every_k_fails, None,
+                             refuting_order=order)
+    results = _sweep(x, y, sx, sy, verdict, k_max)
+    first = next((k for k, v in results.items() if v != "fails"), None)
     return MloccScan(x, y, k_max, results, first)
 
 

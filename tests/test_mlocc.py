@@ -97,7 +97,7 @@ class TestInMkPreDecision:
 
         def refuse(*a, **kw):
             raise AssertionError("enumerated")
-        monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
         assert in_Mk(self.HOLD_X, self.HOLD_Y, 40)
         assert not in_Mk(self.EARLY_X, self.HOLD_Y, 40)
         assert not in_Mk(self.LATE_X, self.HOLD_Y, 40)
@@ -147,7 +147,7 @@ class TestPowerSumRefutationInMk:
             powers = real(x, k_max)
             yield next(powers)
             raise AssertionError("grew a second power")
-        monkeypatch.setattr(mlocc, "tensor_power_spectrum", self.refuse)
+        monkeypatch.setattr(specvec, "tensor_power_spectrum", self.refuse)
         monkeypatch.setattr(mlocc, "tensor_powers", first_power_only)
         assert not in_Mk(self.MID_X, self.MID_Y, 40)
         scan = scan_Mk(self.MID_X, self.MID_Y, 40)
@@ -181,26 +181,34 @@ class TestSumOfMembersInMk:
     DEEP = (fv(*(F(p, 10655) for p in (2741, 2741, 2411, 1381, 1381))),
             fv(*(F(q, 9097) for q in (2591, 2591, 1399, 1399, 1117))), 60)
 
+    # GAP fails at one and two copies, is strictly interior at three,
+    # fails at four and five and is strictly interior from six on; found
+    # by a seeded search (random.Random(3), random_rational_vec pairs of
+    # dimension 4 or 5 with denominators up to 60, scanned to k_max = 12)
+    GAP = (fv(F(12, 23), F(6, 23), F(3, 23), F(1, 23), F(1, 23)),
+           fv(F(2, 3), F(4, 33), F(1, 11), F(1, 11), F(1, 33)))
+
     @staticmethod
     def direct(x, y, k):
         return spectrum_majorizes(tensor_power_spectrum(x, k),
                                   tensor_power_spectrum(y, k)).holds
 
     @staticmethod
-    def count_direct(monkeypatch):
-        calls = []
-        real = mlocc.tensor_power_spectrum
+    def count_walks(monkeypatch):
+        """Record the entry count n^j of each pair of powers walked."""
+        walked = []
+        real = mlocc._verdict
 
-        def counting(x, k, base=None):
-            calls.append(k)
-            return real(x, k, base)
-        monkeypatch.setattr(mlocc, "tensor_power_spectrum", counting)
-        return calls
+        def counting(sx, sy, *a):
+            walked.append(sx.total_count)
+            return real(sx, sy, *a)
+        monkeypatch.setattr(mlocc, "_verdict", counting)
+        return walked
 
     def test_sums_of_members_never_enumerate_k(self, monkeypatch):
         def refuse(*a, **kw):
             raise AssertionError("enumerated the k-th power")
-        monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
         assert in_Mk(PAPER_X, PAPER_Y, 6)
         assert in_Mk(PAPER_X, PAPER_Y, 1000)
 
@@ -218,17 +226,19 @@ class TestSumOfMembersInMk:
 
     def test_unreached_k_falls_back(self, monkeypatch):
         want = self.direct(PAPER_X, PAPER_Y, 5)
-        calls = self.count_direct(monkeypatch)
+        walked = self.count_walks(monkeypatch)
         assert in_Mk(PAPER_X, PAPER_Y, 5) == want is True
-        assert calls == [5, 5]
-        calls.clear()
+        # one copy, then j = 2; j = 3 is past k / 2 with no member found,
+        # so k itself is walked in full
+        assert walked == [4 ** j for j in (1, 2, 5)]
+        walked.clear()
         x, y, k = self.UNDECIDED
         # the end walk refutes UNDECIDED (test_end_walk_refutes_undecided);
-        # held at no verdict, it leaves k to the direct path
+        # held at no verdict, it leaves k to a full walk
         monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
         assert not in_Mk(x, y, k)
         assert not self.direct(x, y, k)
-        assert calls == [k, k]
+        assert walked == [4 ** j for j in (1, 2, 3, 4, k)]
 
     def test_budget_stops_the_sweep_before_half_k(self, monkeypatch):
         monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
@@ -240,27 +250,40 @@ class TestSumOfMembersInMk:
                 grown.append(j)
                 yield s
         monkeypatch.setattr(mlocc, "tensor_powers", counted)
-        calls = self.count_direct(monkeypatch)
+        walked = self.count_walks(monkeypatch)
         x, y, k = self.DEEP
         assert not in_Mk(x, y, k)
-        assert calls == [k, k]
+        assert walked[-1] == x.dim ** k
         assert 3 < max(grown) < k // 2
+        assert max(walked[:-1]) == x.dim ** max(grown)
+
+    def test_strict_plus_member_below_k_is_not_walked(self, monkeypatch):
+        x, y = self.GAP
+        verdicts = scan_Mk(x, y, 7).results.values()
+        assert "".join(v[0] for v in verdicts) == "ffsffss"
+        walked = self.count_walks(monkeypatch)
+        # 10 = 3 + 7; on the way, j = 6 = 3 + 3 is a strict plus a member,
+        # settled without growing or walking S_6
+        assert in_Mk(x, y, 10)
+        assert walked == [5 ** j for j in (1, 2, 3, 4, 5, 7)]
 
     def test_end_walk_refutes_undecided(self, monkeypatch):
         def refuse(*a, **kw):
             raise AssertionError("enumerated the k-th power")
-        monkeypatch.setattr(mlocc, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
         x, y, k = self.UNDECIDED
         assert not in_Mk(x, y, k)
 
     def test_undecided_sweep_stays_within_direct_estimate(self,
                                                           monkeypatch):
         # block products of chain steps and weighted compositions of
-        # enumerated steps, per side, against the estimate for S_k; the
-        # end walk, held at no verdict, leaves k to the direct path
+        # enumerated steps below k, per side, against the estimate for
+        # S_k; the end walk, held at no verdict, leaves k to an
+        # enumeration of S_k
         monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
         x, y, k = self.UNDECIDED
         bases, work, steps = [], {}, []  # steps: n^j of each power grown
+        calls = []  # the k of each enumeration of S_k
         real_of = mlocc.spectrum_of
         real_tensor = specvec.spectrum_tensor
         real_enum = specvec.tensor_power_spectrum
@@ -275,6 +298,9 @@ class TestSumOfMembersInMk:
             return real_tensor(a, b)
 
         def enumeration(v, j, base):
+            if j == k:
+                calls.append(j)
+                return real_enum(v, j, base)
             work[id(base)] = work.get(id(base), 0) + \
                 specvec._enumeration_cost(len(base._counts), j)
             steps.append(v.dim ** j)
@@ -282,7 +308,6 @@ class TestSumOfMembersInMk:
         monkeypatch.setattr(mlocc, "spectrum_of", spectrum_of)
         monkeypatch.setattr(specvec, "spectrum_tensor", chain_step)
         monkeypatch.setattr(specvec, "tensor_power_spectrum", enumeration)
-        calls = self.count_direct(monkeypatch)
         assert not in_Mk(x, y, k)
         assert calls == [k, k]
         # the sweep stopped short of j = k - 2
@@ -334,8 +359,8 @@ class TestScanMkSettlesFromSmallerK:
         yields = []
         real = specvec.tensor_powers
 
-        def counted(x, k_max):
-            for k, s in enumerate(real(x, k_max), 1):
+        def counted(x, k_max, base=None):
+            for k, s in enumerate(real(x, k_max, base), 1):
                 if limit is not None and k > limit:
                     raise AssertionError("grew power %d" % k)
                 yields.append(k)
