@@ -15,8 +15,7 @@ from typing import Dict, Optional
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
 from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims,
-                      _enumeration_cost, _growth_cost, _power_at,
-                      spectrum_of, tensor_powers)
+                      _enumeration_cost, _grow, _growth_cost, spectrum_of)
 
 
 @dataclass(frozen=True)
@@ -124,9 +123,9 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
          comes from the end walk.  It is not tried once some k converts,
          since later k then mostly convert too and the walk cannot
          refute them;
-      4. otherwise x^(x)k and y^(x)k are grown from the last powers grown
-         (tensor_powers), or enumerated where that is cheaper after
-         skipped k (specvec._power_at), and walked in full.
+      4. otherwise x^(x)k and y^(x)k are grown from the last powers grown,
+         or enumerated where that is cheaper (specvec._grow), and walked
+         in full.
     Powers are grown only up to the last k walked in full.  (At n = 1
     every k is strictly interior, which rule 1 finds.)
 
@@ -146,10 +145,7 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
     Returns the verdicts of the k settled, in increasing k, the given
     one-copy verdict first.
     """
-    tie = x.entries[0] == y.entries[0] or x.entries[-1] == y.entries[-1]
-    pairs, bases = (x, y), (sx, sy)
-    powers = [tensor_powers(v, k_max, b) for v, b in zip(pairs, bases)]
-    held = [next(p) for p in powers]  # S_1: the bases themselves
+    bases = held = (sx, sy)
     grown = 1  # the k of the powers held
     budgets = ([_enumeration_cost(len(b._counts), k_max) for b in bases]
                if last_only else None)
@@ -162,6 +158,9 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
     while True:
         results[k] = verdict
         if verdict != "fails":
+            if sums == 1:  # the first member: rule 2 reads the tie from now
+                tie = (x.entries[0] == y.entries[0]
+                       or x.entries[-1] == y.entries[-1])
             if not sums >> k & 1:  # close the sums under adding k
                 step = k
                 while step <= k_max:
@@ -181,7 +180,7 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
         if strict_sums >> k & 1:
             verdict = "strict_interior"
             continue
-        if tie and sums >> k & 1:
+        if sums >> k & 1 and tie:
             verdict = "boundary"
             continue
         costs = None
@@ -200,9 +199,7 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
                 continue
         if costs:
             spent = [s + c for s, c in zip(spent, costs)]
-        for i, v in enumerate(pairs):
-            held[i], powers[i] = _power_at(v, bases[i], powers[i], held[i],
-                                           grown, k, k_max)
+        held = [_grow(b, s, grown, k) for b, s in zip(bases, held)]
         grown = k
         verdict = _verdict(*held)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .specvec import ProbVec, Spectrum, _check_dims
+from .specvec import ProbVec, Spectrum, _check_dims, spectrum_of
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -27,14 +27,9 @@ DEFAULT_ALPHA_GRID = (-64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -0.5,
                       0.0, 0.5, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
-def _nonzero(x: ProbVec):
-    return [v for v in x.entries if v != 0]
-
-
-def power_sum(x: ProbVec, alpha: int) -> Fraction:
-    """Exact sum of x_i^alpha over nonzero entries, for integer alpha;
-    powers of rationals stay rational."""
-    return sum((v ** alpha for v in _nonzero(x)), Fraction(0))
+# Order 1 and the non-integer orders compare float entropies; a gap this
+# small counts as a tie.
+_FLOAT_TOL = 1e-12
 
 
 def _first_excess(u, m, fu, w, n, fw, first: int, last: int = 8):
@@ -54,11 +49,24 @@ def _first_excess(u, m, fu, w, n, fw, first: int, last: int = 8):
     return None
 
 
-def _nonzero_blocks(s: Spectrum):
-    """Numerators and counts of the nonzero blocks of s."""
-    if s._int_vals[-1]:
-        return s._int_vals, s._counts
-    return s._int_vals[:-1], s._counts[:-1]
+def _power_terms(s: Spectrum, reciprocal: bool):
+    """Numerators, counts and scale of the nonzero values of s, or of
+    their reciprocals: 1 / (p / D) = D * (L // p) / L, L the lcm of the
+    nonzero numerators."""
+    vals, counts = ((s._int_vals, s._counts) if s._int_vals[-1]
+                    else (s._int_vals[:-1], s._counts[:-1]))
+    if not reciprocal:
+        return vals, counts, s._scale
+    lcm = math.lcm(*vals)
+    return [s._scale * (lcm // p) for p in vals], counts, lcm
+
+
+def _power_sum(s: Spectrum, a: int):
+    """P_a(s), the sum of v^a over the nonzero values v of s for an
+    integer a != 0, as an integer numerator and denominator: the terms of
+    _power_terms, reciprocal for a < 0, raised to |a|."""
+    vals, counts, scale = _power_terms(s, a < 0)
+    return sum(m * p ** abs(a) for p, m in zip(vals, counts)), scale ** abs(a)
 
 
 def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
@@ -89,29 +97,26 @@ def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
     The first violation stops the test.  sx and sy must carry equal total
     mass, which the one-copy walk checks.
     """
-    order = _first_excess(sx._int_vals, sx._counts, sx._scale,
-                          sy._int_vals, sy._counts, sy._scale, 2)
+    order = _first_excess(*_power_terms(sx, False), *_power_terms(sy, False),
+                          2)
     if order is not None:
         return order
-    (vx, mx), (vy, my) = _nonzero_blocks(sx), _nonzero_blocks(sy)
-    dx, dy = sum(mx), sum(my)
+    rx, ry = _power_terms(sx, True), _power_terms(sy, True)
+    dx, dy = sum(rx[1]), sum(ry[1])
     if dx != dy:
         return 0 if dx < dy else None
-    # 1 / (p / D) = D * (L // p) / L, L the lcm of the nonzero numerators
-    lx, ly = math.lcm(*vx), math.lcm(*vy)
-    order = _first_excess([sx._scale * (lx // p) for p in vx], mx, lx,
-                          [sy._scale * (ly // q) for q in vy], my, ly, 1)
+    order = _first_excess(*rx, *ry, 1)
     return None if order is None else -order
 
 
 def renyi_entropy(x: ProbVec, alpha) -> float:
     """Renyi entropy at any extended-real order.
 
-    Integer orders go through exact power sums before the single log;
-    non-integer orders evaluate in floating point (irrational powers have
-    no exact representation).
+    Integer orders go through exact integer power sums (_power_sum)
+    before the single log; non-integer orders evaluate in floating point
+    (irrational powers have no exact representation).
     """
-    nz = _nonzero(x)
+    nz = [v for v in x.entries if v]
     d = len(nz)
     if alpha == POS_INF:
         return -math.log2(float(max(nz)))
@@ -123,7 +128,7 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
         return -sum(float(v) * math.log2(float(v)) for v in nz)
     sgn = 1.0 if alpha >= 0 else -1.0
     if float(alpha) == int(alpha):
-        s = power_sum(x, int(alpha))
+        s = Fraction(*_power_sum(spectrum_of(x), int(alpha)))
         # big-int-safe log2: exact power sums overflow float at large |alpha|
         log_s = math.log2(s.numerator) - math.log2(s.denominator)
     else:
@@ -164,28 +169,32 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _entropy_diff_sign(x: ProbVec, y: ProbVec, alpha,
-                       tol: float = 1e-12) -> int:
-    """Sign of S(x) - S(y) at one order.
+def _entropy_diff_sign(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum,
+                       alpha) -> int:
+    """Sign of S(x) - S(y) at one order, given the spectra sx and sy of x
+    and y.
 
     Every order but 1 and the non-integer ones is a rational comparison:
     the nonzero counts at 0, the largest entries at +inf
     (S = -log2 max), the smallest nonzero entries at -inf (S = log2 min),
-    and power sums at the other integers.  Order 1 and the non-integer
-    orders use floats with a tolerance."""
+    and integer power sums of the spectra (_power_sum) at the other
+    integers.  Order 1 and the non-integer orders use floats with a
+    tolerance."""
     if alpha == POS_INF:
         return _sign(y.entries[0] - x.entries[0])
     if alpha == NEG_INF:
-        return _sign(min(_nonzero(x)) - min(_nonzero(y)))
+        return _sign(x.entries[x.nonzero_dim - 1]
+                     - y.entries[y.nonzero_dim - 1])
     if float(alpha) == int(alpha) and int(alpha) != 1:
         a = int(alpha)
         if a == 0:
             return _sign(x.nonzero_dim - y.nonzero_dim)
         # at integer a > 1 and a < 0 the entropy order reverses the
         # power-sum order
-        return _sign(power_sum(y, a) - power_sum(x, a))
+        (px, dx), (py, dy) = _power_sum(sx, a), _power_sum(sy, a)
+        return _sign(py * dx - px * dy)
     dx = renyi_entropy(x, alpha) - renyi_entropy(y, alpha)
-    if abs(dx) <= tol:
+    if abs(dx) <= _FLOAT_TOL:
         return 0
     return 1 if dx > 0 else -1
 
@@ -218,22 +227,15 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
         alphas.append(a)
     float_used = any(not math.isinf(a) and float(a) != int(a)
                      for a in alphas if not math.isinf(a))
+    sx, sy = spectrum_of(x), spectrum_of(y)
     for a in alphas:
-        if _entropy_diff_sign(x, y, a) < 0:
+        if _entropy_diff_sign(x, y, sx, sy, a) < 0:
             return RFilterVerdict("violated", violating_alpha=float(a),
                                   mode=mode, grid_used=tuple(alphas),
                                   float_alphas_used=float_used)
     return RFilterVerdict("no_violation_found", mode=mode,
                           grid_used=tuple(alphas),
                           float_alphas_used=float_used)
-
-
-def equal_by_power_sums(x: ProbVec, y: ProbVec) -> bool:
-    """Decisive multiset-equality test: matching power sums at orders 1..n force equal sorted vectors (Newton's identities
-    determine the elementary symmetric polynomials, hence the multiset)."""
-    _check_dims(x, y)
-    n = x.dim
-    return all(power_sum(x, a) == power_sum(y, a) for a in range(1, n + 1))
 
 
 def r_properties_check(x: ProbVec, y: ProbVec, grid=None) -> dict:
@@ -250,7 +252,7 @@ def r_properties_check(x: ProbVec, y: ProbVec, grid=None) -> dict:
         "backward_pass": not backward.violated,
     }
     rec["bidirectional_pass"] = rec["forward_pass"] and rec["backward_pass"]
-    rec["exactly_equal"] = equal_by_power_sums(x, y)
+    rec["exactly_equal"] = x == y
     # bidirectional grid passes on distinct vectors flag grid
     # insufficiency, not membership
     rec["grid_insufficient"] = (rec["bidirectional_pass"]

@@ -335,8 +335,9 @@ _COMPOSITION_COST = 3
 _READ_COST = 8
 
 
-# Single powers up to this k are chained, never enumerated (see
-# tensor_power_spectrum).
+# The k-sweep tries its end walk (mlocc._sweep, rule 3) only past this k:
+# powers up to it grow by the cheap chain (_grow), which leaves the walk
+# little to spare.
 _CHAIN_MAX_K = 3
 
 
@@ -354,34 +355,12 @@ def _walk_too_deep(d: int) -> bool:
 
 def tensor_powers(x: ProbVec, k_max: int, base: Optional[Spectrum] = None):
     """Yield the spectra of x^(x)1, ..., x^(x)k_max, each grown from the
-    previous one.  A caller that already holds spectrum_of(x) passes it
-    as base: it is yielded as S_1 and not built again.
-
-    S_k is spectrum_tensor(S_(k-1), S_1): integer numerators over the scale
-    D^k, no composition enumerated.  Where products of x's values rarely
-    collide, S_(k-1) grows as fast as the compositions, and a step then
-    enumerates S_k directly (tensor_power_spectrum) instead.  The choice
-    weighs the d * |S_(k-1)| block products of a step against the
-    C(d+k-1, d-1) compositions of an enumeration, d being the number of
-    distinct values: both are properties of x, not settings.  With d near
-    the recursion limit every step tensors.
-    """
-    base = spectrum_of(x) if base is None else base
-    return _powers_from(x, base, 1, base, k_max)
-
-
-def _powers_from(x: ProbVec, base: Spectrum, j: int, s: Spectrum,
-                 k_max: int):
-    """Yield s, the spectrum of x^(x)j, then those of x^(x)(j+1), ...,
-    x^(x)k_max, each grown from the previous one as tensor_powers
-    grows them."""
-    d = len(base._counts)
-    for k in range(j, k_max + 1):
-        if k > j:
-            cheaper = _walk_too_deep(d) or (
-                d * len(s._counts) <= _enumeration_cost(d, k))
-            s = (spectrum_tensor(s, base) if cheaper
-                 else tensor_power_spectrum(x, k, base))
+    previous one by _grow.  A caller that already holds spectrum_of(x)
+    passes it as base: it is yielded as S_1 and not built again."""
+    s = base = spectrum_of(x) if base is None else base
+    for k in range(1, k_max + 1):
+        if k > 1:
+            s = _grow(base, s, k - 1, k)
         yield s
 
 
@@ -404,56 +383,54 @@ def _growth_cost(base: Spectrum, s: Spectrum, j: int, k: int) -> int:
                _enumeration_cost(len(base._counts), k))
 
 
-def _power_at(x: ProbVec, base: Spectrum, powers, s: Spectrum, j: int,
-              k: int, k_max: int):
-    """The spectrum of x^(x)k and the generator to grow later powers
-    from, given powers, which last yielded s = S_j (j <= k).
+def _grow(base: Spectrum, s: Spectrum, j: int, k: int) -> Spectrum:
+    """The spectrum S_k of the k-th power of base, given s = S_j, j <= k.
 
-    Powers skipped since j break the chain of tensor_powers.  When the
-    chain from S_j would cost more than enumerating S_k (_chain_cost),
-    S_k is enumerated and a new chain starts from it; otherwise the chain
-    grows on, choosing at each step as tensor_powers does."""
-    if k - j > 1 and (_chain_cost(base, s, j, k)
-                      > _enumeration_cost(len(base._counts), k)):
-        powers = _powers_from(x, base, k,
-                              tensor_power_spectrum(x, k, base), k_max)
-        j = k - 1
+    S_k is the chain of k - j steps spectrum_tensor(S_i, base), integer
+    numerators over the scale D^k, unless that chain would cost more than
+    enumerating S_k once (_chain_cost against _enumeration_cost, d being
+    the number of distinct values of base; both are properties of the
+    input, not settings).  Where products of the values rarely collide,
+    S_i grows as fast as the compositions and the enumeration wins.  A
+    single step costs d * |s| exactly, and from s = base the chain is
+    cheaper exactly for k <= 3 when d >= 2.  With d near the recursion
+    limit every power chains."""
+    d = len(base._counts)
+    if (not _walk_too_deep(d)
+            and _chain_cost(base, s, j, k) > _enumeration_cost(d, k)):
+        return _enumerate(base, k)
     for _ in range(j, k):
-        s = next(powers)
-    return s, powers
+        s = spectrum_tensor(s, base)
+    return s
 
 
 def tensor_power_spectrum(x: ProbVec, k: int,
                           base: Optional[Spectrum] = None) -> Spectrum:
-    """Compressed spectrum of x^(x)k.
+    """Compressed spectrum of x^(x)k, grown from S_1 by _grow.  k = 1 is
+    spectrum_of(x) itself.  A caller that already holds spectrum_of(x)
+    passes it as base, so it is not built again.
 
-    Enumerates exponent vectors a over the *distinct* values of x, so the
-    block count is bounded by C(d-1+k, d-1) with d the number of distinct
-    values.  With x's distinct values p_i / D (multiplicities m_i), the
-    composition a gives the value prod p_i^a_i / D^k with count
-    multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
-    counts are running products over precomputed power tables.  k = 1 is
-    spectrum_of(x) itself, with no enumeration.  A caller that already
-    holds spectrum_of(x) passes it as base, so it is not built again.
-
-    For k <= 3, and wherever the enumeration's recursion (one level per
-    distinct value) would come near the recursion limit, the power is
-    built as the chain spectrum_tensor(S_(j-1), S_1), j = 2..k, instead.
-    Under the cost model of tensor_powers a chain costs about
-    d * C(d+k-1, d) block products against 3 * C(d+k-1, d-1) for the
-    enumeration, a ratio of k/3.  Measured per power on bases of 2 to 72
-    distinct values, the chain is 1.1-8x faster at k = 2 and 3; the
-    crossover lies at k = 4-5, later where products collide often.
+    Measured per power on bases of 2 to 72 distinct values, the chain is
+    1.1-8x faster than the enumeration at k = 2 and 3; the crossover lies
+    at k = 4-5, later where products collide often.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if base is None:
         base = spectrum_of(x)
-    if k <= _CHAIN_MAX_K or _walk_too_deep(len(base._counts)):
-        s = base
-        for _ in range(k - 1):
-            s = spectrum_tensor(s, base)
-        return s
+    return _grow(base, base, 1, k)
+
+
+def _enumerate(base: Spectrum, k: int) -> Spectrum:
+    """Compressed spectrum of the k-th power of base, k >= 2, by
+    enumerating exponent vectors a over its *distinct* values, so the
+    block count is bounded by C(d-1+k, d-1) with d the number of distinct
+    values.  With the distinct values p_i / D (multiplicities m_i), the
+    composition a gives the value prod p_i^a_i / D^k with count
+    multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
+    counts are running products over precomputed power tables, and the
+    recursion takes one level per distinct value.
+    """
     nums, mults = base._int_vals, base._counts
     pw = [[p ** a for a in range(k + 1)] for p in nums]
     mw = [[m ** a for a in range(k + 1)] for m in mults]

@@ -4,6 +4,8 @@ breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
 denominators near 1e4, plus majorizes against a per-entry Fraction walk,
 the catalyst constructions built on the kernel against their Fraction
 definitions, the incremental power chain against direct enumeration,
+the growth of a power from any smaller one against the plain chain and
+which powers chain and which enumerate,
 in_Mk's one-copy pre-decision and scan_Mk against the per-k walk, the
 power-sum refutation against brute k-copy walks, in_Mk's sweep over
 sums of smaller members against direct enumeration on mid pairs, the two
@@ -278,6 +280,49 @@ def test_power_chain_is_direct_enumeration(x, k_max):
         direct = tensor_power_spectrum(x, k)
         assert state(s) == state(direct)
         assert s.total_mass() == 1
+
+
+def chain(base, k):
+    """S_k by k - 1 plain chain steps from base, with no growth choice."""
+    s = base
+    for _ in range(k - 1):
+        s = spectrum_tensor(s, base)
+    return s
+
+
+@PROPS
+@given(st.integers(1, 6).flatmap(parts), st.integers(1, 8), st.integers(1, 8))
+@example([5], 1, 8)  # one distinct value
+@example([2, 2, 2], 2, 7)
+@example([3, 1, 0, 0], 1, 8)  # zero entries, six powers skipped
+@example([1999, 2003, 2011, 2017, 0], 2, 6)
+def test_grow_from_any_smaller_power_is_the_power(x, a, b):
+    # from S_j, 1 <= j <= k, _grow gives S_k whether it chains or
+    # enumerates
+    x, (j, k) = vec(x), sorted((a, b))
+    base = spectrum_of(x)
+    want = state(chain(base, k))
+    assert state(specvec._grow(base, chain(base, j), j, k)) == want
+    assert state(tensor_power_spectrum(x, k)) == want
+
+
+@PROPS
+@given(st.integers(1, 6).flatmap(parts), st.integers(1, 8))
+def test_only_powers_past_three_are_enumerated(x, k):
+    x = vec(x)
+    base, enumerated = spectrum_of(x), []
+    real = specvec._enumerate
+
+    def counted(b, m):
+        enumerated.append(m)
+        return real(b, m)
+
+    with mock.patch.object(specvec, "_enumerate", counted):
+        tensor_power_spectrum(x, k, base)
+    if k <= 3:
+        assert enumerated == []
+    elif len(base._counts) >= 2:
+        assert enumerated == [k]
 
 
 @PROPS
@@ -782,18 +827,17 @@ def test_end_walk_fails_agree_on_mid_pairs(case):
 def test_census_pair_needs_no_large_power(monkeypatch):
     # powers up to _CHAIN_MAX_K grow by the cheap chain, where the end
     # walk does not run; every larger k is refuted from the ends
-    real = tensor_powers
+    real = specvec._grow
 
-    def chain_only(x, k_max, base=None):
-        for k, s in enumerate(real(x, k_max, base), 1):
-            if k > specvec._CHAIN_MAX_K:
-                raise AssertionError("grew power %d" % k)
-            yield s
+    def chain_only(base, s, j, k):
+        if k > specvec._CHAIN_MAX_K:
+            raise AssertionError("grew power %d" % k)
+        return real(base, s, j, k)
 
     def refuse(*a, **kw):
         raise AssertionError("enumerated a power")
-    monkeypatch.setattr(mlocc, "tensor_powers", chain_only)
-    monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+    monkeypatch.setattr(mlocc, "_grow", chain_only)
+    monkeypatch.setattr(specvec, "_enumerate", refuse)
     assert not in_Mk(*CENSUS, 60)
     scan = scan_Mk(*CENSUS, 60)
     assert scan.results == {k: "fails" for k in range(1, 61)}

@@ -97,7 +97,7 @@ class TestInMkPreDecision:
 
         def refuse(*a, **kw):
             raise AssertionError("enumerated")
-        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "_enumerate", refuse)
         assert in_Mk(self.HOLD_X, self.HOLD_Y, 40)
         assert not in_Mk(self.EARLY_X, self.HOLD_Y, 40)
         assert not in_Mk(self.LATE_X, self.HOLD_Y, 40)
@@ -141,14 +141,10 @@ class TestPowerSumRefutationInMk:
         raise AssertionError("called")
 
     def test_refuted_pair_builds_no_power(self, monkeypatch):
-        real = specvec.tensor_powers
-
-        def first_power_only(x, k_max):
-            powers = real(x, k_max)
-            yield next(powers)
-            raise AssertionError("grew a second power")
-        monkeypatch.setattr(specvec, "tensor_power_spectrum", self.refuse)
-        monkeypatch.setattr(mlocc, "tensor_powers", first_power_only)
+        # every power past S_1 is grown by _grow, and every enumeration
+        # goes through _enumerate
+        monkeypatch.setattr(specvec, "_enumerate", self.refuse)
+        monkeypatch.setattr(mlocc, "_grow", self.refuse)
         assert not in_Mk(self.MID_X, self.MID_Y, 40)
         scan = scan_Mk(self.MID_X, self.MID_Y, 40)
         assert scan.refuting_order == 2
@@ -208,7 +204,7 @@ class TestSumOfMembersInMk:
     def test_sums_of_members_never_enumerate_k(self, monkeypatch):
         def refuse(*a, **kw):
             raise AssertionError("enumerated the k-th power")
-        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "_enumerate", refuse)
         assert in_Mk(PAPER_X, PAPER_Y, 6)
         assert in_Mk(PAPER_X, PAPER_Y, 1000)
 
@@ -242,20 +238,22 @@ class TestSumOfMembersInMk:
 
     def test_budget_stops_the_sweep_before_half_k(self, monkeypatch):
         monkeypatch.setattr(mlocc, "_ends_refute", lambda *a: False)
-        grown = []
-        real = mlocc.tensor_powers
+        grown = []  # the k of each power grown, per side
+        real = mlocc._grow
 
-        def counted(x, k_max, base=None):
-            for j, s in enumerate(real(x, k_max, base), 1):
-                grown.append(j)
-                yield s
-        monkeypatch.setattr(mlocc, "tensor_powers", counted)
+        def counted(base, s, j, k):
+            grown.append(k)
+            return real(base, s, j, k)
+        monkeypatch.setattr(mlocc, "_grow", counted)
         walked = self.count_walks(monkeypatch)
         x, y, k = self.DEEP
         assert not in_Mk(x, y, k)
         assert walked[-1] == x.dim ** k
-        assert 3 < max(grown) < k // 2
-        assert max(walked[:-1]) == x.dim ** max(grown)
+        # both sides grow S_k last, straight from the highest power grown
+        # before it
+        assert grown[-2:] == [k, k]
+        assert 3 < max(grown[:-2]) < k // 2
+        assert max(walked[:-1]) == x.dim ** max(grown[:-2])
 
     def test_strict_plus_member_below_k_is_not_walked(self, monkeypatch):
         x, y = self.GAP
@@ -270,7 +268,7 @@ class TestSumOfMembersInMk:
     def test_end_walk_refutes_undecided(self, monkeypatch):
         def refuse(*a, **kw):
             raise AssertionError("enumerated the k-th power")
-        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "_enumerate", refuse)
         x, y, k = self.UNDECIDED
         assert not in_Mk(x, y, k)
 
@@ -286,7 +284,7 @@ class TestSumOfMembersInMk:
         calls = []  # the k of each enumeration of S_k
         real_of = mlocc.spectrum_of
         real_tensor = specvec.spectrum_tensor
-        real_enum = specvec.tensor_power_spectrum
+        real_enum = specvec._enumerate
 
         def spectrum_of(v):
             bases.append(real_of(v))
@@ -297,17 +295,17 @@ class TestSumOfMembersInMk:
             steps.append(a.total_count * b.total_count)
             return real_tensor(a, b)
 
-        def enumeration(v, j, base):
+        def enumeration(base, j):
             if j == k:
                 calls.append(j)
-                return real_enum(v, j, base)
+                return real_enum(base, j)
             work[id(base)] = work.get(id(base), 0) + \
                 specvec._enumeration_cost(len(base._counts), j)
-            steps.append(v.dim ** j)
-            return real_enum(v, j, base)
+            steps.append(base.total_count ** j)
+            return real_enum(base, j)
         monkeypatch.setattr(mlocc, "spectrum_of", spectrum_of)
         monkeypatch.setattr(specvec, "spectrum_tensor", chain_step)
-        monkeypatch.setattr(specvec, "tensor_power_spectrum", enumeration)
+        monkeypatch.setattr(specvec, "_enumerate", enumeration)
         assert not in_Mk(x, y, k)
         assert calls == [k, k]
         # the sweep stopped short of j = k - 2
@@ -354,53 +352,52 @@ class TestScanMkSettlesFromSmallerK:
 
     @staticmethod
     def counting_powers(monkeypatch, limit=None):
-        """Patch mlocc.tensor_powers to count the powers it yields per
-        vector, stopping after `limit` of them."""
-        yields = []
-        real = specvec.tensor_powers
+        """Patch mlocc._grow to record the k of each power it grows past
+        the given S_1, refusing any k above `limit`."""
+        grown = []
+        real = specvec._grow
 
-        def counted(x, k_max, base=None):
-            for k, s in enumerate(real(x, k_max, base), 1):
-                if limit is not None and k > limit:
-                    raise AssertionError("grew power %d" % k)
-                yields.append(k)
-                yield s
-        monkeypatch.setattr(mlocc, "tensor_powers", counted)
-        return yields
+        def counted(base, s, j, k):
+            if limit is not None and k > limit:
+                raise AssertionError("grew power %d" % k)
+            grown.append(k)
+            return real(base, s, j, k)
+        monkeypatch.setattr(mlocc, "_grow", counted)
+        return grown
 
     def test_strict_at_one_copy_is_strict_at_every_k(self, monkeypatch):
-        yields = self.counting_powers(monkeypatch, limit=1)
+        grown = self.counting_powers(monkeypatch, limit=1)
         scan = scan_Mk(self.STRICT_X, self.STRICT_Y, 40)
         assert scan.results == {k: "strict_interior" for k in range(1, 41)}
         assert scan.first_success == 1
-        assert yields == [1, 1]
+        assert grown == []
 
     def test_endpoint_tie_member_is_boundary_at_every_k(self, monkeypatch):
         assert self.TIE_X.entries[0] == self.TIE_Y.entries[0]
-        yields = self.counting_powers(monkeypatch, limit=1)
+        grown = self.counting_powers(monkeypatch, limit=1)
         scan = scan_Mk(self.TIE_X, self.TIE_Y, 40)
         assert scan.results == {k: "boundary" for k in range(1, 41)}
         assert scan.first_success == 1
-        assert yields == [1, 1]
+        assert grown == []
 
     def test_mid_pair_strict_at_two_and_three_builds_no_fourth_power(
             self, monkeypatch):
-        yields = self.counting_powers(monkeypatch)
+        grown = self.counting_powers(monkeypatch)
         scan = scan_Mk(self.MID_X, self.MID_Y, 12)
         assert scan.results == {1: "fails", **{k: "strict_interior"
                                                for k in range(2, 13)}}
         assert scan.first_success == 2
-        assert sorted(yields) == [1, 1, 2, 2, 3, 3]
+        assert sorted(grown) == [2, 2, 3, 3]
 
     def test_boundary_members_plus_a_later_strict_are_strict(
             self, monkeypatch):
         # 2 = 1 + 1 is a member but, with no tie, is walked; 4 = 1 + 3 and
         # 5 = 2 + 3 are a member plus the strict 3
-        yields = self.counting_powers(monkeypatch)
+        grown = self.counting_powers(monkeypatch)
         scan = scan_Mk(self.LATE_X, self.LATE_Y, 12)
         assert scan.results == {1: "boundary", 2: "boundary",
                                 **{k: "strict_interior" for k in range(3, 13)}}
-        assert sorted(yields) == [1, 1, 2, 2, 3, 3]
+        assert sorted(grown) == [2, 2, 3, 3]
 
 
 class TestLemma3Condition:

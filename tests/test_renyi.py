@@ -7,9 +7,9 @@ import pytest
 from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
                       r_properties_check, renyi_entropy, spectrum_of, tensor)
-from trumpkit.renyi import NEG_INF, POS_INF, equal_by_power_sums, power_sum
+from trumpkit.renyi import NEG_INF, POS_INF, _power_sum
 
-from conftest import (power_sum_refutes, random_majorized_below,
+from conftest import (power_sum, power_sum_refutes, random_majorized_below,
                       random_rational_vec)
 
 F = Fraction
@@ -139,22 +139,35 @@ class TestRFilter:
         assert not v.violated
 
 
+def integer_power_sum(x, a):
+    """The integer power sum of the Renyi filter, as a Fraction."""
+    return F(*_power_sum(spectrum_of(x), a))
+
+
 class TestPowerSums:
     def test_exact_values(self):
-        assert power_sum(fv("0.5", "0.5"), 2) == F(1, 2)
-        assert power_sum(PAPER_Y, -1) == F(2) + F(4) + F(4)
+        assert integer_power_sum(fv("0.5", "0.5"), 2) == F(1, 2)
+        assert integer_power_sum(PAPER_Y, -1) == F(2) + F(4) + F(4)
+        rng = random.Random(131)
+        for _ in range(30):
+            x = random_rational_vec(rng, rng.randint(1, 5))
+            for a in (*range(-8, 0), *range(1, 9)):
+                assert integer_power_sum(x, a) == power_sum(x, a), (x, a)
 
     def test_equality_by_power_sums(self):
-        assert equal_by_power_sums(PAPER_Y, PAPER_Y)
-        assert not equal_by_power_sums(PAPER_X, PAPER_Y)
+        assert r_properties_check(PAPER_Y, PAPER_Y)["exactly_equal"]
+        assert not r_properties_check(PAPER_X, PAPER_Y)["exactly_equal"]
 
     def test_power_sum_equality_is_decisive(self):
+        # Newton's identities: power sums at orders 1..n fix the multiset
         rng = random.Random(137)
         for _ in range(30):
             n = rng.randint(2, 4)
             x = random_rational_vec(rng, n)
             y = random_rational_vec(rng, n)
-            assert equal_by_power_sums(x, y) == (x == y)
+            same = all(integer_power_sum(x, a) == integer_power_sum(y, a)
+                       for a in range(1, n + 1))
+            assert same == (x == y)
 
 
 class TestRPropertiesCheck:

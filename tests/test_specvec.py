@@ -243,7 +243,7 @@ class TestTensorPowers:
         want = [state(tensor_power_spectrum(x, k)) for k in range(1, 9)]
         calls = {"tensor": 0, "enumerate": 0}
         for name, key in (("spectrum_tensor", "tensor"),
-                          ("tensor_power_spectrum", "enumerate")):
+                          ("_enumerate", "enumerate")):
             def counting(*a, _f=getattr(specvec, name), _k=key):
                 calls[_k] += 1
                 return _f(*a)
@@ -257,7 +257,7 @@ class TestTensorPowers:
 
         def refuse(*a):
             raise AssertionError("enumerated")
-        monkeypatch.setattr(specvec, "tensor_power_spectrum", refuse)
+        monkeypatch.setattr(specvec, "_enumerate", refuse)
         assert [state(s) for s in tensor_powers(x, 20)] == want
 
     def test_zero_length_chain(self):
