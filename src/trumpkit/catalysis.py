@@ -19,9 +19,8 @@ neither x (x) c nor its spectrum is built.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .majorize import _product_majorizes, _verdict
 from .mlocc import endpoint_filter_passes, in_Mk
@@ -31,7 +30,6 @@ from .specvec import (ProbVec, Spectrum, _check_dims, make_probvec,
                       tensor_power_spectrum, tensor_powers)
 
 
-@dataclass(frozen=True, eq=False)
 class LiftedCatalyst:
     """c^(x)n kept factored as its base catalyst c and copy count n.
 
@@ -39,11 +37,29 @@ class LiftedCatalyst:
     only ``expand()`` builds its base.dim ** n_copies entries, and
     ``spectrum()`` gives the compressed multiset without them.  A lift
     that has built that spectrum passes it in as ``_spectrum`` (left out
-    of ``==`` and repr), and ``spectrum()`` returns it.
+    of ``==``, repr and pickles), and ``spectrum()`` returns it.
+    Immutable and unhashable, and not a sequence: ``len()`` raises, as a
+    length would be read as the catalyst's dimension.
     """
-    base: ProbVec
-    n_copies: int
-    _spectrum: Optional[Spectrum] = field(default=None, repr=False)
+
+    __slots__ = ("base", "n_copies", "_spectrum")
+
+    def __init__(self, base: ProbVec, n_copies: int,
+                 _spectrum: Optional[Spectrum] = None):
+        for name, value in zip(self.__slots__, (base, n_copies, _spectrum)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError("LiftedCatalyst is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return "LiftedCatalyst(base=%r, n_copies=%r)" % (self.base,
+                                                         self.n_copies)
+
+    def __reduce__(self):
+        return LiftedCatalyst, (self.base, self.n_copies)
 
     @property
     def dim(self) -> int:
@@ -70,8 +86,7 @@ class LiftedCatalyst:
         return self.expand().to_json()
 
 
-@dataclass(frozen=True)
-class CatalystCert:
+class CatalystCert(NamedTuple):
     """A catalyst plus provenance and verification outcome."""
     catalyst: Union[ProbVec, LiftedCatalyst]
     source: str

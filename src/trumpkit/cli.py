@@ -18,6 +18,7 @@ from itertools import accumulate, chain, islice, repeat
 
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
+from .mlocc import _failed_endpoint
 from .specvec import load_vector, spectrum_of
 
 
@@ -80,16 +81,6 @@ def _emit(payload, as_json):
     else:
         for key, val in payload.items():
             print("%s: %s" % (key, val))
-
-
-def _failed_endpoint(x, y):
-    """The endpoint test that x -> y fails, or None.  Each is necessary
-    at every k and with every catalyst."""
-    if y.entries[0] < x.entries[0]:
-        return "x_1 <= y_1"
-    if x.entries[-1] < y.entries[-1]:
-        return "x_n >= y_n"
-    return None
 
 
 def _leading_prefix_masses(s, sc, count):

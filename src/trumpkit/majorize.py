@@ -25,16 +25,14 @@ used for tensor powers.  Three exact integer tests decide them:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .specvec import (_READ_COST, ProbVec, Spectrum, _check_dims,
                       _power_blocks, spectrum_of)
 
 
-@dataclass(frozen=True)
-class MajReport:
+class MajReport(NamedTuple):
     """Outcome of a majorization comparison.
 
     verdict:
@@ -346,15 +344,16 @@ def _fail_report(scale, equalities, zero_segment, lo, hi, ex_lo, ey_lo,
 def is_interior(x: ProbVec, y: ProbVec) -> bool:
     """Strict interior of the majorization region: all interior prefix
     inequalities strict."""
-    return majorizes(x, y).verdict == "strict_interior"
+    _check_dims(x, y)
+    return _verdict(spectrum_of(x), spectrum_of(y)) == "strict_interior"
 
 
 def is_generalized_interior(x: ProbVec, y: ProbVec) -> bool:
     """Generalized interior membership: x majorized by y with strict head
     (x_1 < y_1) and strict tail (x_n > y_n); interior equalities allowed."""
-    rep = majorizes(x, y)
-    return (rep.holds and x.entries[0] < y.entries[0]
-            and y.entries[-1] < x.entries[-1])
+    _check_dims(x, y)
+    return (_verdict(spectrum_of(x), spectrum_of(y)) != "fails"
+            and x.entries[0] < y.entries[0] and y.entries[-1] < x.entries[-1])
 
 
 def check_direct_sum_interior_condition(y: ProbVec, yp: ProbVec) -> bool:

@@ -9,8 +9,7 @@ with its averaging witness, and the non-closedness perturbation witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
@@ -18,8 +17,7 @@ from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims,
                       _enumeration_cost, _grow, _growth_cost, spectrum_of)
 
 
-@dataclass(frozen=True)
-class MloccScan:
+class MloccScan(NamedTuple):
     x: ProbVec
     y: ProbVec
     k_max: int
@@ -39,8 +37,7 @@ class MloccScan:
         }
 
 
-@dataclass(frozen=True)
-class UsefulnessVerdict:
+class UsefulnessVerdict(NamedTuple):
     useful: bool
     witness_l: Optional[int] = None
     witness_x: Optional[ProbVec] = None
@@ -204,10 +201,20 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
         verdict = _verdict(*held)
 
 
+def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
+    """The endpoint test that x -> y fails, "x_1 <= y_1" or "x_n >= y_n",
+    or None.  Each is necessary at every k and with every catalyst."""
+    if y.entries[0] < x.entries[0]:
+        return "x_1 <= y_1"
+    if x.entries[-1] < y.entries[-1]:
+        return "x_n >= y_n"
+    return None
+
+
 def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
     """Necessary condition for membership at any k: x_1 <= y_1 and
     x_n >= y_n.  Exact, not heuristic."""
-    return x.entries[0] <= y.entries[0] and y.entries[-1] <= x.entries[-1]
+    return _failed_endpoint(x, y) is None
 
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:

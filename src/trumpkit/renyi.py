@@ -12,10 +12,9 @@ never certify dominance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .specvec import ProbVec, Spectrum, _check_dims, spectrum_of
 
@@ -136,8 +135,7 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
     return sgn / (1.0 - float(alpha)) * log_s
 
 
-@dataclass(frozen=True)
-class RFilterVerdict:
+class RFilterVerdict(NamedTuple):
     status: str  # "violated" | "no_violation_found"
     violating_alpha: Optional[float] = None
     mode: str = "dims_equal"  # "dims_differ" | "dims_equal"

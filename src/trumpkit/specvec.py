@@ -35,6 +35,9 @@ class ProbVec:
     def __setattr__(self, *a):
         raise AttributeError("ProbVec is immutable")
 
+    def __reduce__(self):
+        return ProbVec, (self.entries, True)
+
     @property
     def dim(self) -> int:
         return len(self.entries)

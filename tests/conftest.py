@@ -2,7 +2,9 @@
 oracles kept independent of the compressed code paths they check."""
 
 import itertools
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +95,46 @@ def brute_majorization_report(xs, ys):
         if ex == ey:
             equalities.add(l)
     return ("boundary" if equalities else "strict_interior"), equalities, None
+
+
+def power_blocks(x, k):
+    """Oracle: x^(x)k as sorted (value, count) blocks, one per multiset of
+    k distinct values of x, counted by multinomials; never expanded."""
+    values = x.distinct()
+    blocks = Counter()
+    for combo in itertools.combinations_with_replacement(range(len(values)),
+                                                         k):
+        count, value = math.factorial(k), Fraction(1)
+        for i, a in Counter(combo).items():
+            v, m = values[i]
+            count = count // math.factorial(a) * m ** a
+            value *= v ** a
+        blocks[value] += count
+    return sorted(blocks.items(), reverse=True)
+
+
+def least_interior_gap(x, y, k):
+    """Oracle: the least e_l(y^(x)k) - e_l(x^(x)k) over 0 < l < n^k.
+    Between two breakpoints of either power both prefix sums are linear
+    in l, so the least gap sits at a breakpoint, or at l = 1 or
+    l = n^k - 1 next to the excluded ends."""
+    bx, by = power_blocks(x, k), power_blocks(y, k)
+    n = x.dim ** k
+    ends = (set(itertools.accumulate(c for _, c in bx))
+            | set(itertools.accumulate(c for _, c in by)) | {1, n - 1})
+    ends = sorted(l for l in ends if 0 < l < n)
+
+    def prefix_masses(blocks):
+        out, l, mass, blocks = [], 0, Fraction(0), iter(blocks)
+        v, c = next(blocks)
+        for end in ends:
+            while l + c < end:
+                l, mass = l + c, mass + v * c
+                v, c = next(blocks)
+            out.append(mass + v * (end - l))
+        return out
+
+    return min(b - a for a, b in zip(prefix_masses(bx), prefix_masses(by)))
 
 
 def brute_strict_interior(xs, ys):

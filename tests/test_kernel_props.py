@@ -32,7 +32,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
-                      lift_catalyst, majorize, majorizes, make_probvec,
+                      is_generalized_interior, is_interior, lift_catalyst,
+                      majorize, majorizes, make_probvec,
                       mlocc, multicopy_catalyst_scan,
                       power_sum_refutation, scan_Mk, search_catalyst,
                       spectrum_majorizes, spectrum_of, spectrum_tensor,
@@ -845,12 +846,15 @@ def test_census_pair_needs_no_large_power(monkeypatch):
 
 
 def test_verdict_only_callers_build_no_report():
-    # in_Mk, scan_Mk and search_catalyst read the bare verdict of each
-    # walk, so no MajReport, and no Fraction for a violation, is built
+    # in_Mk, scan_Mk, search_catalyst, is_interior and
+    # is_generalized_interior read the bare verdict of each walk, so no
+    # MajReport, and no Fraction for a violation, is built
     mid = (load_vector(corpus_path("x_0.425_0.325_0.125_0.1_0.025.json")),
            load_vector(corpus_path("y_0.5_0.2_0.2_0.075_0.025.json")))
     tied = (load_vector(corpus_path("y_0.6_0.25_0.1_0.05.json")),
             load_vector(corpus_path("x_0.6_0.3_0.05_0.05.json")))
+    strict = (load_vector(corpus_path("x_0.41_0.2_0.2_0.19.json")),
+              load_vector(corpus_path("y_0.6_0.25_0.1_0.05.json")))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("report built")
@@ -864,5 +868,9 @@ def test_verdict_only_callers_build_no_report():
         assert scan_Mk(*tied, 10).results == dict.fromkeys(range(1, 11),
                                                            "boundary")
         assert search_catalyst(*tied[::-1], 2, 100) is None
+        assert [is_interior(*p) for p in (mid, tied, strict)] == [
+            False, False, True]
+        assert [is_generalized_interior(*p) for p in (mid, tied, strict)] == [
+            False, False, True]
         with pytest.raises(AssertionError, match="report built"):
             spectrum_majorizes(*map(spectrum_of, mid))

@@ -10,7 +10,8 @@ from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
                       nonclosedness_witness, scan_Mk, spectrum_majorizes,
                       tensor_power_spectrum)
 
-from conftest import random_rational_vec
+from conftest import (brute_majorizes, brute_tensor_power,
+                      least_interior_gap, random_rational_vec)
 
 F = Fraction
 
@@ -442,6 +443,52 @@ class TestLemma3Condition:
                 assert cond == (rep.verdict == "strict_interior"), \
                     (y, x, k)
             checked += 1
+
+
+class TestManyCopiesNeeded:
+    """The paper's headline, on one known answer: a pair that needs 15
+    copies, so no small fixed number of copies can be assumed.
+
+    y = (1000, 993, 900, 400)/3293 first meets Lemma 3's overlap
+    condition at d = 2 for K = 15, so its averaging witness x, which has
+    e_2(x) = e_2(y), is strictly interior at K copies.  Moving mass
+    eps (e_1 - e_4) changes the entries of x^(x)K by at most
+    (1 + 2 eps)^K - 1 in total, so x' = x + eps (e_1 - e_4) stays inside
+    at K while that is below the least interior gap of x^(x)K against
+    y^(x)K (the conftest oracle); eps = 1e-15 sits below gap / (2K),
+    about 4.5e-15.  For j < K, x' is outside: j <= 8 is checked against
+    the brute walk over all 4^j entries, while 9 <= j <= 14 rest on the
+    k-sweep alone."""
+
+    Y = make_probvec([F(v, 3293) for v in (1000, 993, 900, 400)])
+    X = make_probvec([F(1993, 6586)] * 2 + [F(1300, 6586)] * 2)
+    EPS = F(1, 10 ** 15)
+    K = 15
+
+    def perturbed(self):
+        x = self.X.entries
+        return make_probvec([x[0] + self.EPS, x[1], x[2], x[3] - self.EPS])
+
+    def test_fifteen_copies_convert_and_no_fewer(self):
+        assert classify_usefulness(self.Y).witness_x == self.X
+        assert [k for k in range(1, self.K + 1)
+                if lemma3_k_condition(self.Y, 2, k)] == [self.K]
+        gap = least_interior_gap(self.X, self.Y, self.K)
+        assert (1 + 2 * self.EPS) ** self.K - 1 < gap
+        xp = self.perturbed()
+        assert in_Mk(xp, self.Y, self.K)
+        scan = scan_Mk(xp, self.Y, self.K + 2)
+        assert scan.first_success == self.K
+        assert [k for k, v in scan.results.items() if v == "fails"] == list(
+            range(1, self.K))
+        assert not any(in_Mk(xp, self.Y, j) for j in range(1, self.K))
+
+    def test_fewer_copies_fail_by_the_brute_walk(self):
+        xp = self.perturbed()
+        for j in range(1, 9):
+            holds, _ = brute_majorizes(brute_tensor_power(xp, j),
+                                       brute_tensor_power(self.Y, j))
+            assert not holds, j
 
 
 class TestCorollary4Bound:
