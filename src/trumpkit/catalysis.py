@@ -7,7 +7,7 @@ catalyst and lifting to multiple copies are both constructive; the random
 search is an explicitly heuristic stand-in for exact fixed-dimension
 algorithms: absence after its trials is never read as nonexistence, and
 only a failed endpoint test or an exact power-sum refutation
-(renyi.power_sum_refutation) stops it before any trial.
+(mlocc._exclusion) stops it before any trial.
 
 Construction runs on integer spectra, and a lift to n copies is
 returned factored (LiftedCatalyst), so c^(x)n exists in full only when
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .majorize import _product_majorizes, _verdict
-from .mlocc import endpoint_filter_passes, in_Mk
-from .renyi import power_sum_refutation
+from .mlocc import _exclusion, in_Mk
 from .specvec import (ProbVec, Spectrum, _check_dims, make_probvec,
                       spectrum_direct_sum, spectrum_of, spectrum_tensor,
                       tensor_power_spectrum, tensor_powers)
@@ -247,55 +247,41 @@ def _lattice_candidates(dim_c: int, resolution: int):
         yield [Fraction(a, resolution) for a in comp]
 
 
+def _random_candidates(dim_c: int, seed: int):
+    """Seeded sorted simplex points, without end: dim_c uniform draws,
+    sorted nonincreasing, each rounded to a positive multiple of 1/10^4
+    (make_probvec normalizes them)."""
+    rng = random.Random(seed)
+    denom = 10 ** 4
+    while True:
+        raw = sorted((rng.random() for _ in range(dim_c)), reverse=True)
+        yield [Fraction(max(1, round(v * denom)), denom) for v in raw]
+
+
 def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
                     seed: int = 0) -> Optional[CatalystCert]:
-    """Heuristic catalyst search: a coarse lattice pass then seeded random
-    sampling of sorted simplex points, each entry rounded to 1/10^4.
-    Absence after `budget` trials is a normal outcome, never a proof of
-    nonexistence.  None comes back without a trial when the endpoint
-    filter fails or, after the one-copy walk (which raises on a total mass
-    mismatch) has failed, when a power sum refutes the pair: then no
-    catalyst of any dimension exists (power_sum_refutation)."""
+    """Heuristic catalyst search: the lattice points of resolution 10,
+    then of resolution 20, then seeded random points (_random_candidates),
+    `budget` trials in all (none when it is below 1); at dim_c = 1 the one
+    point (1) is tried whatever the budget.  Absence after the trials is a normal outcome,
+    never a proof of nonexistence.  The one-copy walk on the spectra of x
+    and y runs first and raises on a total mass mismatch; when it fails
+    and the pair is excluded (_exclusion: a failed endpoint test or a
+    refuting power sum), None comes back without a trial, since then no
+    catalyst of any dimension exists."""
     if dim_c < 1:
         raise ValueError("dim_c must be >= 1")
     _check_dims(x, y)
-    if not endpoint_filter_passes(x, y):
-        return None
     sx, sy = spectrum_of(x), spectrum_of(y)
     if (_verdict(sx, sy) == "fails"
-            and power_sum_refutation(sx, sy) is not None):
+            and _exclusion(x, y, sx, sy) is not None):
         return None
-    if dim_c == 1:
-        c = ProbVec([Fraction(1)])
-        if _product_majorizes(sx, sy, spectrum_of(c)):
-            return CatalystCert(c, "search(seed=%d, dim=1)" % seed, True)
-        return None
-
-    trials = 0
-
-    def try_vals(vals):
-        nonlocal trials
-        trials += 1
+    candidates = chain(_lattice_candidates(dim_c, 10),
+                       _lattice_candidates(dim_c, 20),
+                       _random_candidates(dim_c, seed))
+    for vals in islice(candidates, 1 if dim_c == 1 else max(budget, 0)):
         c = make_probvec(vals, normalize=True)
         if _product_majorizes(sx, sy, spectrum_of(c)):
             return CatalystCert(
                 c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
-        return None
-
-    for resolution in (10, 20):
-        for vals in _lattice_candidates(dim_c, resolution):
-            if trials >= budget:
-                return None
-            hit = try_vals(vals)
-            if hit:
-                return hit
-
-    rng = random.Random(seed)
-    denom = 10 ** 4
-    while trials < budget:
-        raw = sorted((rng.random() for _ in range(dim_c)), reverse=True)
-        hit = try_vals([Fraction(max(1, round(v * denom)), denom)
-                        for v in raw])
-        if hit:
-            return hit
     return None

@@ -18,7 +18,7 @@ from itertools import accumulate, chain, islice, repeat
 
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
-from .mlocc import _failed_endpoint
+from .mlocc import _exclusion, _failed_endpoint
 from .specvec import load_vector, spectrum_of
 
 
@@ -153,20 +153,18 @@ def cmd_catalyst(args) -> int:
         cert = catalysis.search_catalyst(x, y, args.dim_c, args.budget,
                                          args.seed)
         if cert is None:
-            test = _failed_endpoint(x, y)
-            if test is not None:
-                _emit({"result": "none", "failed_endpoint": test,
+            reason = _exclusion(x, y, spectrum_of(x), spectrum_of(y))
+            if isinstance(reason, str):
+                _emit({"result": "none", "failed_endpoint": reason,
                        "note": "no catalyst of any dimension exists: the "
-                               "endpoint test %s fails" % test},
+                               "endpoint test %s fails" % reason},
                       args.as_json)
                 return 1
-            order = renyi.power_sum_refutation(spectrum_of(x),
-                                               spectrum_of(y))
-            if order is not None:
-                _emit({"result": "none", "refuting_order": order,
+            if reason is not None:
+                _emit({"result": "none", "refuting_order": reason,
                        "note": "no catalyst of any dimension exists: the "
                                "power sum of order %d refutes the pair"
-                               % order}, args.as_json)
+                               % reason}, args.as_json)
                 return 1
             _emit({"result": "absent",
                    "note": "no catalyst found within budget; absence is "

@@ -28,8 +28,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .specvec import (_READ_COST, ProbVec, Spectrum, _check_dims,
-                      _power_blocks, spectrum_of)
+from .specvec import (_READ_COST, ProbVec, Spectrum, _add_products,
+                      _check_dims, _power_blocks, spectrum_of)
 
 
 class MajReport(NamedTuple):
@@ -301,23 +301,6 @@ def _product_majorizes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
         a += d * v
         b += d
     return True
-
-
-def _add_products(delta, s, sc, factor, sign):
-    """Add sign * m * c to delta[u * factor * v] for every block (u, m) of
-    s and (v, c) of sc; the inner loop runs over the longer block list."""
-    get = delta.get
-    if len(s._counts) <= len(sc._counts):
-        outer, inner = s, sc
-    else:
-        outer, inner = sc, s
-    iv, ic = inner._int_vals, inner._counts
-    for u, m in zip(outer._int_vals, outer._counts):
-        u *= factor
-        m *= sign
-        for v, c in zip(iv, ic):
-            key = u * v
-            delta[key] = get(key, 0) + m * c
 
 
 def _fail_report(scale, equalities, zero_segment, lo, hi, ex_lo, ey_lo,

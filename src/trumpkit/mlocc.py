@@ -9,7 +9,7 @@ with its averaging witness, and the non-closedness perturbation witness.
 
 from __future__ import annotations
 
-from typing import Dict, NamedTuple, Optional
+from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
@@ -59,10 +59,11 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     that power_sum_refutation compares.  The checks run in this order:
     dimensions; k >= 1; the one-copy walk on the spectra of x and y,
     which raises on a total mass mismatch and answers True when it holds;
-    False at k = 1, when the endpoint filter fails or when a power sum
-    refutes the pair.  Only then does the k-sweep (_sweep) run, asked
-    for k's verdict alone: it answers True once k is a sum of members
-    and otherwise settles k by its rules, from the last powers it grew.
+    False at k = 1, or when the endpoint filter fails or a power sum
+    refutes the pair (_exclusion).  Only then does the k-sweep (_sweep)
+    run, asked for k's verdict alone: it answers True once k is a sum of
+    members and otherwise settles k by its rules, from the last powers it
+    grew.
     """
     _check_dims(x, y)
     if k < 1:
@@ -70,8 +71,7 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     sx, sy = spectrum_of(x), spectrum_of(y)
     if _verdict(sx, sy) != "fails":
         return True
-    if (k == 1 or not endpoint_filter_passes(x, y)
-            or power_sum_refutation(sx, sy) is not None):
+    if k == 1 or _exclusion(x, y, sx, sy) is not None:
         return False
     return _sweep(x, y, sx, sy, "fails", k, last_only=True)[k] != "fails"
 
@@ -217,32 +217,39 @@ def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
     return _failed_endpoint(x, y) is None
 
 
+def _exclusion(x: ProbVec, y: ProbVec, sx: Spectrum,
+               sy: Spectrum) -> Union[str, int, None]:
+    """Why no k and no catalyst turns x into y: the endpoint test that
+    fails (_failed_endpoint, a non-empty string), else the order of a
+    refuting power sum (power_sum_refutation, an int, possibly 0), else
+    None.  sx and sy are the spectra of x and y, which the one-copy walk
+    has checked for equal mass; callers test the answer with `is not
+    None`."""
+    return _failed_endpoint(x, y) or power_sum_refutation(sx, sy)
+
+
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     """Check every k up to k_max.  Success is not monotone in k, so every
     requested k gets a verdict.
 
-    Membership at any k needs x_1 <= y_1 and x_n >= y_n, so after the
-    dimension and k_max checks the endpoint filter runs first and, when it
-    fails, marks every k 'fails' without building a spectrum
-    (short_circuited).  k = 1 is always walked; that walk raises on a
-    total mass mismatch.  When it fails and a power sum refutes the pair
-    (power_sum_refutation), every k is marked 'fails' and no second power
-    is built.  Otherwise the k-sweep (_sweep) settles every k > 1, from
+    After the dimension and k_max checks, k = 1 is walked on the spectra
+    of x and y, as in in_Mk; that walk raises on a total mass mismatch.
+    When it fails and the pair is excluded at every k (_exclusion), every
+    k is marked 'fails' and no second power is built: short_circuited when
+    an endpoint test fails, refuting_order when a power sum refutes the
+    pair.  Otherwise the k-sweep (_sweep) settles every k > 1, from
     smaller k where its rules allow."""
     _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    every_k_fails = {k: "fails" for k in range(1, k_max + 1)}
-    if not endpoint_filter_passes(x, y):
-        return MloccScan(x, y, k_max, every_k_fails, None,
-                         short_circuited=True)
     sx, sy = spectrum_of(x), spectrum_of(y)
     verdict = _verdict(sx, sy)
-    if verdict == "fails":
-        order = power_sum_refutation(sx, sy)
-        if order is not None:
-            return MloccScan(x, y, k_max, every_k_fails, None,
-                             refuting_order=order)
+    reason = None if verdict != "fails" else _exclusion(x, y, sx, sy)
+    if reason is not None:
+        endpoint = isinstance(reason, str)
+        return MloccScan(x, y, k_max,
+                         dict.fromkeys(range(1, k_max + 1), "fails"), None,
+                         endpoint, None if endpoint else reason)
     results = _sweep(x, y, sx, sy, verdict, k_max)
     first = next((k for k, v in results.items() if v != "fails"), None)
     return MloccScan(x, y, k_max, results, first)
@@ -257,9 +264,14 @@ def lemma3_k_condition(y: ProbVec, d: int, k: int) -> bool:
         raise ValueError("d must satisfy 1 < d < n-1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    y1, yd, yd1, yn = (y.entries[0], y.entries[d - 1], y.entries[d],
-                       y.entries[-1])
-    return yd ** k < y1 ** (k - 1) * yd1 and yd * yn ** (k - 1) < yd1 ** k
+    return _overlaps(y, y.entries[d - 1], y.entries[d], k)
+
+
+def _overlaps(y: ProbVec, a, b, k: int) -> bool:
+    """The strict overlap inequalities a^k < y_1^(k-1) b and
+    a y_n^(k-1) < b^k on two entries a and b of y."""
+    y1, yn = y.entries[0], y.entries[-1]
+    return a ** k < y1 ** (k - 1) * b and a * yn ** (k - 1) < b ** k
 
 
 def _d_min_max(y: ProbVec):
@@ -284,9 +296,8 @@ def corollary4_k_bound(y: ProbVec, k_max: int) -> Optional[int]:
     d_min, d_max = _d_min_max(y)
     a = y.entries[d_min - 1]       # y_{d_min}
     b = y.entries[d_max]           # y_{d_max + 1}
-    y1, yn = y.entries[0], y.entries[-1]
     for k in range(1, k_max + 1):
-        if a ** k < y1 ** (k - 1) * b and a * yn ** (k - 1) < b ** k:
+        if _overlaps(y, a, b, k):
             return k
     return None
 

@@ -215,6 +215,10 @@ class Spectrum:
     def __setattr__(self, *a):
         raise AttributeError("Spectrum is immutable")
 
+    def __reduce__(self):
+        return _from_counts, (dict(zip(self._int_vals, self._counts)),
+                              self._scale, self._mass)
+
     @property
     def blocks(self):
         """The (Fraction value, count) tuple, built on first read."""
@@ -298,18 +302,27 @@ def spectrum_of(x: ProbVec) -> Spectrum:
 
 def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:
     """Tensor product of two compressed spectra: numerators multiply
-    pairwise, and so do the scales.  The outer loop runs over the shorter
-    block list."""
-    if len(a._counts) < len(b._counts):
-        a, b = b, a
+    pairwise (_add_products), and so do the scales."""
     merged = {}
-    get = merged.get
-    av, ac = a._int_vals, a._counts
-    for vb, cb in zip(b._int_vals, b._counts):
-        for va, ca in zip(av, ac):
-            v = va * vb
-            merged[v] = get(v, 0) + ca * cb
+    _add_products(merged, a, b, 1, 1)
     return _from_counts(merged, a._scale * b._scale, a._mass * b._mass)
+
+
+def _add_products(acc, a, b, factor, sign):
+    """Add sign * m * c to acc[u * factor * v] for every block (u, m) of
+    a and (v, c) of b; the inner loop runs over the longer block list."""
+    get = acc.get
+    if len(a._counts) <= len(b._counts):
+        outer, inner = a, b
+    else:
+        outer, inner = b, a
+    iv, ic = inner._int_vals, inner._counts
+    for u, m in zip(outer._int_vals, outer._counts):
+        u *= factor
+        m *= sign
+        for v, c in zip(iv, ic):
+            key = u * v
+            acc[key] = get(key, 0) + m * c
 
 
 def spectrum_direct_sum(parts, weight: int) -> Spectrum:

@@ -189,6 +189,47 @@ class TestSearchRefutation:
                             2, 10, seed=0)
 
 
+class TestSearchTrialSequence:
+    # census pair: neither endpoint test nor a power sum excludes it, and
+    # Shannon entropy refutes it (H(x) < H(y)), so no catalyst of any
+    # dimension exists and every search runs all of its trials
+    X = make_probvec([F(v, 40) for v in (20, 15, 3, 2)])
+    Y = make_probvec([F(v, 40) for v in (22, 11, 6, 1)])
+
+    def trials(self, monkeypatch, dim_c, budget, seed=0):
+        """The make_probvec inputs of one search, in order."""
+        seen = []
+
+        def recording(vals, normalize=False):
+            seen.append(list(vals))
+            return make_probvec(vals, normalize)
+        monkeypatch.setattr(catalysis, "make_probvec", recording)
+        assert search_catalyst(self.X, self.Y, dim_c, budget, seed) is None
+        return seen
+
+    def test_lattices_then_seeded_draws(self, monkeypatch):
+        lattice = [[F(a, r), F(r - a, r)]
+                   for r in (10, 20) for a in range(r - 1, r // 2 - 1, -1)]
+        rng = random.Random(7)
+        draws = []
+        for _ in range(25):
+            raw = sorted((rng.random(), rng.random()), reverse=True)
+            draws.append([F(max(1, round(v * 10 ** 4)), 10 ** 4)
+                          for v in raw])
+        assert self.trials(monkeypatch, 2, 40, seed=7) == lattice + draws
+        for budget in (0, 1, 5, 15):
+            assert self.trials(monkeypatch, 2, budget, 7) == lattice[:budget]
+
+    def test_budget_counts_every_trial(self, monkeypatch):
+        # 8 + 33 lattice points of dimension 3, then seeded draws
+        for budget in (0, 8, 41, 50):
+            assert len(self.trials(monkeypatch, 3, budget)) == budget
+
+    def test_dim1_runs_one_trial_at_any_budget(self, monkeypatch):
+        for budget in (0, 1, 10):
+            assert self.trials(monkeypatch, 1, budget) == [[F(1)]]
+
+
 class TestDimensionChecks:
     X4 = fv("0.4", "0.3", "0.2", "0.1")
     Y5 = fv("0.4", "0.3", "0.1", "0.1", "0.1")

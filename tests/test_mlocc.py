@@ -7,8 +7,8 @@ from trumpkit import mlocc, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
                       in_Mk, is_interior_of_M,
                       lemma3_k_condition, majorizes, make_probvec,
-                      nonclosedness_witness, scan_Mk, spectrum_majorizes,
-                      tensor_power_spectrum)
+                      nonclosedness_witness, scan_Mk, search_catalyst,
+                      spectrum_majorizes, tensor_power_spectrum)
 
 from conftest import (brute_majorizes, brute_tensor_power,
                       least_interior_gap, random_rational_vec)
@@ -117,12 +117,18 @@ class TestInMkPreDecision:
         assert built == [PAPER_X, PAPER_Y]
 
     def test_mass_mismatch_raises_before_endpoint_filter(self):
+        # every question that can exclude a pair walks one copy first, so
+        # unequal masses raise before a failed endpoint test excludes it
         big = ProbVec([F(1, 2), F(1, 2)])
         small = ProbVec([F(3, 10), F(3, 10)])
         for x, y in ((big, small), (small, big)):
             assert not mlocc.endpoint_filter_passes(x, y)
-            with pytest.raises(ValueError, match="total mass mismatch"):
-                in_Mk(x, y, 3)
+            for ask in (lambda: in_Mk(x, y, 3), lambda: scan_Mk(x, y, 3),
+                        lambda: is_interior_of_M(x, y, 3),
+                        lambda: search_catalyst(x, y, 2, 10),
+                        lambda: search_catalyst(x, y, 1, 0)):
+                with pytest.raises(ValueError, match="total mass mismatch"):
+                    ask()
 
     def test_errors_before_shortcuts(self):
         with pytest.raises(ValueError, match="dimension mismatch"):

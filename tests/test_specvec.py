@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -209,6 +211,18 @@ class TestSerialization:
     def test_bad_literal(self):
         with pytest.raises(ValueError):
             parse_vector_literal('{"not": "a vector"}')
+
+    @pytest.mark.parametrize("x, k", [(fv("0.5", "0.3", "0.2"), 5),
+                                      (fv("0.5", "0.25", "0.25", "0"), 3)])
+    def test_spectrum_pickles_and_copies(self, x, k):
+        # rebuilt from its integer state; a power with a zero entry too
+        s = tensor_power_spectrum(x, k)
+        for again in (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                      copy.deepcopy(s)):
+            assert again == s
+            assert ((again._int_vals, again._counts, again._scale, again._mass)
+                    == (s._int_vals, s._counts, s._scale, s._mass))
+            assert again.total_count == s.total_count
 
 
 class TestPadTo:
