@@ -18,6 +18,7 @@ neither x (x) c nor its spectrum is built.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import chain, islice
@@ -25,9 +26,9 @@ from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .majorize import _product_majorizes, _verdict
 from .mlocc import _exclusion, in_Mk
-from .specvec import (ProbVec, Spectrum, _check_dims, make_probvec,
-                      spectrum_direct_sum, spectrum_of, spectrum_tensor,
-                      tensor_power_spectrum, tensor_powers)
+from .specvec import (ProbVec, Spectrum, _check_dims, _from_counts,
+                      make_probvec, spectrum_direct_sum, spectrum_of,
+                      spectrum_tensor, tensor_power_spectrum, tensor_powers)
 
 
 class LiftedCatalyst:
@@ -250,7 +251,7 @@ def _lattice_candidates(dim_c: int, resolution: int):
 def _random_candidates(dim_c: int, seed: int):
     """Seeded sorted simplex points, without end: dim_c uniform draws,
     sorted nonincreasing, each rounded to a positive multiple of 1/10^4
-    (make_probvec normalizes them)."""
+    (a trial normalizes them)."""
     rng = random.Random(seed)
     denom = 10 ** 4
     while True:
@@ -258,30 +259,51 @@ def _random_candidates(dim_c: int, seed: int):
         yield [Fraction(max(1, round(v * denom)), denom) for v in raw]
 
 
+def _candidates(dim_c: int, seed: int):
+    """The search's one candidate stream: the lattice points of
+    resolution 10, then of resolution 20, then seeded random points."""
+    return chain(_lattice_candidates(dim_c, 10),
+                 _lattice_candidates(dim_c, 20),
+                 _random_candidates(dim_c, seed))
+
+
+def _candidate_spectrum(vals) -> Spectrum:
+    """Spectrum of a candidate normalized to mass 1: its numerators over
+    the lcm of its denominators, all over their own total."""
+    scale = math.lcm(*(v.denominator for v in vals))
+    counts = {}
+    for v in vals:
+        u = v.numerator * (scale // v.denominator)
+        counts[u] = counts.get(u, 0) + 1
+    total = sum(u * c for u, c in counts.items())
+    return _from_counts(counts, total, total)
+
+
 def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
                     seed: int = 0) -> Optional[CatalystCert]:
-    """Heuristic catalyst search: the lattice points of resolution 10,
-    then of resolution 20, then seeded random points (_random_candidates),
-    `budget` trials in all (none when it is below 1); at dim_c = 1 the one
-    point (1) is tried whatever the budget.  Absence after the trials is a normal outcome,
-    never a proof of nonexistence.  The one-copy walk on the spectra of x
-    and y runs first and raises on a total mass mismatch; when it fails
-    and the pair is excluded (_exclusion: a failed endpoint test or a
-    refuting power sum), None comes back without a trial, since then no
-    catalyst of any dimension exists."""
+    """Heuristic catalyst search: `budget` trials (budget >= 0) from the
+    candidate stream (_candidates); at dim_c = 1 the one point (1) is
+    tried whatever the budget.  A trial tests the candidate's integer
+    spectrum (_candidate_spectrum); only a hit becomes a ProbVec.
+    Absence after the trials is a normal outcome, never a proof of
+    nonexistence.  The one-copy walk on the spectra of x and y runs first
+    and raises on a total mass mismatch; when it fails and the pair is
+    excluded (_exclusion: a failed endpoint test or a refuting power
+    sum), None comes back without a trial, since then no catalyst of any
+    dimension exists."""
     if dim_c < 1:
         raise ValueError("dim_c must be >= 1")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     _check_dims(x, y)
     sx, sy = spectrum_of(x), spectrum_of(y)
     if (_verdict(sx, sy) == "fails"
             and _exclusion(x, y, sx, sy) is not None):
         return None
-    candidates = chain(_lattice_candidates(dim_c, 10),
-                       _lattice_candidates(dim_c, 20),
-                       _random_candidates(dim_c, seed))
-    for vals in islice(candidates, 1 if dim_c == 1 else max(budget, 0)):
-        c = make_probvec(vals, normalize=True)
-        if _product_majorizes(sx, sy, spectrum_of(c)):
-            return CatalystCert(
-                c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
+    trials = 1 if dim_c == 1 else budget
+    for vals in islice(_candidates(dim_c, seed), trials):
+        if _product_majorizes(sx, sy, _candidate_spectrum(vals)):
+            return CatalystCert(make_probvec(vals, normalize=True),
+                                "search(seed=%d, dim=%d)" % (seed, dim_c),
+                                True)
     return None

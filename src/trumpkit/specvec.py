@@ -14,16 +14,18 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Optional
 
 
 class ProbVec:
-    """Immutable probability vector, entries sorted nonincreasing."""
+    """Immutable probability vector, entries sorted nonincreasing.
 
-    __slots__ = ("entries",)
+    spectrum_of keeps the vector's Spectrum in ``_spectrum`` once built;
+    ``==``, hash, pickles and copies read ``entries`` alone."""
+
+    __slots__ = ("entries", "_spectrum")
 
     def __init__(self, entries, _sorted=False):
         entries = tuple(entries) if _sorted else tuple(
@@ -31,6 +33,7 @@ class ProbVec:
         if not entries:
             raise ValueError("empty probability vector")
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_spectrum", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ProbVec is immutable")
@@ -205,11 +208,15 @@ class Spectrum:
         self._set(vals, counts, scale, sum(map(mul, vals, counts)), blocks)
 
     def _set(self, vals, counts, scale, mass, blocks=None):
-        """Fill the state in __slots__ order; mass is the numerator of the
-        total mass over scale."""
-        for name, value in zip(self.__slots__, (
-                vals, counts, scale, sum(counts), mass, blocks)):
-            object.__setattr__(self, name, value)
+        """Fill the state; mass is the numerator of the total mass over
+        scale."""
+        put = object.__setattr__
+        put(self, "_int_vals", vals)
+        put(self, "_counts", counts)
+        put(self, "_scale", scale)
+        put(self, "_total", sum(counts))
+        put(self, "_mass", mass)
+        put(self, "_blocks", blocks)
         return self
 
     def __setattr__(self, *a):
@@ -283,12 +290,20 @@ def _from_counts(merged, scale, mass) -> Spectrum:
 
 
 def spectrum_of(x: ProbVec) -> Spectrum:
-    """Spectrum of a vector: one pass over the sorted entries puts their
-    numerators over the lcm of the denominators straight into the state,
-    equal neighbours merged and the mass summed as integers."""
-    scale = math.lcm(*(v.denominator for v in x.entries))
+    """Spectrum of a vector, built on first use (_entries_spectrum) and
+    kept on x, so every later call returns the same object."""
+    if x._spectrum is None:
+        object.__setattr__(x, "_spectrum", _entries_spectrum(x.entries))
+    return x._spectrum
+
+
+def _entries_spectrum(entries) -> Spectrum:
+    """Spectrum of sorted entries: one pass puts their numerators over
+    the lcm of the denominators straight into the state, equal neighbours
+    merged and the mass summed as integers."""
+    scale = math.lcm(*(v.denominator for v in entries))
     vals, counts, mass, last = [], [], 0, None
-    for v in x.entries:
+    for v in entries:
         u = v.numerator * (scale // v.denominator)
         mass += u
         if u == last:
@@ -445,26 +460,40 @@ def _enumerate(base: Spectrum, k: int) -> Spectrum:
     composition a gives the value prod p_i^a_i / D^k with count
     multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
     counts are running products over precomputed power tables, and the
-    recursion takes one level per distinct value.
+    recursion takes one level per distinct value.  At d = 2 the k + 1
+    blocks p_1^a p_2^(k-a), a = k..0, are distinct and already in order,
+    so they are written straight into the state; a zero p_2 leaves two,
+    p_1^k and 0.
     """
     nums, mults = base._int_vals, base._counts
-    pw = [[p ** a for a in range(k + 1)] for p in nums]
-    mw = [[m ** a for a in range(k + 1)] for m in mults]
-    merged = {}
-
-    @lru_cache(maxsize=None)
-    def tail(r):
-        """Value and count factors of the last two values sharing the
-        remainder r as (a, r - a)."""
-        (p1, p2), (m1, m2) = pw[-2:], mw[-2:]
-        return [(p1[a] * p2[r - a], math.comb(r, a) * m1[a] * m2[r - a])
-                for a in range(r + 1)]
+    scale, mass = base._scale ** k, base._mass ** k
+    # pw[i][a] = p_i^a and mw[i][a] = m_i^a, a = 0..k, running products
+    pw = [list(accumulate(repeat(p, k), mul, initial=1)) for p in nums]
+    mw = [list(accumulate(repeat(m, k), mul, initial=1)) for m in mults]
+    if len(nums) == 2:
+        (p1, p2), (m1, m2) = pw, mw
+        if nums[1]:  # a = k..0, and C(k, a) = C(k, k - a)
+            vals = list(map(mul, reversed(p1), p2))
+            counts = list(map(mul, map(math.comb, repeat(k), range(k + 1)),
+                              map(mul, reversed(m1), m2)))
+        else:
+            vals = [p1[k], 0]
+            counts = [m1[k], base.total_count ** k - m1[k]]
+        return object.__new__(Spectrum)._set(vals, counts, scale, mass)
+    merged, tails = {}, {}
 
     def walk(i, r, v, c):
         if not r:  # every later exponent is 0
             merged[v] = merged.get(v, 0) + c
         elif i == len(nums) - 2:
-            for tv, tc in tail(r):
+            # the last two values share the remainder r as (a, r - a)
+            tail = tails.get(r)
+            if tail is None:
+                (p1, p2), (m1, m2) = pw[-2:], mw[-2:]
+                tail = tails[r] = [
+                    (p1[a] * p2[r - a], math.comb(r, a) * m1[a] * m2[r - a])
+                    for a in range(r + 1)]
+            for tv, tc in tail:
                 key = v * tv
                 merged[key] = merged.get(key, 0) + c * tc
         else:
@@ -476,7 +505,7 @@ def _enumerate(base: Spectrum, k: int) -> Spectrum:
         merged[pw[0][k]] = mw[0][k]
     else:
         walk(0, k, pw[0][0], 1)
-    return _from_counts(merged, base._scale ** k, base._mass ** k)
+    return _from_counts(merged, scale, mass)
 
 
 def _power_blocks(base: Spectrum, k: int, top: bool, factor: int):

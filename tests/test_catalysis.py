@@ -7,7 +7,7 @@ from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
                       combine_catalysts, in_Mk,
                       lift_catalyst, majorizes, make_probvec,
                       multicopy_catalyst_scan, search_catalyst, tensor)
-from trumpkit import catalysis
+from trumpkit import catalysis, specvec
 from trumpkit.catalysis import reduce_catalyst
 
 from conftest import random_rational_vec
@@ -177,7 +177,7 @@ class TestSearchRefutation:
     def test_refuted_pair_runs_no_trial(self, monkeypatch):
         def refuse(*a, **kw):
             raise AssertionError("ran a trial")
-        monkeypatch.setattr(catalysis, "make_probvec", refuse)
+        monkeypatch.setattr(catalysis, "_candidates", refuse)
         for dim_c in (2, 3):
             assert search_catalyst(self.MID_X, self.MID_Y, dim_c, 10_000,
                                    seed=0) is None
@@ -197,13 +197,15 @@ class TestSearchTrialSequence:
     Y = make_probvec([F(v, 40) for v in (22, 11, 6, 1)])
 
     def trials(self, monkeypatch, dim_c, budget, seed=0):
-        """The make_probvec inputs of one search, in order."""
+        """The candidates one search takes from its stream, in order."""
         seen = []
+        real = catalysis._candidates
 
-        def recording(vals, normalize=False):
-            seen.append(list(vals))
-            return make_probvec(vals, normalize)
-        monkeypatch.setattr(catalysis, "make_probvec", recording)
+        def recording(dim_c, seed):
+            for vals in real(dim_c, seed):
+                seen.append(list(vals))
+                yield vals
+        monkeypatch.setattr(catalysis, "_candidates", recording)
         assert search_catalyst(self.X, self.Y, dim_c, budget, seed) is None
         return seen
 
@@ -228,6 +230,71 @@ class TestSearchTrialSequence:
     def test_dim1_runs_one_trial_at_any_budget(self, monkeypatch):
         for budget in (0, 1, 10):
             assert self.trials(monkeypatch, 1, budget) == [[F(1)]]
+
+
+class TestSearchSizes:
+    @pytest.mark.parametrize("dim_c, budget, message", [
+        (1, -5, "budget must be >= 0"), (2, -1, "budget must be >= 0"),
+        (0, 10, "dim_c must be >= 1")])
+    def test_bad_sizes_raise(self, dim_c, budget, message):
+        with pytest.raises(ValueError, match=message):
+            search_catalyst(PAPER_X, PAPER_Y, dim_c, budget)
+
+
+def fresh(*vecs):
+    """Copies of vectors that hold no spectrum yet."""
+    return [ProbVec(v.entries, True) for v in vecs]
+
+
+class TestOneSpectrumPerVector:
+    @staticmethod
+    def counting_builds(monkeypatch):
+        built = []
+        real = specvec._entries_spectrum
+
+        def counting(entries):
+            built.append(entries)
+            return real(entries)
+        monkeypatch.setattr(specvec, "_entries_spectrum", counting)
+        return built
+
+    def test_combine_builds_three(self, monkeypatch):
+        x, y, cp = fresh(PAPER_X, PAPER_Y, Z_PRIME)
+        built = self.counting_builds(monkeypatch)
+        assert combine_catalysts(x, y, 3, cp).verified
+        assert built == [x.entries, y.entries, cp.entries]
+
+    def test_build_builds_two(self, monkeypatch):
+        x, y = fresh(PAPER_X, PAPER_Y)
+        built = self.counting_builds(monkeypatch)
+        assert build_catalyst_thm1(x, y, 3).verified
+        assert built == [x.entries, y.entries]
+
+    def test_lift_builds_three(self, monkeypatch):
+        x, y, c = fresh(PAPER_X, PAPER_Y, Z)
+        built = self.counting_builds(monkeypatch)
+        assert lift_catalyst(x, y, c, 3).verified
+        assert built == [x.entries, y.entries, c.entries]
+
+    @pytest.mark.parametrize("pair, hit", [
+        ((PAPER_X, PAPER_Y), True),
+        ((TestSearchTrialSequence.X, TestSearchTrialSequence.Y), False)])
+    def test_search_builds_two_and_no_trial_probvec(self, monkeypatch,
+                                                    pair, hit):
+        x, y = fresh(*pair)
+        built = self.counting_builds(monkeypatch)
+        made = []
+        real = catalysis.make_probvec
+
+        def counting(vals, normalize=False):
+            made.append(list(vals))
+            return real(vals, normalize)
+        monkeypatch.setattr(catalysis, "make_probvec", counting)
+        cert = search_catalyst(x, y, 2, 40, seed=3)
+        assert built == [x.entries, y.entries]
+        # only the hit becomes a ProbVec
+        assert (cert is not None) is hit
+        assert made == ([list(cert.catalyst)] if hit else [])
 
 
 class TestDimensionChecks:

@@ -199,6 +199,14 @@ class TestPowerSumRefutationCommands:
         assert code == 1
         assert json.loads(out)["result"] == "absent"
 
+    @pytest.mark.parametrize("flag, value", [("--budget", "-5"),
+                                             ("--dim-c", "0")])
+    def test_search_bad_size_exit_two(self, capsys, flag, value):
+        code, out = run(capsys, "catalyst", "search", "--x", X, "--y", Y,
+                        flag, value)
+        assert code == 2
+        assert out == ""
+
     def test_search_dimension_mismatch_exit_two(self, capsys):
         code, _ = run(capsys, "catalyst", "search", "--x", X, "--y", Y3)
         assert code == 2

@@ -18,17 +18,19 @@ checks catalysts (x (x) c majorized by y (x) c, neither product built)
 against the walk on built products and the brute Fraction walk, the
 lazy block streams of a power against its spectrum, the end walk's
 refutations against brute walks and the full walk, the position walk's
-report against the brute Fraction walk field by field, and the callers
-of its bare verdict, which build no report."""
+report against the brute Fraction walk field by field, the callers
+of its bare verdict, which build no report, the two-value enumeration
+against the chain, and the catalyst search on integer spectra against a
+loop that builds every candidate as a ProbVec."""
 
 import math
 import random
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, islice
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
@@ -45,7 +47,8 @@ from trumpkit.specvec import _power_blocks, load_vector, tensor_powers
 
 from conftest import (brute_majorization_report, brute_majorizes,
                       brute_strict_interior, brute_tensor_power,
-                      corpus_path, power_sum_refutes, random_mid_pair)
+                      corpus_path, power_sum_refutes, random_mid_pair,
+                      random_rational_vec)
 
 # small parts give ties, zeros and uniform vectors; parts near 2000 give
 # denominators near 1e4 once normalized
@@ -251,6 +254,52 @@ def test_mixed_power_catalyst_matches_fractions(xy, k):
     assert sc == spectrum_of(c)
 
 
+def reference_search(x, y, dim_c, budget, seed):
+    """search_catalyst as a plain loop: every candidate of the stream
+    becomes a normalized ProbVec, checked on the built products."""
+    for vals in islice(catalysis._candidates(dim_c, seed),
+                       1 if dim_c == 1 else budget):
+        c = make_probvec(vals, normalize=True)
+        if majorizes(tensor(x, c), tensor(y, c)).holds:
+            return catalysis.CatalystCert(
+                c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
+    return None
+
+
+def test_search_matches_reference_loop():
+    # seeded pairs: random ones, which often hold at one copy or are
+    # excluded, and mid pairs, open at one copy, which never convert at
+    # dim_c = 1
+    rng, outcomes = random.Random(2024), set()
+    for i in range(90):
+        n = rng.randint(2, 4)
+        if i % 2:
+            x, y = random_mid_pair(rng, 4)
+            dim_c = rng.randint(2, 3)
+        else:
+            x, y = (random_rational_vec(rng, n) for _ in range(2))
+            dim_c = rng.randint(1, 3)
+        budget = rng.randint(0, 60)
+        seed = rng.randrange(1000)
+        got = search_catalyst(x, y, dim_c, budget, seed)
+        want = reference_search(x, y, dim_c, budget, seed)
+        assert got == want, (x, y, dim_c, budget, seed)
+        if got is not None:
+            assert got.to_json() == want.to_json()
+            assert got.catalyst.entries == want.catalyst.entries
+        outcomes.add((got is None, i % 2))
+    assert len(outcomes) == 4  # hits and misses among both kinds
+
+
+def test_trial_spectrum_is_the_normalized_candidate():
+    # lattice points with repeated entries, and unnormalized draws
+    for dim_c in (1, 2, 3, 4):
+        for vals in islice(catalysis._candidates(dim_c, 11), 80):
+            want = spectrum_of(make_probvec(vals, normalize=True))
+            got = catalysis._candidate_spectrum(vals)
+            assert got == want and got.total_mass() == 1, vals
+
+
 @PROPS
 @given(st.integers(1, 4).flatmap(parts), st.integers(1, 3))
 def test_lifted_catalyst_is_its_tensor_power(c, n):
@@ -305,6 +354,21 @@ def test_grow_from_any_smaller_power_is_the_power(x, a, b):
     want = state(chain(base, k))
     assert state(specvec._grow(base, chain(base, j), j, k)) == want
     assert state(tensor_power_spectrum(x, k)) == want
+
+
+@PROPS
+@given(st.integers(1, 2100), st.integers(0, 2100), st.integers(1, 4),
+       st.integers(1, 4), st.integers(2, 12))
+@example(3, 0, 2, 3, 12)  # a zero value
+@example(2, 1, 1, 1, 2)
+def test_two_value_enumeration_is_the_chain(p, q, m1, m2, k):
+    # the k + 1 blocks written in order, no merge, against chain steps
+    assume(p != q)
+    base = spectrum_of(vec([p] * m1 + [q] * m2))
+    assert len(base._counts) == 2
+    got = specvec._enumerate(base, k)
+    assert state(got) == state(chain(base, k))
+    assert sum(got._counts) == got.total_count == (m1 + m2) ** k
 
 
 @PROPS

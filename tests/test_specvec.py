@@ -224,6 +224,24 @@ class TestSerialization:
                     == (s._int_vals, s._counts, s._scale, s._mass))
             assert again.total_count == s.total_count
 
+    def test_kept_spectrum_is_left_out_of_identity(self):
+        x = fv("0.5", "0.25", "0.25", "0")
+        pickled, h = pickle.dumps(x), hash(x)
+        s = spectrum_of(x)
+        assert x._spectrum is s and spectrum_of(x) is s
+        assert pickle.dumps(x) == pickled
+        assert hash(x) == h
+        assert x == fv("0.5", "0.25", "0.25", "0")
+        for again in (pickle.loads(pickled), copy.copy(x), copy.deepcopy(x)):
+            assert again == x and hash(again) == h
+            assert again._spectrum is None
+            assert spectrum_of(again) == s
+
+    def test_expand_builds_no_spectrum(self):
+        # expanded vectors are compared against independent builds
+        s = tensor_power_spectrum(fv("0.6", "0.4"), 3)
+        assert s.expand()._spectrum is None
+
 
 class TestPadTo:
     def test_pads_with_zeros(self):
