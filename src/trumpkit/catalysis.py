@@ -18,11 +18,10 @@ neither x (x) c nor its spectrum is built.
 
 from __future__ import annotations
 
-import math
 import random
 from fractions import Fraction
 from itertools import chain, islice
-from typing import Dict, NamedTuple, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _product_majorizes, _verdict
 from .mlocc import _exclusion, in_Mk
@@ -36,18 +35,17 @@ class LiftedCatalyst:
 
     ``dim``, ``==`` and ``to_json`` answer as the expanded vector would;
     only ``expand()`` builds its base.dim ** n_copies entries, and
-    ``spectrum()`` gives the compressed multiset without them.  A lift
-    that has built that spectrum passes it in as ``_spectrum`` (left out
-    of ``==``, repr and pickles), and ``spectrum()`` returns it.
+    ``spectrum()`` gives the compressed multiset without them.  It builds
+    that spectrum on its first call and keeps it in ``_spectrum`` (left
+    out of ``==``, repr and pickles), as spectrum_of does for a ProbVec.
     Immutable and unhashable, and not a sequence: ``len()`` raises, as a
     length would be read as the catalyst's dimension.
     """
 
     __slots__ = ("base", "n_copies", "_spectrum")
 
-    def __init__(self, base: ProbVec, n_copies: int,
-                 _spectrum: Optional[Spectrum] = None):
-        for name, value in zip(self.__slots__, (base, n_copies, _spectrum)):
+    def __init__(self, base: ProbVec, n_copies: int):
+        for name, value in zip(self.__slots__, (base, n_copies, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
@@ -67,9 +65,10 @@ class LiftedCatalyst:
         return self.base.dim ** self.n_copies
 
     def spectrum(self) -> Spectrum:
-        if self._spectrum is not None:
-            return self._spectrum
-        return tensor_power_spectrum(self.base, self.n_copies)
+        if self._spectrum is None:
+            object.__setattr__(self, "_spectrum", tensor_power_spectrum(
+                self.base, self.n_copies))
+        return self._spectrum
 
     def expand(self) -> ProbVec:
         """The full sorted vector c^(x)n, one scalar per distinct value."""
@@ -109,32 +108,22 @@ def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> Spectrum:
     return c.spectrum() if isinstance(c, LiftedCatalyst) else spectrum_of(c)
 
 
-def _verify_single_copy(x: ProbVec, y: ProbVec, sc: Spectrum) -> bool:
-    """Is the catalyst with spectrum sc one for x -> y?  x (x) c and
-    y (x) c are never built (majorize._product_majorizes)."""
-    _check_dims(x, y)
-    return _product_majorizes(spectrum_of(x), spectrum_of(y), sc)
+_ONE = Spectrum([(Fraction(1), 1)])
 
 
-def _mixed_power_catalyst(x: ProbVec, y: ProbVec, k: int,
-                          c_prime: Optional[ProbVec] = None
-                          ) -> Tuple[ProbVec, Spectrum]:
-    """The catalyst (1/k) * direct-sum of x^(k-1-i) (x) y^(i), i = 0..k-1,
-    tensored with c_prime when given, and its spectrum.  For k = 1 the
-    direct sum is the trivial scalar catalyst (1).
+def _powers(x: ProbVec, k: int):
+    """The spectra of x^(x)0 = (1), x^(x)1, ..., x^(x)k, each grown from
+    the one before (tensor_powers)."""
+    return [_ONE, *tensor_powers(x, k)]
 
-    The powers of x and y grow one copy at a time (tensor_powers), the k
-    term spectra are merged over one common scale, and the result is
-    expanded once, one scalar per distinct value.
-    """
-    one = Spectrum([(Fraction(1), 1)])
-    px = [one, *tensor_powers(x, k - 1)]
-    py = [one, *tensor_powers(y, k - 1)]
-    sc = spectrum_direct_sum([spectrum_tensor(px[k - 1 - i], py[i])
-                              for i in range(k)], k)
-    if c_prime is not None:
-        sc = spectrum_tensor(sc, spectrum_of(c_prime))
-    return sc.expand(), sc
+
+def _mixed_power_catalyst(px, py) -> Spectrum:
+    """Spectrum of the catalyst (1/k) * direct-sum of x^(k-1-i) (x) y^(i),
+    i = 0..k-1, from the spectra px and py of the powers 0..k-1 of x and
+    y (_powers): the k term spectra merged over one common scale.  For
+    k = 1 it is the trivial scalar catalyst (1)."""
+    return spectrum_direct_sum([spectrum_tensor(a, b)
+                                for a, b in zip(reversed(px), py)])
 
 
 def build_catalyst_thm1(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
@@ -150,25 +139,29 @@ def build_catalyst_thm1(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
     if not in_Mk(x, y, k):
         raise ValueError("precondition fails: x^(x)%d not majorized by "
                          "y^(x)%d" % (k, k))
-    c, sc = _mixed_power_catalyst(x, y, k)
+    sc = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
+    c = sc.expand()
     dim_ok = c.dim == k * x.dim ** (k - 1)
-    verified = _verify_single_copy(x, y, sc)
+    verified = _product_majorizes(spectrum_of(x), spectrum_of(y), sc)
     return CatalystCert(c, "thm1_construction(k=%d)" % k, verified, dim_ok)
 
 
 def combine_catalysts(x: ProbVec, y: ProbVec, k: int,
                       c_prime: ProbVec) -> CatalystCert:
     """Turn a k-copy catalyst-assisted witness into a single-copy catalyst
-    c'' = c (x) c', with c the k-copy construction over (x, y)."""
+    c'' = c (x) c', with c the k-copy construction over (x, y).  The
+    powers 1..k of x and y are grown once: the k-th for the premise, the
+    others for c."""
     _check_dims(x, y)
-    if not _product_majorizes(tensor_power_spectrum(x, k),
-                              tensor_power_spectrum(y, k),
-                              spectrum_of(c_prime)):
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    px, py, scp = _powers(x, k), _powers(y, k), spectrum_of(c_prime)
+    if not _product_majorizes(px[k], py[k], scp):
         raise ValueError("precondition fails: x^(x)%d (x) c' not majorized "
                          "by y^(x)%d (x) c'" % (k, k))
-    c2, sc2 = _mixed_power_catalyst(x, y, k, c_prime)
-    verified = _verify_single_copy(x, y, sc2)
-    return CatalystCert(c2, "thm2_combination(k=%d)" % k, verified)
+    sc2 = spectrum_tensor(_mixed_power_catalyst(px[:k], py[:k]), scp)
+    verified = _product_majorizes(spectrum_of(x), spectrum_of(y), sc2)
+    return CatalystCert(sc2.expand(), "thm2_combination(k=%d)" % k, verified)
 
 
 def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
@@ -177,24 +170,22 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
     transformation.  For n_copies > 1 the catalyst is returned factored
     (a LiftedCatalyst), and verification runs on compressed spectra:
     neither c^(x)n nor (x (x) c)^(x)n is built.  The one-copy spectra of
-    x, y and c are built once, for the premise check and as the bases of
-    the three powers."""
+    x, y and c, kept on them, serve the premise check and are the bases
+    of the three powers; the lift keeps the spectrum of c^(x)n."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     _check_dims(x, y)
-    sx, sy, sc = spectrum_of(x), spectrum_of(y), spectrum_of(c)
-    if not _product_majorizes(sx, sy, sc):
+    if not _product_majorizes(spectrum_of(x), spectrum_of(y), spectrum_of(c)):
         raise ValueError("precondition fails: c is not a catalyst for x -> y")
     if n_copies == 1:
         return CatalystCert(c, "lifted(n=1)", True)
     # (x (x) c)^(x)n and x^(x)n (x) c^(x)n are the same multiset; the
     # factored form enumerates compositions over far fewer distinct values
-    scn = tensor_power_spectrum(c, n_copies, sc)
-    verified = _product_majorizes(tensor_power_spectrum(x, n_copies, sx),
-                                  tensor_power_spectrum(y, n_copies, sy),
-                                  scn)
-    return CatalystCert(LiftedCatalyst(c, n_copies, scn),
-                        "lifted(n=%d)" % n_copies, verified)
+    lifted = LiftedCatalyst(c, n_copies)
+    verified = _product_majorizes(tensor_power_spectrum(x, n_copies),
+                                  tensor_power_spectrum(y, n_copies),
+                                  lifted.spectrum())
+    return CatalystCert(lifted, "lifted(n=%d)" % n_copies, verified)
 
 
 def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
@@ -209,18 +200,21 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     finds: m = 1, 2, 4, ... (the last probe capped at m_max) until one
     works, then bisection of the last gap.  That takes at most
     2 * ceil(log2 m_max) + 2 probes, and no c^(x)m is built past twice
-    the least working m (past m_max when none works)."""
+    the least working m (past m_max when none works).  The probe m = 1
+    raises on a total mass mismatch; when it fails and the pair is
+    excluded (mlocc._exclusion), no catalyst of any dimension works, and
+    every m fails with no further power built."""
     _check_dims(x, y)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
-    sx, sy, sc = spectrum_of(x), spectrum_of(y), spectrum_of(c)
 
     def works(m):
-        return _product_majorizes(sx, sy, tensor_power_spectrum(c, m, sc))
+        return _product_majorizes(spectrum_of(x), spectrum_of(y),
+                                  tensor_power_spectrum(c, m))
 
     lo, hi = 0, 1  # lo fails (0 stands for "none probed"); hi is probed
     while not works(hi):
-        if hi == m_max:
+        if hi == m_max or not lo and _exclusion(x, y) is not None:
             return dict.fromkeys(range(1, m_max + 1), False)
         lo, hi = hi, min(2 * hi, m_max)
     while hi - lo > 1:  # lo fails, hi works
@@ -233,8 +227,9 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
 
 
 def _lattice_candidates(dim_c: int, resolution: int):
-    """Sorted rational points on the simplex with denominator `resolution`:
-    nonincreasing positive integer compositions of the resolution."""
+    """Sorted points on the simplex with denominator `resolution`, as
+    their numerators: the nonincreasing positive integer compositions of
+    the resolution."""
     def gen(total, parts, cap):
         if parts == 1:
             if 1 <= total <= cap:
@@ -244,38 +239,35 @@ def _lattice_candidates(dim_c: int, resolution: int):
         for head in range(min(cap, total - parts + 1), lo - 1, -1):
             for rest in gen(total - head, parts - 1, head):
                 yield (head,) + rest
-    for comp in gen(resolution, dim_c, resolution):
-        yield [Fraction(a, resolution) for a in comp]
+    return gen(resolution, dim_c, resolution)
 
 
 def _random_candidates(dim_c: int, seed: int):
     """Seeded sorted simplex points, without end: dim_c uniform draws,
-    sorted nonincreasing, each rounded to a positive multiple of 1/10^4
-    (a trial normalizes them)."""
+    sorted nonincreasing, each given as a positive integer numerator over
+    10^4 (a trial normalizes them)."""
     rng = random.Random(seed)
-    denom = 10 ** 4
     while True:
         raw = sorted((rng.random() for _ in range(dim_c)), reverse=True)
-        yield [Fraction(max(1, round(v * denom)), denom) for v in raw]
+        yield tuple(max(1, round(v * 10 ** 4)) for v in raw)
 
 
 def _candidates(dim_c: int, seed: int):
-    """The search's one candidate stream: the lattice points of
-    resolution 10, then of resolution 20, then seeded random points."""
+    """The search's one candidate stream, as tuples of positive integers
+    that a trial divides by their sum: the lattice points of resolution
+    10, then of resolution 20, then seeded random points."""
     return chain(_lattice_candidates(dim_c, 10),
                  _lattice_candidates(dim_c, 20),
                  _random_candidates(dim_c, seed))
 
 
-def _candidate_spectrum(vals) -> Spectrum:
-    """Spectrum of a candidate normalized to mass 1: its numerators over
-    the lcm of its denominators, all over their own total."""
-    scale = math.lcm(*(v.denominator for v in vals))
+def _candidate_spectrum(comp) -> Spectrum:
+    """Spectrum of a candidate normalized to mass 1: its integers over
+    their own total."""
     counts = {}
-    for v in vals:
-        u = v.numerator * (scale // v.denominator)
+    for u in comp:
         counts[u] = counts.get(u, 0) + 1
-    total = sum(u * c for u, c in counts.items())
+    total = sum(comp)
     return _from_counts(counts, total, total)
 
 
@@ -283,8 +275,9 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
                     seed: int = 0) -> Optional[CatalystCert]:
     """Heuristic catalyst search: `budget` trials (budget >= 0) from the
     candidate stream (_candidates); at dim_c = 1 the one point (1) is
-    tried whatever the budget.  A trial tests the candidate's integer
-    spectrum (_candidate_spectrum); only a hit becomes a ProbVec.
+    tried whatever the budget.  A trial tests the spectrum of the
+    candidate's integers (_candidate_spectrum); only a hit becomes a
+    ProbVec, its integers divided by their sum.
     Absence after the trials is a normal outcome, never a proof of
     nonexistence.  The one-copy walk on the spectra of x and y runs first
     and raises on a total mass mismatch; when it fails and the pair is
@@ -297,13 +290,12 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
         raise ValueError("budget must be >= 0")
     _check_dims(x, y)
     sx, sy = spectrum_of(x), spectrum_of(y)
-    if (_verdict(sx, sy) == "fails"
-            and _exclusion(x, y, sx, sy) is not None):
+    if _verdict(sx, sy) == "fails" and _exclusion(x, y) is not None:
         return None
     trials = 1 if dim_c == 1 else budget
-    for vals in islice(_candidates(dim_c, seed), trials):
-        if _product_majorizes(sx, sy, _candidate_spectrum(vals)):
-            return CatalystCert(make_probvec(vals, normalize=True),
+    for comp in islice(_candidates(dim_c, seed), trials):
+        if _product_majorizes(sx, sy, _candidate_spectrum(comp)):
+            return CatalystCert(make_probvec(comp, normalize=True),
                                 "search(seed=%d, dim=%d)" % (seed, dim_c),
                                 True)
     return None

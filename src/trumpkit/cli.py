@@ -153,7 +153,7 @@ def cmd_catalyst(args) -> int:
         cert = catalysis.search_catalyst(x, y, args.dim_c, args.budget,
                                          args.seed)
         if cert is None:
-            reason = _exclusion(x, y, spectrum_of(x), spectrum_of(y))
+            reason = _exclusion(x, y)
             if isinstance(reason, str):
                 _emit({"result": "none", "failed_endpoint": reason,
                        "note": "no catalyst of any dimension exists: the "

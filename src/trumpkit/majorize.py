@@ -61,7 +61,8 @@ class MajReport(NamedTuple):
             fv = {"l": str(l), "ex": str(ex), "ey": str(ey)}
         return {
             "verdict": self.verdict,
-            "equality_indices": sorted(str(i) for i in self.equality_indices),
+            "equality_indices": [str(i)
+                                 for i in sorted(self.equality_indices)],
             "first_violation": fv,
         }
 

@@ -13,8 +13,8 @@ from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
-from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims,
-                      _enumeration_cost, _grow, _growth_cost, spectrum_of)
+from .specvec import (_CHAIN_MAX_K, ProbVec, _check_dims, _enumeration_cost,
+                      _grow, _growth_cost, spectrum_of)
 
 
 class MloccScan(NamedTuple):
@@ -68,18 +68,17 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     _check_dims(x, y)
     if k < 1:
         raise ValueError("k must be >= 1")
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    if _verdict(sx, sy) != "fails":
+    if _verdict(spectrum_of(x), spectrum_of(y)) != "fails":
         return True
-    if k == 1 or _exclusion(x, y, sx, sy) is not None:
+    if k == 1 or _exclusion(x, y) is not None:
         return False
-    return _sweep(x, y, sx, sy, "fails", k, last_only=True)[k] != "fails"
+    return _sweep(x, y, "fails", k, last_only=True)[k] != "fails"
 
 
-def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
-           k_max: int, last_only: bool = False) -> Dict[int, str]:
-    """Verdicts of x^(x)k against y^(x)k for k = 1..k_max, given the
-    spectra sx and sy of x and y and their one-copy verdict.
+def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
+           last_only: bool = False) -> Dict[int, str]:
+    """Verdicts of x^(x)k against y^(x)k for k = 1..k_max, given their
+    one-copy verdict.
 
     Three facts settle a k from smaller ones.
       - Members are closed under addition.  If a and b are members,
@@ -142,7 +141,7 @@ def _sweep(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum, verdict: str,
     Returns the verdicts of the k settled, in increasing k, the given
     one-copy verdict first.
     """
-    bases = held = (sx, sy)
+    bases = held = (spectrum_of(x), spectrum_of(y))
     grown = 1  # the k of the powers held
     budgets = ([_enumeration_cost(len(b._counts), k_max) for b in bases]
                if last_only else None)
@@ -217,15 +216,14 @@ def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
     return _failed_endpoint(x, y) is None
 
 
-def _exclusion(x: ProbVec, y: ProbVec, sx: Spectrum,
-               sy: Spectrum) -> Union[str, int, None]:
+def _exclusion(x: ProbVec, y: ProbVec) -> Union[str, int, None]:
     """Why no k and no catalyst turns x into y: the endpoint test that
     fails (_failed_endpoint, a non-empty string), else the order of a
     refuting power sum (power_sum_refutation, an int, possibly 0), else
-    None.  sx and sy are the spectra of x and y, which the one-copy walk
-    has checked for equal mass; callers test the answer with `is not
-    None`."""
-    return _failed_endpoint(x, y) or power_sum_refutation(sx, sy)
+    None.  The one-copy walk must have checked x and y for equal mass;
+    callers test the answer with `is not None`."""
+    return (_failed_endpoint(x, y)
+            or power_sum_refutation(spectrum_of(x), spectrum_of(y)))
 
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
@@ -242,15 +240,14 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    verdict = _verdict(sx, sy)
-    reason = None if verdict != "fails" else _exclusion(x, y, sx, sy)
+    verdict = _verdict(spectrum_of(x), spectrum_of(y))
+    reason = None if verdict != "fails" else _exclusion(x, y)
     if reason is not None:
         endpoint = isinstance(reason, str)
         return MloccScan(x, y, k_max,
                          dict.fromkeys(range(1, k_max + 1), "fails"), None,
                          endpoint, None if endpoint else reason)
-    results = _sweep(x, y, sx, sy, verdict, k_max)
+    results = _sweep(x, y, verdict, k_max)
     first = next((k for k, v in results.items() if v != "fails"), None)
     return MloccScan(x, y, k_max, results, first)
 

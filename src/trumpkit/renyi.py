@@ -167,10 +167,8 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def _entropy_diff_sign(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum,
-                       alpha) -> int:
-    """Sign of S(x) - S(y) at one order, given the spectra sx and sy of x
-    and y.
+def _entropy_diff_sign(x: ProbVec, y: ProbVec, alpha) -> int:
+    """Sign of S(x) - S(y) at one order.
 
     Every order but 1 and the non-integer ones is a rational comparison:
     the nonzero counts at 0, the largest entries at +inf
@@ -189,7 +187,8 @@ def _entropy_diff_sign(x: ProbVec, y: ProbVec, sx: Spectrum, sy: Spectrum,
             return _sign(x.nonzero_dim - y.nonzero_dim)
         # at integer a > 1 and a < 0 the entropy order reverses the
         # power-sum order
-        (px, dx), (py, dy) = _power_sum(sx, a), _power_sum(sy, a)
+        (px, dx), (py, dy) = (_power_sum(spectrum_of(x), a),
+                              _power_sum(spectrum_of(y), a))
         return _sign(py * dx - px * dy)
     dx = renyi_entropy(x, alpha) - renyi_entropy(y, alpha)
     if abs(dx) <= _FLOAT_TOL:
@@ -225,9 +224,8 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
         alphas.append(a)
     float_used = any(not math.isinf(a) and float(a) != int(a)
                      for a in alphas if not math.isinf(a))
-    sx, sy = spectrum_of(x), spectrum_of(y)
     for a in alphas:
-        if _entropy_diff_sign(x, y, sx, sy, a) < 0:
+        if _entropy_diff_sign(x, y, a) < 0:
             return RFilterVerdict("violated", violating_alpha=float(a),
                                   mode=mode, grid_used=tuple(alphas),
                                   float_alphas_used=float_used)

@@ -6,7 +6,8 @@ import pytest
 from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
                       combine_catalysts, in_Mk,
                       lift_catalyst, majorizes, make_probvec,
-                      multicopy_catalyst_scan, search_catalyst, tensor)
+                      multicopy_catalyst_scan, r_filter, scan_Mk,
+                      search_catalyst, spectrum_of, tensor, tensor_power)
 from trumpkit import catalysis, specvec
 from trumpkit.catalysis import reduce_catalyst
 
@@ -210,14 +211,15 @@ class TestSearchTrialSequence:
         return seen
 
     def test_lattices_then_seeded_draws(self, monkeypatch):
-        lattice = [[F(a, r), F(r - a, r)]
+        # each candidate is given by integers that a trial divides by
+        # their sum: a / r and (r - a) / r on the lattices, draws over 10^4
+        lattice = [[a, r - a]
                    for r in (10, 20) for a in range(r - 1, r // 2 - 1, -1)]
         rng = random.Random(7)
         draws = []
         for _ in range(25):
             raw = sorted((rng.random(), rng.random()), reverse=True)
-            draws.append([F(max(1, round(v * 10 ** 4)), 10 ** 4)
-                          for v in raw])
+            draws.append([max(1, round(v * 10 ** 4)) for v in raw])
         assert self.trials(monkeypatch, 2, 40, seed=7) == lattice + draws
         for budget in (0, 1, 5, 15):
             assert self.trials(monkeypatch, 2, budget, 7) == lattice[:budget]
@@ -229,7 +231,7 @@ class TestSearchTrialSequence:
 
     def test_dim1_runs_one_trial_at_any_budget(self, monkeypatch):
         for budget in (0, 1, 10):
-            assert self.trials(monkeypatch, 1, budget) == [[F(1)]]
+            assert self.trials(monkeypatch, 1, budget) == [[10]]
 
 
 class TestSearchSizes:
@@ -273,8 +275,77 @@ class TestOneSpectrumPerVector:
     def test_lift_builds_three(self, monkeypatch):
         x, y, c = fresh(PAPER_X, PAPER_Y, Z)
         built = self.counting_builds(monkeypatch)
-        assert lift_catalyst(x, y, c, 3).verified
+        cert = lift_catalyst(x, y, c, 3)
+        assert cert.verified
         assert built == [x.entries, y.entries, c.entries]
+        lifted = cert.catalyst
+        assert lifted.spectrum() is lifted.spectrum() is lifted._spectrum
+        assert built == [x.entries, y.entries, c.entries]
+
+    def test_unlifted_spectrum_is_built_once_and_kept(self, monkeypatch):
+        lifted = LiftedCatalyst(Z, 3)
+        assert lifted._spectrum is None
+        first = lifted.spectrum()
+
+        def refuse(*a):
+            raise AssertionError("rebuilt c^(x)n")
+        monkeypatch.setattr(catalysis, "tensor_power_spectrum", refuse)
+        assert lifted.spectrum() is first
+        assert first == spectrum_of(tensor_power(Z, 3))
+
+    # the paper pair (open at one copy, converts at k = 3), a pair refuted
+    # by a power sum, and a pair that holds at one copy
+    PAIRS = [(PAPER_X, PAPER_Y),
+             (fv("0.6", "0.3", "0.05", "0.05"),
+              fv("0.6", "0.25", "0.1", "0.05")),
+             (fv("0.3", "0.3", "0.2", "0.2"), PAPER_X)]
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("query", [
+        lambda x, y: in_Mk(x, y, 6), lambda x, y: in_Mk(x, y, 40),
+        lambda x, y: scan_Mk(x, y, 8)])
+    def test_multicopy_decisions_build_two(self, monkeypatch, pair, query):
+        x, y = fresh(*pair)
+        built = self.counting_builds(monkeypatch)
+        query(x, y)
+        assert built == [x.entries, y.entries]
+
+    def test_catalyst_scan_builds_three(self, monkeypatch):
+        for pair in self.PAIRS:
+            x, y, c = fresh(*pair, Z_PRIME)
+            built = self.counting_builds(monkeypatch)
+            multicopy_catalyst_scan(x, y, c, 8)
+            assert built == [x.entries, y.entries, c.entries]
+
+    @pytest.mark.parametrize("pair, builds", [
+        (PAIRS[0], 2),
+        # Shannon entropy refutes it, before any integer order is read
+        (PAIRS[1], 0),
+        (PAIRS[2], 2)])
+    def test_r_filter_builds_at_most_one_per_vector(self, monkeypatch, pair,
+                                                    builds):
+        x, y = fresh(*pair)
+        built = self.counting_builds(monkeypatch)
+        r_filter(x, y)
+        assert built == [x.entries, y.entries][:builds]
+
+    def test_combine_grows_each_power_once(self, monkeypatch):
+        products = []
+        real = specvec.spectrum_tensor
+
+        def counting(a, b):
+            products.append((len(a._counts), len(b._counts)))
+            return real(a, b)
+        monkeypatch.setattr(specvec, "spectrum_tensor", counting)
+        monkeypatch.setattr(catalysis, "spectrum_tensor", counting)
+        cert = combine_catalysts(PAPER_X, PAPER_Y, 3, Z_PRIME)
+        # x^(x)2, x^(x)3, y^(x)2, y^(x)3; the three mixed terms; c (x) c'
+        assert len(products) == 8
+        terms = [tensor_power(PAPER_X, 2), tensor(PAPER_X, PAPER_Y),
+                 tensor_power(PAPER_Y, 2)]
+        c = ProbVec([v / 3 for t in terms for v in t.entries])
+        assert cert.catalyst.entries == tensor(c, Z_PRIME).entries
+        assert cert.verified
 
     @pytest.mark.parametrize("pair, hit", [
         ((PAPER_X, PAPER_Y), True),
@@ -292,9 +363,11 @@ class TestOneSpectrumPerVector:
         monkeypatch.setattr(catalysis, "make_probvec", counting)
         cert = search_catalyst(x, y, 2, 40, seed=3)
         assert built == [x.entries, y.entries]
-        # only the hit becomes a ProbVec
+        # only the hit becomes a ProbVec, from its integers
         assert (cert is not None) is hit
-        assert made == ([list(cert.catalyst)] if hit else [])
+        assert [[F(a, sum(m)) for a in m] for m in made] == (
+            [list(cert.catalyst)] if hit else [])
+        assert all(type(a) is int for m in made for a in m)
 
 
 class TestDimensionChecks:
@@ -331,11 +404,34 @@ class TestMulticopyCatalystScan:
         grown = []
         real = catalysis.tensor_power_spectrum
 
-        def counted(c, m, base=None):
+        def counted(c, m):
             grown.append(m)
-            return real(c, m, base)
+            return real(c, m)
         monkeypatch.setattr(catalysis, "tensor_power_spectrum", counted)
         return grown
+
+    def test_excluded_pair_builds_no_power(self, monkeypatch):
+        # both endpoint tests pass and one copy fails; the order-2 power
+        # sum refutes the pair, so no m works and no c^(x)m past m = 1 is
+        # built
+        x = fv("0.6", "0.3", "0.05", "0.05")
+        y = fv("0.6", "0.25", "0.1", "0.05")
+        real = catalysis.tensor_power_spectrum
+
+        def first_only(c, m):
+            if m >= 2:
+                raise AssertionError("built c^(x)%d" % m)
+            return real(c, m)
+        monkeypatch.setattr(catalysis, "tensor_power_spectrum", first_only)
+        result = multicopy_catalyst_scan(x, y, Z, 2000)
+        assert result == dict.fromkeys(range(1, 2001), False)
+        assert list(result) == list(range(1, 2001))
+
+    def test_unequal_masses_raise_before_the_exclusion(self):
+        # x_1 > y_1 would exclude the pair, but the first probe raises
+        big, small = ProbVec([F(1, 2)] * 2), ProbVec([F(3, 10)] * 2)
+        with pytest.raises(ValueError, match="total mass mismatch"):
+            multicopy_catalyst_scan(big, small, Z, 8)
 
     def test_stops_growing_after_first_success(self, monkeypatch):
         # c fails at one copy and works at two: x (x) c^(x)m majorized by

@@ -40,7 +40,7 @@ from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
                       power_sum_refutation, scan_Mk, search_catalyst,
                       spectrum_majorizes, spectrum_of, spectrum_tensor,
                       tensor, tensor_power, tensor_power_spectrum)
-from trumpkit.catalysis import _mixed_power_catalyst, _verify_single_copy
+from trumpkit.catalysis import _mixed_power_catalyst, _powers
 from trumpkit import specvec
 from trumpkit.majorize import _ends_refute, _product_majorizes, _verdict
 from trumpkit.specvec import _power_blocks, load_vector, tensor_powers
@@ -230,7 +230,8 @@ def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):
 def test_single_copy_verification_matches_brute(case, c):
     x, y, _ = case
     c = vec(c)
-    assert _verify_single_copy(x, y, spectrum_of(c)) == brute_majorizes(
+    assert _product_majorizes(spectrum_of(x), spectrum_of(y),
+                              spectrum_of(c)) == brute_majorizes(
         tensor(x, c).entries, tensor(y, c).entries)[0]
 
 
@@ -249,7 +250,8 @@ def fraction_mixed_power(x, y, k):
        st.integers(1, 4))
 def test_mixed_power_catalyst_matches_fractions(xy, k):
     x, y = map(vec, xy)
-    c, sc = _mixed_power_catalyst(x, y, k)
+    sc = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
+    c = sc.expand()
     assert c.entries == fraction_mixed_power(x, y, k).entries
     assert sc == spectrum_of(c)
 
@@ -257,9 +259,9 @@ def test_mixed_power_catalyst_matches_fractions(xy, k):
 def reference_search(x, y, dim_c, budget, seed):
     """search_catalyst as a plain loop: every candidate of the stream
     becomes a normalized ProbVec, checked on the built products."""
-    for vals in islice(catalysis._candidates(dim_c, seed),
+    for comp in islice(catalysis._candidates(dim_c, seed),
                        1 if dim_c == 1 else budget):
-        c = make_probvec(vals, normalize=True)
+        c = make_probvec(comp, normalize=True)
         if majorizes(tensor(x, c), tensor(y, c)).holds:
             return catalysis.CatalystCert(
                 c, "search(seed=%d, dim=%d)" % (seed, dim_c), True)
@@ -294,10 +296,11 @@ def test_search_matches_reference_loop():
 def test_trial_spectrum_is_the_normalized_candidate():
     # lattice points with repeated entries, and unnormalized draws
     for dim_c in (1, 2, 3, 4):
-        for vals in islice(catalysis._candidates(dim_c, 11), 80):
-            want = spectrum_of(make_probvec(vals, normalize=True))
-            got = catalysis._candidate_spectrum(vals)
-            assert got == want and got.total_mass() == 1, vals
+        for comp in islice(catalysis._candidates(dim_c, 11), 80):
+            assert all(type(a) is int and a > 0 for a in comp), comp
+            want = spectrum_of(make_probvec(comp, normalize=True))
+            got = catalysis._candidate_spectrum(comp)
+            assert got == want and got.total_mass() == 1, comp
 
 
 @PROPS
@@ -383,7 +386,7 @@ def test_only_powers_past_three_are_enumerated(x, k):
         return real(b, m)
 
     with mock.patch.object(specvec, "_enumerate", counted):
-        tensor_power_spectrum(x, k, base)
+        tensor_power_spectrum(x, k)
     if k <= 3:
         assert enumerated == []
     elif len(base._counts) >= 2:
@@ -673,9 +676,9 @@ def test_galloping_scan_probe_bound(case):
     probes = []
     real = catalysis.tensor_power_spectrum
 
-    def counted(c, m, base=None):
+    def counted(c, m):
         probes.append(m)
-        return real(c, m, base)
+        return real(c, m)
 
     with mock.patch.object(catalysis, "tensor_power_spectrum", counted):
         result = multicopy_catalyst_scan(x, y, c, m_max)
@@ -747,8 +750,9 @@ def product_case(draw):
     if kind == "power":
         sc = tensor_power_spectrum(c, m)
     else:
-        sc = _mixed_power_catalyst(x, y, m,
-                                   c if kind == "mixed_with_c" else None)[1]
+        sc = _mixed_power_catalyst(_powers(x, m - 1), _powers(y, m - 1))
+        if kind == "mixed_with_c":
+            sc = spectrum_tensor(sc, spectrum_of(c))
     sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
     return sx, sy, sc, sx.total_count * sc.total_count
 

@@ -36,6 +36,13 @@ class TestMajorizes:
         assert rep.verdict == "boundary"
         assert rep.equality_indices == frozenset({1, 2, 3})
 
+    def test_json_lists_equalities_in_numeric_order(self):
+        u = ProbVec([F(1, 12)] * 12)
+        rep = majorizes(u, u)
+        assert rep.verdict == "boundary"
+        assert rep.to_json()["equality_indices"] == [
+            str(l) for l in range(1, 12)]
+
     def test_uniform_below_everything(self):
         rng = random.Random(23)
         for _ in range(20):

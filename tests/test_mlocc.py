@@ -24,6 +24,23 @@ PAPER_X = fv("0.4", "0.4", "0.1", "0.1")
 PAPER_Y = fv("0.5", "0.25", "0.25", "0")
 
 
+def fresh(*vecs):
+    """Copies of vectors that hold no spectrum yet."""
+    return [ProbVec(v.entries, True) for v in vecs]
+
+
+def counting_builds(monkeypatch):
+    """The entries of every vector whose spectrum is built from now on."""
+    built = []
+    real = specvec._entries_spectrum
+
+    def counting(entries):
+        built.append(entries)
+        return real(entries)
+    monkeypatch.setattr(specvec, "_entries_spectrum", counting)
+    return built
+
+
 def boundary_with_single_equality(rng, y, d):
     """Random x majorized by y with a single prefix equality at d: mix each
     of the head/tail parts of y toward its own average, keeping the split
@@ -105,16 +122,10 @@ class TestInMkPreDecision:
         assert scan_Mk(PAPER_X, PAPER_Y, 4) == scan
 
     def test_spectra_built_once(self, monkeypatch):
-        built = []
-        real = specvec.spectrum_of
-
-        def counting(x):
-            built.append(x)
-            return real(x)
-        monkeypatch.setattr(specvec, "spectrum_of", counting)
-        monkeypatch.setattr(mlocc, "spectrum_of", counting)
-        assert in_Mk(PAPER_X, PAPER_Y, 3)
-        assert built == [PAPER_X, PAPER_Y]
+        x, y = fresh(PAPER_X, PAPER_Y)
+        built = counting_builds(monkeypatch)
+        assert in_Mk(x, y, 3)
+        assert built == [x.entries, y.entries]
 
     def test_mass_mismatch_raises_before_endpoint_filter(self):
         # every question that can exclude a pair walks one copy first, so
@@ -216,16 +227,10 @@ class TestSumOfMembersInMk:
         assert in_Mk(PAPER_X, PAPER_Y, 1000)
 
     def test_sweep_builds_no_spectrum_twice(self, monkeypatch):
-        built = []
-        real = specvec.spectrum_of
-
-        def counting(x):
-            built.append(x)
-            return real(x)
-        monkeypatch.setattr(specvec, "spectrum_of", counting)
-        monkeypatch.setattr(mlocc, "spectrum_of", counting)
-        assert in_Mk(PAPER_X, PAPER_Y, 6)
-        assert built == [PAPER_X, PAPER_Y]
+        x, y = fresh(PAPER_X, PAPER_Y)
+        built = counting_builds(monkeypatch)
+        assert in_Mk(x, y, 6)
+        assert built == [x.entries, y.entries]
 
     def test_unreached_k_falls_back(self, monkeypatch):
         want = self.direct(PAPER_X, PAPER_Y, 5)

@@ -295,14 +295,15 @@ class TestTensorPowers:
     def test_zero_length_chain(self):
         assert list(tensor_powers(fv("0.6", "0.4"), 0)) == []
 
-    def test_given_base_is_s1_and_not_rebuilt(self, monkeypatch):
+    def test_s1_is_the_kept_spectrum_and_not_rebuilt(self, monkeypatch):
         x = make_probvec([13, 11, 7, 5, 3, 2], normalize=True)
-        want = [state(s) for s in tensor_powers(x, 8)]
+        want = [state(s) for s in tensor_powers(ProbVec(x.entries, True), 8)]
         base = spectrum_of(x)
 
         def refuse(*a):
             raise AssertionError("built S_1 again")
-        monkeypatch.setattr(specvec, "spectrum_of", refuse)
-        chain = list(tensor_powers(x, 8, base))
+        monkeypatch.setattr(specvec, "_entries_spectrum", refuse)
+        chain = list(tensor_powers(x, 8))
         assert chain[0] is base
+        assert tensor_power_spectrum(x, 1) is base
         assert [state(s) for s in chain] == want
