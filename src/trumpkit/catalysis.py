@@ -25,9 +25,9 @@ from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _product_majorizes, _verdict
 from .mlocc import _exclusion, in_Mk
-from .specvec import (ProbVec, Spectrum, _check_dims, _from_counts,
-                      make_probvec, spectrum_direct_sum, spectrum_of,
-                      spectrum_tensor, tensor_power_spectrum, tensor_powers)
+from .specvec import (ProbVec, Spectrum, _check_dims, _normalized,
+                      spectrum_direct_sum, spectrum_of, spectrum_tensor,
+                      tensor_power_spectrum, tensor_powers)
 
 
 class LiftedCatalyst:
@@ -37,7 +37,7 @@ class LiftedCatalyst:
     only ``expand()`` builds its base.dim ** n_copies entries, and
     ``spectrum()`` gives the compressed multiset without them.  It builds
     that spectrum on its first call and keeps it in ``_spectrum`` (left
-    out of ``==``, repr and pickles), as spectrum_of does for a ProbVec.
+    out of ``==``, repr and pickles), as Spectrum.blocks keeps its view.
     Immutable and unhashable, and not a sequence: ``len()`` raises, as a
     length would be read as the catalyst's dimension.
     """
@@ -170,7 +170,7 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
     transformation.  For n_copies > 1 the catalyst is returned factored
     (a LiftedCatalyst), and verification runs on compressed spectra:
     neither c^(x)n nor (x (x) c)^(x)n is built.  The one-copy spectra of
-    x, y and c, kept on them, serve the premise check and are the bases
+    x, y and c, their state, serve the premise check and are the bases
     of the three powers; the lift keeps the spectrum of c^(x)n."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
@@ -261,41 +261,43 @@ def _candidates(dim_c: int, seed: int):
                  _random_candidates(dim_c, seed))
 
 
-def _candidate_spectrum(comp) -> Spectrum:
-    """Spectrum of a candidate normalized to mass 1: its integers over
-    their own total."""
-    counts = {}
-    for u in comp:
-        counts[u] = counts.get(u, 0) + 1
-    total = sum(comp)
-    return _from_counts(counts, total, total)
-
-
 def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
                     seed: int = 0) -> Optional[CatalystCert]:
     """Heuristic catalyst search: `budget` trials (budget >= 0) from the
     candidate stream (_candidates); at dim_c = 1 the one point (1) is
     tried whatever the budget.  A trial tests the spectrum of the
-    candidate's integers (_candidate_spectrum); only a hit becomes a
-    ProbVec, its integers divided by their sum.
+    candidate's integers over their sum (specvec._normalized), and a
+    hit's catalyst is the vector of that spectrum.
     Absence after the trials is a normal outcome, never a proof of
     nonexistence.  The one-copy walk on the spectra of x and y runs first
     and raises on a total mass mismatch; when it fails and the pair is
     excluded (_exclusion: a failed endpoint test or a refuting power
     sum), None comes back without a trial, since then no catalyst of any
     dimension exists."""
+    found = _search(x, y, dim_c, budget, seed)
+    return found if isinstance(found, CatalystCert) else None
+
+
+def _search(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
+            seed: int) -> Union[CatalystCert, str, int, None]:
+    """search_catalyst's answer, with the reason in place of None when the
+    pair is excluded: the _exclusion label or order, which the CLI
+    reports."""
     if dim_c < 1:
         raise ValueError("dim_c must be >= 1")
     if budget < 0:
         raise ValueError("budget must be >= 0")
     _check_dims(x, y)
     sx, sy = spectrum_of(x), spectrum_of(y)
-    if _verdict(sx, sy) == "fails" and _exclusion(x, y) is not None:
-        return None
+    if _verdict(sx, sy) == "fails":
+        reason = _exclusion(x, y)
+        if reason is not None:
+            return reason
     trials = 1 if dim_c == 1 else budget
     for comp in islice(_candidates(dim_c, seed), trials):
-        if _product_majorizes(sx, sy, _candidate_spectrum(comp)):
-            return CatalystCert(make_probvec(comp, normalize=True),
+        sc = _normalized(comp)
+        if _product_majorizes(sx, sy, sc):
+            return CatalystCert(sc.expand(),
                                 "search(seed=%d, dim=%d)" % (seed, dim_c),
                                 True)
     return None

@@ -18,7 +18,7 @@ from itertools import accumulate, chain, islice, repeat
 
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
-from .mlocc import _exclusion, _failed_endpoint
+from .mlocc import _failed_endpoint
 from .specvec import load_vector, spectrum_of
 
 
@@ -150,22 +150,19 @@ def cmd_catalyst(args) -> int:
         c = load_vector(args.c)
         cert = catalysis.lift_catalyst(x, y, c, args.n_copies)
     elif args.action == "search":
-        cert = catalysis.search_catalyst(x, y, args.dim_c, args.budget,
-                                         args.seed)
+        cert = catalysis._search(x, y, args.dim_c, args.budget, args.seed)
+        if isinstance(cert, str):
+            _emit({"result": "none", "failed_endpoint": cert,
+                   "note": "no catalyst of any dimension exists: the "
+                           "endpoint test %s fails" % cert}, args.as_json)
+            return 1
+        if isinstance(cert, int):
+            _emit({"result": "none", "refuting_order": cert,
+                   "note": "no catalyst of any dimension exists: the "
+                           "power sum of order %d refutes the pair"
+                           % cert}, args.as_json)
+            return 1
         if cert is None:
-            reason = _exclusion(x, y)
-            if isinstance(reason, str):
-                _emit({"result": "none", "failed_endpoint": reason,
-                       "note": "no catalyst of any dimension exists: the "
-                               "endpoint test %s fails" % reason},
-                      args.as_json)
-                return 1
-            if reason is not None:
-                _emit({"result": "none", "refuting_order": reason,
-                       "note": "no catalyst of any dimension exists: the "
-                               "power sum of order %d refutes the pair"
-                               % reason}, args.as_json)
-                return 1
             _emit({"result": "absent",
                    "note": "no catalyst found within budget; absence is "
                            "not a proof of nonexistence"}, args.as_json)

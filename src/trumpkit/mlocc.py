@@ -155,8 +155,8 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
         results[k] = verdict
         if verdict != "fails":
             if sums == 1:  # the first member: rule 2 reads the tie from now
-                tie = (x.entries[0] == y.entries[0]
-                       or x.entries[-1] == y.entries[-1])
+                (x1, y1), (xn, yn) = _ends(x, y)
+                tie = x1 == y1 or xn == yn
             if not sums >> k & 1:  # close the sums under adding k
                 step = k
                 while step <= k_max:
@@ -200,12 +200,21 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
         verdict = _verdict(*held)
 
 
+def _ends(x: ProbVec, y: ProbVec):
+    """(x_1, y_1) and (x_n, y_n) as integers over one common scale: the
+    end numerators of the spectra, each times the other's scale."""
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    u, v, fx, fy = sx._int_vals, sy._int_vals, sy._scale, sx._scale
+    return (u[0] * fx, v[0] * fy), (u[-1] * fx, v[-1] * fy)
+
+
 def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
     """The endpoint test that x -> y fails, "x_1 <= y_1" or "x_n >= y_n",
     or None.  Each is necessary at every k and with every catalyst."""
-    if y.entries[0] < x.entries[0]:
+    (x1, y1), (xn, yn) = _ends(x, y)
+    if y1 < x1:
         return "x_1 <= y_1"
-    if x.entries[-1] < y.entries[-1]:
+    if xn < yn:
         return "x_n >= y_n"
     return None
 

@@ -96,15 +96,15 @@ def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
     The first violation stops the test.  sx and sy must carry equal total
     mass, which the one-copy walk checks.
     """
-    order = _first_excess(*_power_terms(sx, False), *_power_terms(sy, False),
-                          2)
+    tx, ty = _power_terms(sx, False), _power_terms(sy, False)
+    order = _first_excess(*tx, *ty, 2)
     if order is not None:
         return order
-    rx, ry = _power_terms(sx, True), _power_terms(sy, True)
-    dx, dy = sum(rx[1]), sum(ry[1])
+    dx, dy = sum(tx[1]), sum(ty[1])  # the nonzero counts
     if dx != dy:
         return 0 if dx < dy else None
-    order = _first_excess(*rx, *ry, 1)
+    order = _first_excess(*_power_terms(sx, True), *_power_terms(sy, True),
+                          1)
     return None if order is None else -order
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from trumpkit import (ProbVec, make_probvec, power_sum_refutation,
-                      spectrum_of)
+                      spectrum_of, spectrum_tensor)
+from trumpkit.specvec import spectrum_direct_sum
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -62,6 +63,25 @@ def random_strict_interior(rng, y):
     return ProbVec([t * v + (1 - t) * u for v in y.entries])
 
 
+def product(a, b):
+    """a (x) b as a vector: the vector of the compressed product.  Not an
+    oracle: it runs the code under test."""
+    return spectrum_tensor(spectrum_of(a), spectrum_of(b)).expand()
+
+
+def mean_sum(*parts):
+    """(p_1 (+) ... (+) p_k) / k as a vector, k = len(parts), through
+    spectrum_direct_sum.  Not an oracle either."""
+    return spectrum_direct_sum([spectrum_of(p) for p in parts]).expand()
+
+
+def brute_tensor(a, b):
+    """Oracle: all pairwise products of the entries of a and b, sorted,
+    as a plain list of Fractions."""
+    return sorted((u * v for u in a.entries for v in b.entries),
+                  reverse=True)
+
+
 def brute_tensor_power(x, k):
     """Oracle: all n^k products, sorted, as a plain list of Fractions."""
     vals = [Fraction(1)]
@@ -100,7 +120,7 @@ def brute_majorization_report(xs, ys):
 def power_blocks(x, k):
     """Oracle: x^(x)k as sorted (value, count) blocks, one per multiset of
     k distinct values of x, counted by multinomials; never expanded."""
-    values = x.distinct()
+    values = [(v, len(list(run))) for v, run in itertools.groupby(x.entries)]
     blocks = Counter()
     for combo in itertools.combinations_with_replacement(range(len(values)),
                                                          k):

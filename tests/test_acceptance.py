@@ -17,10 +17,10 @@ from trumpkit import (DEFAULT_ALPHA_GRID, ProbVec, build_catalyst_thm1,
                       make_probvec, multicopy_catalyst_scan,
                       classify_usefulness, nonclosedness_witness, r_filter,
                       renyi_entropy, spectrum_majorizes, spectrum_of,
-                      spectrum_tensor, tensor, tensor_power_spectrum)
+                      spectrum_tensor, tensor_power_spectrum)
 from trumpkit.renyi import NEG_INF, POS_INF
 
-from conftest import (brute_majorizes, brute_tensor_power,
+from conftest import (brute_majorizes, brute_tensor_power, product,
                       random_majorized_below, random_rational_vec)
 
 F = Fraction
@@ -51,7 +51,7 @@ def test_criterion_02_multicopy_threshold_at_k3():
 
 
 def test_criterion_03_catalyst_z():
-    assert majorizes(tensor(X, Z), tensor(Y, Z)).holds
+    assert majorizes(product(X, Z), product(Y, Z)).holds
     report(3, "z=(0.6,0.4) catalyzes the single-copy transformation")
 
 
@@ -173,7 +173,7 @@ def test_criterion_10_renyi_coherence():
     for _ in range(20):
         x = random_rational_vec(rng, 3, positive=True)
         c = random_rational_vec(rng, 2, positive=True)
-        xc = tensor(x, c)
+        xc = product(x, c)
         for a in orders:
             assert abs(renyi_entropy(xc, a)
                        - renyi_entropy(x, a) - renyi_entropy(c, a)) <= 1e-9

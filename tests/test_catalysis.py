@@ -7,11 +7,12 @@ from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
                       combine_catalysts, in_Mk,
                       lift_catalyst, majorizes, make_probvec,
                       multicopy_catalyst_scan, r_filter, scan_Mk,
-                      search_catalyst, spectrum_of, tensor, tensor_power)
-from trumpkit import catalysis, specvec
+                      search_catalyst, spectrum_of)
+from trumpkit import catalysis, renyi, specvec
 from trumpkit.catalysis import reduce_catalyst
 
-from conftest import random_rational_vec
+from conftest import (brute_majorizes, brute_tensor, brute_tensor_power,
+                      product, random_rational_vec)
 
 F = Fraction
 
@@ -149,7 +150,8 @@ class TestSearchCatalyst:
         assert cert is not None
         assert cert.verified
         c = cert.catalyst
-        assert majorizes(tensor(PAPER_X, c), tensor(PAPER_Y, c)).holds
+        assert brute_majorizes(brute_tensor(PAPER_X, c),
+                               brute_tensor(PAPER_Y, c))[0]
 
     def test_filter_excludes_immediately(self):
         x = fv("0.6", "0.2", "0.1", "0.1")
@@ -244,37 +246,39 @@ class TestSearchSizes:
 
 
 def fresh(*vecs):
-    """Copies of vectors that hold no spectrum yet."""
-    return [ProbVec(v.entries, True) for v in vecs]
+    """New vectors equal to vecs, each built from its Fraction entries."""
+    return [ProbVec(v.entries) for v in vecs]
 
 
 class TestOneSpectrumPerVector:
+    # a vector's spectrum is built by the one Fraction -> integer pass
+    # (specvec._numerators) when the vector is built, and never in a query
     @staticmethod
     def counting_builds(monkeypatch):
         built = []
-        real = specvec._entries_spectrum
+        real = specvec._numerators
 
-        def counting(entries):
-            built.append(entries)
-            return real(entries)
-        monkeypatch.setattr(specvec, "_entries_spectrum", counting)
+        def counting(values):
+            built.append(values)
+            return real(values)
+        monkeypatch.setattr(specvec, "_numerators", counting)
         return built
 
     def test_combine_builds_three(self, monkeypatch):
-        x, y, cp = fresh(PAPER_X, PAPER_Y, Z_PRIME)
         built = self.counting_builds(monkeypatch)
+        x, y, cp = fresh(PAPER_X, PAPER_Y, Z_PRIME)
         assert combine_catalysts(x, y, 3, cp).verified
         assert built == [x.entries, y.entries, cp.entries]
 
     def test_build_builds_two(self, monkeypatch):
-        x, y = fresh(PAPER_X, PAPER_Y)
         built = self.counting_builds(monkeypatch)
+        x, y = fresh(PAPER_X, PAPER_Y)
         assert build_catalyst_thm1(x, y, 3).verified
         assert built == [x.entries, y.entries]
 
     def test_lift_builds_three(self, monkeypatch):
-        x, y, c = fresh(PAPER_X, PAPER_Y, Z)
         built = self.counting_builds(monkeypatch)
+        x, y, c = fresh(PAPER_X, PAPER_Y, Z)
         cert = lift_catalyst(x, y, c, 3)
         assert cert.verified
         assert built == [x.entries, y.entries, c.entries]
@@ -291,7 +295,7 @@ class TestOneSpectrumPerVector:
             raise AssertionError("rebuilt c^(x)n")
         monkeypatch.setattr(catalysis, "tensor_power_spectrum", refuse)
         assert lifted.spectrum() is first
-        assert first == spectrum_of(tensor_power(Z, 3))
+        assert first == spectrum_of(ProbVec(brute_tensor_power(Z, 3)))
 
     # the paper pair (open at one copy, converts at k = 3), a pair refuted
     # by a power sum, and a pair that holds at one copy
@@ -305,15 +309,15 @@ class TestOneSpectrumPerVector:
         lambda x, y: in_Mk(x, y, 6), lambda x, y: in_Mk(x, y, 40),
         lambda x, y: scan_Mk(x, y, 8)])
     def test_multicopy_decisions_build_two(self, monkeypatch, pair, query):
-        x, y = fresh(*pair)
         built = self.counting_builds(monkeypatch)
+        x, y = fresh(*pair)
         query(x, y)
         assert built == [x.entries, y.entries]
 
     def test_catalyst_scan_builds_three(self, monkeypatch):
         for pair in self.PAIRS:
-            x, y, c = fresh(*pair, Z_PRIME)
             built = self.counting_builds(monkeypatch)
+            x, y, c = fresh(*pair, Z_PRIME)
             multicopy_catalyst_scan(x, y, c, 8)
             assert built == [x.entries, y.entries, c.entries]
 
@@ -324,10 +328,20 @@ class TestOneSpectrumPerVector:
         (PAIRS[2], 2)])
     def test_r_filter_builds_at_most_one_per_vector(self, monkeypatch, pair,
                                                     builds):
-        x, y = fresh(*pair)
+        # builds: how many of the two spectra an integer order reads
         built = self.counting_builds(monkeypatch)
+        x, y = fresh(*pair)
+        read = []
+        real = renyi.spectrum_of
+
+        def reading(v):
+            if v not in read:
+                read.append(v)
+            return real(v)
+        monkeypatch.setattr(renyi, "spectrum_of", reading)
         r_filter(x, y)
-        assert built == [x.entries, y.entries][:builds]
+        assert built == [x.entries, y.entries]
+        assert read == [x, y][:builds]
 
     def test_combine_grows_each_power_once(self, monkeypatch):
         products = []
@@ -341,10 +355,11 @@ class TestOneSpectrumPerVector:
         cert = combine_catalysts(PAPER_X, PAPER_Y, 3, Z_PRIME)
         # x^(x)2, x^(x)3, y^(x)2, y^(x)3; the three mixed terms; c (x) c'
         assert len(products) == 8
-        terms = [tensor_power(PAPER_X, 2), tensor(PAPER_X, PAPER_Y),
-                 tensor_power(PAPER_Y, 2)]
-        c = ProbVec([v / 3 for t in terms for v in t.entries])
-        assert cert.catalyst.entries == tensor(c, Z_PRIME).entries
+        terms = [brute_tensor_power(PAPER_X, 2),
+                 brute_tensor(PAPER_X, PAPER_Y),
+                 brute_tensor_power(PAPER_Y, 2)]
+        c = ProbVec([v / 3 for t in terms for v in t])
+        assert list(cert.catalyst.entries) == brute_tensor(c, Z_PRIME)
         assert cert.verified
 
     @pytest.mark.parametrize("pair, hit", [
@@ -352,22 +367,26 @@ class TestOneSpectrumPerVector:
         ((TestSearchTrialSequence.X, TestSearchTrialSequence.Y), False)])
     def test_search_builds_two_and_no_trial_probvec(self, monkeypatch,
                                                     pair, hit):
-        x, y = fresh(*pair)
         built = self.counting_builds(monkeypatch)
+        x, y = fresh(*pair)
         made = []
-        real = catalysis.make_probvec
+        real = catalysis._normalized
 
-        def counting(vals, normalize=False):
-            made.append(list(vals))
-            return real(vals, normalize)
-        monkeypatch.setattr(catalysis, "make_probvec", counting)
+        def recording(comp):
+            made.append((comp, real(comp)))
+            return made[-1][1]
+        monkeypatch.setattr(catalysis, "_normalized", recording)
         cert = search_catalyst(x, y, 2, 40, seed=3)
         assert built == [x.entries, y.entries]
-        # only the hit becomes a ProbVec, from its integers
+        assert all(type(a) is int for comp, _ in made for a in comp)
+        # a hit's catalyst is the vector of the last trial's spectrum,
+        # with no entries built
         assert (cert is not None) is hit
-        assert [[F(a, sum(m)) for a in m] for m in made] == (
-            [list(cert.catalyst)] if hit else [])
-        assert all(type(a) is int for m in made for a in m)
+        if hit:
+            comp, s = made[-1]
+            assert spectrum_of(cert.catalyst) is s
+            assert cert.catalyst._entries is None
+            assert list(cert.catalyst) == [F(a, sum(comp)) for a in comp]
 
 
 class TestDimensionChecks:
@@ -453,7 +472,7 @@ class TestUniformCatalystIsVacuous:
             y = random_rational_vec(rng, n)
             for dim_c in (2, 3):
                 u = ProbVec([F(1, dim_c)] * dim_c)
-                assisted = majorizes(tensor(x, u), tensor(y, u)).holds
+                assisted = majorizes(product(x, u), product(y, u)).holds
                 assert assisted == majorizes(x, y).holds
 
 
@@ -462,14 +481,15 @@ class TestFactoredLift:
         lifted = lift_catalyst(PAPER_X, PAPER_Y, Z, 3).catalyst
         assert isinstance(lifted, LiftedCatalyst)
         assert (lifted.base, lifted.n_copies) == (Z, 3)
-        full = tensor(tensor(Z, Z), Z)
+        full = ProbVec(brute_tensor_power(Z, 3))
+        z2 = ProbVec(brute_tensor_power(Z, 2))
         assert lifted.expand() == full
         assert lifted == full and full == lifted
-        assert lifted != tensor(Z, Z) and lifted != Z_PRIME
+        assert lifted != z2 and lifted != Z_PRIME
         assert lifted == LiftedCatalyst(Z, 3)
         assert lifted != LiftedCatalyst(Z, 2)
         assert lifted != LiftedCatalyst(Z_PRIME, 3)
-        assert LiftedCatalyst(Z, 2) == LiftedCatalyst(tensor(Z, Z), 1)
+        assert LiftedCatalyst(Z, 2) == LiftedCatalyst(z2, 1)
         assert reduce_catalyst(lifted) == reduce_catalyst(full)
 
     def test_paper_96_cubed_lift_is_never_expanded(self, monkeypatch):

@@ -4,11 +4,11 @@ from itertools import accumulate
 
 import pytest
 
-from trumpkit import catalysis, make_probvec, tensor, tensor_power
+from trumpkit import catalysis, make_probvec, mlocc
 from trumpkit.cli import main
 from trumpkit.specvec import load_vector
 
-from conftest import corpus_path
+from conftest import brute_tensor, brute_tensor_power, corpus_path
 
 X = str(corpus_path("x_0.4_0.4_0.1_0.1.json"))
 Y = str(corpus_path("y_0.5_0.25_0.25_0.json"))
@@ -120,8 +120,8 @@ class TestCatalystCommand:
         assert code == 0
         cert = json.loads(out)
         c = make_probvec([Fraction(v) for v in cert["catalyst"]])
-        ex = list(accumulate(tensor(load_vector(X), c).entries))
-        ey = list(accumulate(tensor(load_vector(Y), c).entries))
+        ex = list(accumulate(brute_tensor(load_vector(X), c)))
+        ey = list(accumulate(brute_tensor(load_vector(Y), c)))
         assert cert["transcript"] == [
             {"l": l, "ex": str(ex[l - 1]), "ey": str(ey[l - 1])}
             for l in range(1, min(len(ex), 64))]
@@ -147,8 +147,8 @@ class TestCatalystCommand:
     def test_lift_json_is_the_tensor_power(self, capsys):
         _, out = run(capsys, "catalyst", "lift", "--x", X, "--y", Y,
                      "--c", Z, "--n-copies", "3", "--json")
-        full = tensor_power(load_vector(Z), 3)
-        assert json.loads(out)["catalyst"] == full.to_json()
+        full = brute_tensor_power(load_vector(Z), 3)
+        assert json.loads(out)["catalyst"] == [str(v) for v in full]
 
     def test_combine_bad_premise_exit_two(self, capsys):
         code, _ = run(capsys, "catalyst", "combine", "--x", X, "--y", Y,
@@ -192,6 +192,23 @@ class TestPowerSumRefutationCommands:
         assert payload["result"] == "none"
         assert payload["refuting_order"] == 2
         assert "no catalyst of any dimension" in payload["note"]
+
+    @pytest.mark.parametrize("argv, result", [
+        ((MID_X, "--y", MID_Y), "none"),
+        ((X, "--y", Y, "--budget", "0"), "absent")])
+    def test_search_asks_the_power_sums_once(self, capsys, monkeypatch,
+                                             argv, result):
+        calls = []
+        real = mlocc.power_sum_refutation
+
+        def counting(sx, sy):
+            calls.append((sx, sy))
+            return real(sx, sy)
+        monkeypatch.setattr(mlocc, "power_sum_refutation", counting)
+        code, out = run(capsys, "catalyst", "search", "--x", *argv, "--json")
+        assert code == 1
+        assert json.loads(out)["result"] == result
+        assert len(calls) == 1
 
     def test_search_absence_stays_heuristic(self, capsys):
         code, out = run(capsys, "catalyst", "search", "--x", X, "--y", Y,

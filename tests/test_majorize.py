@@ -4,14 +4,15 @@ from fractions import Fraction
 import pytest
 
 from trumpkit import (ProbVec, check_direct_sum_interior_condition,
-                      check_overlap_chain, direct_sum,
-                      is_generalized_interior, is_interior, majorizes,
-                      make_probvec, spectrum_majorizes, spectrum_of, tensor,
+                      check_overlap_chain, is_generalized_interior,
+                      is_interior, majorizes, make_probvec,
+                      spectrum_majorizes, spectrum_of, spectrum_tensor,
                       tensor_power_spectrum)
 
 from conftest import (brute_majorizes, brute_strict_interior,
-                      brute_tensor_power, random_majorized_below,
-                      random_rational_vec, random_strict_interior)
+                      brute_tensor_power, mean_sum, product,
+                      random_majorized_below, random_rational_vec,
+                      random_strict_interior)
 
 F = Fraction
 
@@ -192,8 +193,7 @@ class TestDirectSumInteriorCondition:
         rng = random.Random(2)
         x = random_strict_interior(rng, y)
         xp = random_strict_interior(rng, yp)
-        rep = majorizes(direct_sum(x, xp, renormalize=True),
-                        direct_sum(y, yp, renormalize=True))
+        rep = majorizes(mean_sum(x, xp), mean_sum(y, yp))
         assert rep.verdict == "boundary"
 
     def test_condition_predicts_interior_sums(self):
@@ -207,8 +207,8 @@ class TestDirectSumInteriorCondition:
             cond = check_direct_sum_interior_condition(y, yp)
             x = random_strict_interior(rng, y)
             xp = random_strict_interior(rng, yp)
-            sum_x = direct_sum(x, xp, renormalize=True)
-            sum_y = direct_sum(y, yp, renormalize=True)
+            sum_x = mean_sum(x, xp)
+            sum_y = mean_sum(y, yp)
             if cond:
                 assert is_interior(sum_x, sum_y)
             else:
@@ -226,17 +226,16 @@ class TestOverlapChain:
         # mixed powers of the head/tail split of (0.5,0.25,0.25,0) at d=2
         yh = make_probvec(["0.5", "0.25"], normalize=True)
         yt = make_probvec(["0.25", "0"], normalize=True)
-        from trumpkit import tensor_power
         k = 3
         chain = []
         for i in range(k + 1):
             parts = []
             if k - i:
-                parts.append(tensor_power(yh, k - i))
+                parts.append(tensor_power_spectrum(yh, k - i))
             if i:
-                parts.append(tensor_power(yt, i))
-            v = parts[0] if len(parts) == 1 else tensor(parts[0], parts[1])
-            chain.append((v, 1))
+                parts.append(tensor_power_spectrum(yt, i))
+            v = parts[0] if len(parts) == 1 else spectrum_tensor(*parts)
+            chain.append((v.expand(), 1))
         # head split is non-uniform with a zero tail block: chain (iii)
         # requires tail_i < head_{i+1}, which the zero in yt breaks
         assert not check_overlap_chain(chain)
@@ -261,9 +260,8 @@ class TestMajorizationOrderProperties:
             yp = random_rational_vec(rng, rng.randint(2, 4))
             x = random_majorized_below(rng, y)
             xp = random_majorized_below(rng, yp)
-            assert majorizes(direct_sum(x, xp, renormalize=True),
-                             direct_sum(y, yp, renormalize=True)).holds
-            assert majorizes(tensor(x, xp), tensor(y, yp)).holds
+            assert majorizes(mean_sum(x, xp), mean_sum(y, yp)).holds
+            assert majorizes(product(x, xp), product(y, yp)).holds
 
     def test_interior_preserved_under_tensor(self):
         rng = random.Random(47)
@@ -275,7 +273,7 @@ class TestMajorizationOrderProperties:
                 continue
             x = random_strict_interior(rng, y)
             xp = random_strict_interior(rng, yp)
-            assert is_interior(tensor(x, xp), tensor(y, yp))
+            assert is_interior(product(x, xp), product(y, yp))
             checked += 1
 
     def test_repeat_sum_interior_iff(self):
@@ -287,19 +285,12 @@ class TestMajorizationOrderProperties:
                 continue
             x = random_strict_interior(rng, y)
             for k in (2, 3):
-                xs = x
-                ys = y
-                for _ in range(k - 1):
-                    xs = direct_sum(xs, x)
-                    ys = direct_sum(ys, y)
-                xs = ProbVec([v / k for v in xs.entries])
-                ys = ProbVec([v / k for v in ys.entries])
-                assert is_interior(xs, ys)
+                assert is_interior(mean_sum(*[x] * k), mean_sum(*[y] * k))
             # and a boundary point stays boundary
             b = random_majorized_below(rng, y)
             if not is_interior(b, y):
-                b2 = direct_sum(b, b, renormalize=True)
-                y2 = direct_sum(y, y, renormalize=True)
+                b2 = mean_sum(b, b)
+                y2 = mean_sum(y, y)
                 assert not is_interior(b2, y2)
             checked += 1
 

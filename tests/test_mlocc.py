@@ -10,8 +10,9 @@ from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
                       nonclosedness_witness, scan_Mk, search_catalyst,
                       spectrum_majorizes, tensor_power_spectrum)
 
-from conftest import (brute_majorizes, brute_tensor_power,
-                      least_interior_gap, random_rational_vec)
+from conftest import (brute_majorizes, brute_strict_interior,
+                      brute_tensor_power, least_interior_gap,
+                      random_rational_vec)
 
 F = Fraction
 
@@ -25,19 +26,21 @@ PAPER_Y = fv("0.5", "0.25", "0.25", "0")
 
 
 def fresh(*vecs):
-    """Copies of vectors that hold no spectrum yet."""
-    return [ProbVec(v.entries, True) for v in vecs]
+    """New vectors equal to vecs, each built from its Fraction entries."""
+    return [ProbVec(v.entries) for v in vecs]
 
 
 def counting_builds(monkeypatch):
-    """The entries of every vector whose spectrum is built from now on."""
+    """The values of every Fraction -> integer pass from now on: a
+    vector's spectrum is built by one (specvec._numerators) when the
+    vector is built, and never in a query."""
     built = []
-    real = specvec._entries_spectrum
+    real = specvec._numerators
 
-    def counting(entries):
-        built.append(entries)
-        return real(entries)
-    monkeypatch.setattr(specvec, "_entries_spectrum", counting)
+    def counting(values):
+        built.append(values)
+        return real(values)
+    monkeypatch.setattr(specvec, "_numerators", counting)
     return built
 
 
@@ -122,8 +125,8 @@ class TestInMkPreDecision:
         assert scan_Mk(PAPER_X, PAPER_Y, 4) == scan
 
     def test_spectra_built_once(self, monkeypatch):
-        x, y = fresh(PAPER_X, PAPER_Y)
         built = counting_builds(monkeypatch)
+        x, y = fresh(PAPER_X, PAPER_Y)
         assert in_Mk(x, y, 3)
         assert built == [x.entries, y.entries]
 
@@ -227,8 +230,8 @@ class TestSumOfMembersInMk:
         assert in_Mk(PAPER_X, PAPER_Y, 1000)
 
     def test_sweep_builds_no_spectrum_twice(self, monkeypatch):
-        x, y = fresh(PAPER_X, PAPER_Y)
         built = counting_builds(monkeypatch)
+        x, y = fresh(PAPER_X, PAPER_Y)
         assert in_Mk(x, y, 6)
         assert built == [x.entries, y.entries]
 
@@ -339,6 +342,22 @@ class TestScanMk:
     def test_identity_first_success_one(self):
         scan = scan_Mk(PAPER_Y, PAPER_Y, 2)
         assert scan.first_success == 1
+
+    def test_membership_is_not_monotone_in_k(self):
+        # fails at k = 1, 2 and 4 but converts at 3 and from 5 on; neither
+        # 4 nor 5 is a sum of smaller members, so the sweep walks both
+        x = make_probvec([F(v, 100) for v in (35, 31, 14, 13, 7)])
+        y = make_probvec([F(v, 100) for v in (39, 23, 23, 14, 1)])
+        want = {1: "fails", 2: "fails", 3: "strict_interior", 4: "fails",
+                **dict.fromkeys(range(5, 9), "strict_interior")}
+        assert scan_Mk(x, y, 8).results == want
+        assert [in_Mk(x, y, k) for k in range(1, 9)] == [
+            v != "fails" for v in want.values()]
+        for k in range(1, 7):  # 5^6 = 15,625 entries at k = 6
+            xs, ys = brute_tensor_power(x, k), brute_tensor_power(y, k)
+            assert brute_majorizes(xs, ys)[0] == (want[k] != "fails")
+            assert brute_strict_interior(xs, ys) == (
+                want[k] == "strict_interior")
 
     def test_endpoint_filter_short_circuit(self):
         x = fv("0.6", "0.2", "0.1", "0.1")

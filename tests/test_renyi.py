@@ -6,11 +6,11 @@ import pytest
 
 from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
-                      r_properties_check, renyi_entropy, spectrum_of, tensor)
+                      r_properties_check, renyi_entropy, spectrum_of)
 from trumpkit.renyi import NEG_INF, POS_INF, _power_sum
 
-from conftest import (power_sum, power_sum_refutes, random_majorized_below,
-                      random_rational_vec)
+from conftest import (power_sum, power_sum_refutes, product,
+                      random_majorized_below, random_rational_vec)
 
 F = Fraction
 
@@ -72,7 +72,7 @@ class TestRenyiEntropy:
         for _ in range(10):
             x = random_rational_vec(rng, 3, positive=True)
             c = random_rational_vec(rng, 2, positive=True)
-            xc = tensor(x, c)
+            xc = product(x, c)
             for a in ALL_ORDERS:
                 assert renyi_entropy(xc, a) == pytest.approx(
                     renyi_entropy(x, a) + renyi_entropy(c, a), abs=1e-9)

@@ -2,17 +2,20 @@ import copy
 import math
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trumpkit import (ProbVec, Spectrum, direct_sum,
-                      make_probvec, pad_to, spectrum_of, spectrum_tensor,
-                      tensor, tensor_power, tensor_power_spectrum)
+from trumpkit import (ProbVec, make_probvec, pad_to, spectrum_of,
+                      spectrum_tensor, tensor_power_spectrum)
 from trumpkit import specvec
 from trumpkit.specvec import parse_vector_literal, tensor_powers
 
-from conftest import brute_tensor_power, random_rational_vec
+from conftest import (brute_tensor, brute_tensor_power, mean_sum, product,
+                      random_rational_vec)
 
 
 F = Fraction
@@ -57,32 +60,32 @@ class TestMakeProbvec:
 
 
 class TestTensorAndDirectSum:
+    # the vectors of spectrum_tensor and spectrum_direct_sum
     def test_tensor_direct_expansion(self):
         a = fv("0.6", "0.4")
-        assert tensor(a, a).entries == (
+        assert product(a, a).entries == (
             F(9, 25), F(6, 25), F(6, 25), F(4, 25))
 
     def test_tensor_identity_element(self):
         x = fv("0.4", "0.4", "0.1", "0.1")
-        assert tensor(x, fv("1")) == x
+        assert product(x, fv("1")) == x
 
     def test_tensor_uneven_dims(self):
-        got = tensor(fv("0.5", "0.5"), fv("0.5", "0.25", "0.25"))
+        got = product(fv("0.5", "0.5"), fv("0.5", "0.25", "0.25"))
         assert got.entries == (F(1, 4), F(1, 4), F(1, 8), F(1, 8),
                                F(1, 8), F(1, 8))
 
     def test_direct_sum_renormalized(self):
-        got = direct_sum(fv("0.6", "0.4"), fv("0.5", "0.5"),
-                         renormalize=True)
+        got = mean_sum(fv("0.6", "0.4"), fv("0.5", "0.5"))
         assert got.entries == (F(3, 10), F(1, 4), F(1, 4), F(1, 5))
 
     def test_direct_sum_self(self):
         x = fv("0.6", "0.4")
-        got = direct_sum(x, x, renormalize=True)
+        got = mean_sum(x, x)
         assert got.entries == (F(3, 10), F(3, 10), F(1, 5), F(1, 5))
 
     def test_direct_sum_trivial(self):
-        got = direct_sum(fv("1"), fv("1"), renormalize=True)
+        got = mean_sum(fv("1"), fv("1"))
         assert got.entries == (F(1, 2), F(1, 2))
 
     def test_mass_preserved(self):
@@ -90,8 +93,8 @@ class TestTensorAndDirectSum:
         for _ in range(20):
             a = random_rational_vec(rng, rng.randint(1, 4))
             b = random_rational_vec(rng, rng.randint(1, 4))
-            assert tensor(a, b).total() == 1
-            assert direct_sum(a, b, renormalize=True).total() == 1
+            assert product(a, b).total() == 1
+            assert mean_sum(a, b).total() == 1
 
 
 class TestTensorPowerSpectrum:
@@ -131,7 +134,7 @@ class TestTensorPowerSpectrum:
         for _ in range(30):
             x = random_rational_vec(rng, rng.randint(1, 4))
             k = rng.randint(1, 5)
-            d = len(x.distinct())
+            d = len(spectrum_of(x).blocks)
             s = tensor_power_spectrum(x, k)
             assert len(s.blocks) <= math.comb(d - 1 + k, d - 1)
 
@@ -193,7 +196,7 @@ class TestSpectrumTensor:
             a = random_rational_vec(rng, rng.randint(1, 4))
             b = random_rational_vec(rng, rng.randint(1, 4))
             assert spectrum_tensor(spectrum_of(a), spectrum_of(b)) == \
-                spectrum_of(tensor(a, b))
+                spectrum_of(ProbVec(brute_tensor(a, b)))
 
 
 class TestSerialization:
@@ -224,23 +227,69 @@ class TestSerialization:
                     == (s._int_vals, s._counts, s._scale, s._mass))
             assert again.total_count == s.total_count
 
-    def test_kept_spectrum_is_left_out_of_identity(self):
-        x = fv("0.5", "0.25", "0.25", "0")
-        pickled, h = pickle.dumps(x), hash(x)
-        s = spectrum_of(x)
-        assert x._spectrum is s and spectrum_of(x) is s
-        assert pickle.dumps(x) == pickled
-        assert hash(x) == h
-        assert x == fv("0.5", "0.25", "0.25", "0")
-        for again in (pickle.loads(pickled), copy.copy(x), copy.deepcopy(x)):
-            assert again == x and hash(again) == h
-            assert again._spectrum is None
-            assert spectrum_of(again) == s
 
-    def test_expand_builds_no_spectrum(self):
-        # expanded vectors are compared against independent builds
-        s = tensor_power_spectrum(fv("0.6", "0.4"), 3)
-        assert s.expand()._spectrum is None
+# Fraction vectors with zeros and repeated values: few distinct parts
+REPR_PARTS = st.lists(st.sampled_from([0, 1, 1, 2, 3, 7, 1999]),
+                      min_size=1, max_size=6).filter(any)
+REPR = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def fractions_of(parts):
+    """The parts over their sum, in the drawn (unsorted) order."""
+    return [F(a, sum(parts)) for a in parts]
+
+
+def state(s):
+    return s._int_vals, s._counts, s._scale, s._mass
+
+
+class TestRepresentation:
+    """A ProbVec is its integer Spectrum; entries are a Fraction view."""
+
+    @REPR
+    @given(REPR_PARTS)
+    def test_entries_and_spectrum_of_the_input(self, parts):
+        vals = fractions_of(parts)
+        for x in (ProbVec(vals), make_probvec(parts, normalize=True),
+                  make_probvec(vals)):
+            assert x.entries == tuple(sorted(vals, reverse=True))
+            runs = sorted(Counter(vals).items(), reverse=True)
+            s = spectrum_of(x)
+            assert s.blocks == tuple(runs)
+            assert s.total_count == x.dim == len(vals)
+            assert x.nonzero_dim == sum(1 for v in vals if v)
+            assert x.total() == 1 and x.is_uniform() == (len(runs) == 1)
+            assert [x.prefix(l) for l in range(x.dim + 1)] == [
+                sum(x.entries[:l], F(0)) for l in range(x.dim + 1)]
+        # the three builds share one state: lowest terms over one scale
+        assert len({repr(state(spectrum_of(x))) for x in (
+            ProbVec(vals), make_probvec(parts, normalize=True),
+            make_probvec(vals))}) == 1
+
+    @REPR
+    @given(REPR_PARTS.filter(lambda p: len(p) <= 4), st.integers(1, 3))
+    def test_expanded_power_is_the_brute_power(self, parts, k):
+        x = ProbVec(fractions_of(parts))
+        s = tensor_power_spectrum(x, k)
+        got = s.expand()
+        # expand wraps the spectrum and builds no entries until read
+        assert spectrum_of(got) is s
+        assert got.dim == x.dim ** k
+        brute = brute_tensor_power(x, k)
+        assert got._entries is None
+        assert list(got.entries) == brute
+        assert got == ProbVec(brute) and hash(got) == hash(ProbVec(brute))
+
+    @REPR
+    @given(REPR_PARTS)
+    def test_pickles_and_copies_round_trip(self, parts):
+        x = ProbVec(fractions_of(parts))
+        for again in (pickle.loads(pickle.dumps(x)),
+                      pickle.loads(pickle.dumps(x, protocol=2)),
+                      copy.copy(x), copy.deepcopy(x)):
+            assert again == x and hash(again) == hash(x)
+            assert again.entries == x.entries
+            assert state(spectrum_of(again)) == state(spectrum_of(x))
 
 
 class TestPadTo:
@@ -261,10 +310,6 @@ class TestTensorPowerSpectrumOneCopy:
         s = tensor_power_spectrum(x, 1)
         assert s == spectrum_of(x)
         assert len(s.blocks) == s.total_count == 1200
-
-
-def state(s):
-    return s._int_vals, s._counts, s._scale, s._mass
 
 
 class TestTensorPowers:
@@ -297,12 +342,12 @@ class TestTensorPowers:
 
     def test_s1_is_the_kept_spectrum_and_not_rebuilt(self, monkeypatch):
         x = make_probvec([13, 11, 7, 5, 3, 2], normalize=True)
-        want = [state(s) for s in tensor_powers(ProbVec(x.entries, True), 8)]
+        want = [state(s) for s in tensor_powers(ProbVec(x.entries), 8)]
         base = spectrum_of(x)
 
         def refuse(*a):
             raise AssertionError("built S_1 again")
-        monkeypatch.setattr(specvec, "_entries_spectrum", refuse)
+        monkeypatch.setattr(specvec, "_numerators", refuse)
         chain = list(tensor_powers(x, 8))
         assert chain[0] is base
         assert tensor_power_spectrum(x, 1) is base
