@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .specvec import (_READ_COST, ProbVec, Spectrum, _add_products,
-                      _check_dims, _power_blocks, spectrum_of)
+                      _check_dims, _ends, _power_blocks, spectrum_of)
 
 
 class MajReport(NamedTuple):
@@ -92,9 +92,9 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
     if fv is not None:
         # the gap is linear on the failing segment, so before l it can
         # be zero only at l - 1, which need not be a breakpoint
-        l, ex, ey = fv
-        gap = (ex - x.entries[l - 1]) - (ey - y.entries[l - 1])
-        if l > 1 and gap == 0:
+        l = fv[0]
+        if l > 1 and (sx._prefix(l - 1) * sy._scale
+                      == sy._prefix(l - 1) * sx._scale):
             equalities.add(l - 1)
     return MajReport(rep.verdict, frozenset(equalities), fv)
 
@@ -336,8 +336,9 @@ def is_generalized_interior(x: ProbVec, y: ProbVec) -> bool:
     """Generalized interior membership: x majorized by y with strict head
     (x_1 < y_1) and strict tail (x_n > y_n); interior equalities allowed."""
     _check_dims(x, y)
+    (x1, y1), (xn, yn) = _ends(x, y)
     return (_verdict(spectrum_of(x), spectrum_of(y)) != "fails"
-            and x.entries[0] < y.entries[0] and y.entries[-1] < x.entries[-1])
+            and x1 < y1 and yn < xn)
 
 
 def check_direct_sum_interior_condition(y: ProbVec, yp: ProbVec) -> bool:
@@ -346,8 +347,8 @@ def check_direct_sum_interior_condition(y: ProbVec, yp: ProbVec) -> bool:
     vector is uniform."""
     if y.is_uniform() or yp.is_uniform():
         raise ValueError("condition undefined for uniform vectors")
-    return (yp.entries[-1] < y.entries[0]
-            and y.entries[-1] < yp.entries[0])
+    (y1, p1), (yn, pn) = _ends(y, yp)
+    return pn < y1 and yn < p1
 
 
 def check_overlap_chain(ys) -> bool:
@@ -358,12 +359,11 @@ def check_overlap_chain(ys) -> bool:
     vecs = [v for v, _ in ys]
     if not vecs:
         raise ValueError("empty chain")
-    if len(vecs) == 1:
-        return True
-    heads = [v.entries[0] for v in vecs]
-    tails = [v.entries[-1] for v in vecs]
-    if any(heads[0] < h for h in heads[1:]):
-        return False
-    if any(t < tails[-1] for t in tails[:-1]):
-        return False
-    return all(tails[i] < heads[i + 1] for i in range(len(vecs) - 1))
+    first, last = vecs[0], vecs[-1]
+    for a, b in zip(vecs, vecs[1:]):
+        (h0, h), _ = _ends(first, b)
+        _, (t, tl) = _ends(a, last)
+        (_, b1), (an, _) = _ends(a, b)
+        if h0 < h or t < tl or an >= b1:
+            return False
+    return True

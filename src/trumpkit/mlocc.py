@@ -9,12 +9,15 @@ with its averaging witness, and the non-closedness perturbation witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
-from .specvec import (_CHAIN_MAX_K, ProbVec, _check_dims, _enumeration_cost,
-                      _grow, _growth_cost, spectrum_of)
+from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims, _ends,
+                      _enumeration_cost, _from_counts, _grow, _growth_cost,
+                      spectrum_of)
 
 
 class MloccScan(NamedTuple):
@@ -200,14 +203,6 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
         verdict = _verdict(*held)
 
 
-def _ends(x: ProbVec, y: ProbVec):
-    """(x_1, y_1) and (x_n, y_n) as integers over one common scale: the
-    end numerators of the spectra, each times the other's scale."""
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    u, v, fx, fy = sx._int_vals, sy._int_vals, sy._scale, sx._scale
-    return (u[0] * fx, v[0] * fy), (u[-1] * fx, v[-1] * fy)
-
-
 def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
     """The endpoint test that x -> y fails, "x_1 <= y_1" or "x_n >= y_n",
     or None.  Each is necessary at every k and with every catalyst."""
@@ -270,42 +265,35 @@ def lemma3_k_condition(y: ProbVec, d: int, k: int) -> bool:
         raise ValueError("d must satisfy 1 < d < n-1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _overlaps(y, y.entries[d - 1], y.entries[d], k)
+    s = spectrum_of(y)
+    bps, vals = s.breakpoints(), s._int_vals
+    # position p lies in the first block whose breakpoint is >= p
+    a, b = (vals[bisect_left(bps, p)] for p in (d, d + 1))
+    return _overlaps(s, a, b, k)
 
 
-def _overlaps(y: ProbVec, a, b, k: int) -> bool:
+def _overlaps(s: Spectrum, a: int, b: int, k: int) -> bool:
     """The strict overlap inequalities a^k < y_1^(k-1) b and
-    a y_n^(k-1) < b^k on two entries a and b of y."""
-    y1, yn = y.entries[0], y.entries[-1]
+    a y_n^(k-1) < b^k on two numerators a and b of the spectrum s of y:
+    both sides of each carry the scale to the power k, which cancels."""
+    y1, yn = s._int_vals[0], s._int_vals[-1]
     return a ** k < y1 ** (k - 1) * b and a * yn ** (k - 1) < b ** k
-
-
-def _d_min_max(y: ProbVec):
-    """d_min = least index with y_1 > y_i; d_max = greatest with y_i > y_n
-    (1-based)."""
-    d_min = next((i + 1 for i, v in enumerate(y.entries)
-                  if v < y.entries[0]), None)
-    d_max = next((y.dim - i for i, v in enumerate(reversed(y.entries))
-                  if y.entries[-1] < v), None)
-    return d_min, d_max
 
 
 def corollary4_k_bound(y: ProbVec, k_max: int) -> Optional[int]:
     """Least k <= k_max whose single overlap condition covers the whole
-    generalized interior at once (one k working for every boundary point).
-    Returns None when no such k exists in range; with a zero tail the
-    condition is unsatisfiable for every k."""
+    generalized interior at once (one k working for every boundary point):
+    the overlap inequalities on a = y_(d_min), the largest value below
+    y_1, and b = y_(d_max), the smallest value above y_n.  Returns None
+    when no such k exists in range."""
     if y.is_uniform():
         raise ValueError("y must be non-uniform")
     if not classify_usefulness(y).useful:
         raise ValueError("usefulness condition fails for y")
-    d_min, d_max = _d_min_max(y)
-    a = y.entries[d_min - 1]       # y_{d_min}
-    b = y.entries[d_max]           # y_{d_max + 1}
-    for k in range(1, k_max + 1):
-        if _overlaps(y, a, b, k):
-            return k
-    return None
+    s = spectrum_of(y)
+    a, b = s._int_vals[1], s._int_vals[-2]
+    return next((k for k in range(1, k_max + 1) if _overlaps(s, a, b, k)),
+                None)
 
 
 def is_interior_of_M(x: ProbVec, y: ProbVec, k_max: int) -> str:
@@ -318,40 +306,46 @@ def is_interior_of_M(x: ProbVec, y: ProbVec, k_max: int) -> str:
         return "not_member"
     if scan.first_success is None:
         return "unknown"
-    if x.entries[0] < y.entries[0] and y.entries[-1] < x.entries[-1]:
-        return "interior"
-    return "boundary"
+    (x1, y1), (xn, yn) = _ends(x, y)
+    return "interior" if x1 < y1 and yn < xn else "boundary"
 
 
 def classify_usefulness(y: ProbVec) -> UsefulnessVerdict:
     """Do extra copies ever help in producing y?
 
-    Useful iff some l with 1 < l < n-1 has y_1 > y_l and y_{l+1} > y_n.
-    The witness averages the first l and the last n-l components of y: it
-    sits on the single-copy boundary (equality at l) yet is interior to
-    the multi-copy region.  Least valid l wins, for determinism.
+    Useful iff some l with 1 < l < n-1 has y_1 > y_l and y_{l+1} > y_n,
+    that is, iff at least two entries lie strictly between y_1 and y_n:
+    with c_1 copies of y_1 and c_n of y_n, iff c_1 + 1 + c_n < n.  The
+    least such l, c_1 + 1, is the witness's.  The witness averages the
+    first l and the last n-l components of y: it sits on the single-copy
+    boundary (equality at l) yet is interior to the multi-copy region.
     """
-    n = y.dim
-    for l in range(2, n - 1):
-        if y.entries[l - 1] < y.entries[0] and y.entries[-1] < y.entries[l]:
-            head = y.prefix(l) / l
-            tail = (y.total() - y.prefix(l)) / (n - l)
-            witness = ProbVec([head] * l + [tail] * (n - l))
-            return UsefulnessVerdict(True, l, witness)
-    return UsefulnessVerdict(False)
+    s = spectrum_of(y)
+    n, counts = s.total_count, s._counts
+    l = counts[0] + 1
+    if not l + counts[-1] < n:
+        return UsefulnessVerdict(False)
+    # e_l = c_1 y_1 + y_(c_1 + 1); the two averages over D l (n - l)
+    head = s._int_vals[0] * counts[0] + s._int_vals[1]
+    witness = _from_counts({head * (n - l): l, (s._mass - head) * l: n - l},
+                           s._scale * l * (n - l), s._mass * l * (n - l))
+    return UsefulnessVerdict(True, l, witness.expand())
 
 
 def nonclosedness_witness(y: ProbVec) -> ProbVec:
     """Perturbation witness showing the multi-copy region is not closed:
     push the first non-maximal component up and the last non-minimal one
     down by the same margin.  The result strictly majorizes y, so it lies
-    outside the region for every k, yet it is a limit of members."""
+    outside the region for every k, yet it is a limit of members.  On the
+    blocks, one count of y_(d_min) moves up by the margin and one count of
+    y_(d_max) down."""
     if not classify_usefulness(y).useful:
         raise ValueError("usefulness condition fails for y")
-    d_min, d_max = _d_min_max(y)
-    l, m = d_min - 1, d_max - 1
-    delta = min(y.entries[0] - y.entries[l], y.entries[m] - y.entries[-1])
-    vals = list(y.entries)
-    vals[l] = vals[l] + delta
-    vals[m] = vals[m] - delta
-    return ProbVec(vals)
+    s = spectrum_of(y)
+    v = s._int_vals
+    delta = min(v[0] - v[1], v[-2] - v[-1])
+    merged = Counter(dict(zip(v, s._counts)))
+    for old, new in ((v[1], v[1] + delta), (v[-2], v[-2] - delta)):
+        merged[old] -= 1
+        merged[new] += 1
+    return _from_counts(+merged, s._scale, s._mass).expand()

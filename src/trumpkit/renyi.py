@@ -12,11 +12,10 @@ never certify dominance.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .specvec import ProbVec, Spectrum, _check_dims, spectrum_of
+from .specvec import ProbVec, Spectrum, _check_dims, _ends, spectrum_of
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -113,25 +112,31 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
 
     Integer orders go through exact integer power sums (_power_sum)
     before the single log; non-integer orders evaluate in floating point
-    (irrational powers have no exact representation).
+    (irrational powers have no exact representation), on the nonzero
+    entries p / D as correctly rounded floats, summed entry by entry from
+    the largest.
     """
-    nz = [v for v in x.entries if v]
-    d = len(nz)
+    s = spectrum_of(x)
+    vals, counts, scale = _power_terms(s, False)
     if alpha == POS_INF:
-        return -math.log2(float(max(nz)))
+        return -math.log2(vals[0] / scale)
     if alpha == NEG_INF:
-        return math.log2(float(min(nz)))
+        return math.log2(vals[-1] / scale)
     if alpha == 0:
-        return math.log2(d)
+        return math.log2(sum(counts))
+    # p / D is correctly rounded, so it is float(Fraction(p, D))
+    nz = [p / scale for p, m in zip(vals, counts) for _ in range(m)]
     if alpha == 1:
-        return -sum(float(v) * math.log2(float(v)) for v in nz)
+        return -sum(v * math.log2(v) for v in nz)
     sgn = 1.0 if alpha >= 0 else -1.0
     if float(alpha) == int(alpha):
-        s = Fraction(*_power_sum(spectrum_of(x), int(alpha)))
-        # big-int-safe log2: exact power sums overflow float at large |alpha|
-        log_s = math.log2(s.numerator) - math.log2(s.denominator)
+        num, den = _power_sum(s, int(alpha))
+        g = math.gcd(num, den)
+        # big-int-safe log2 in lowest terms: exact power sums overflow
+        # float at large |alpha|
+        log_s = math.log2(num // g) - math.log2(den // g)
     else:
-        log_s = math.log2(sum(float(v) ** float(alpha) for v in nz))
+        log_s = math.log2(sum(v ** float(alpha) for v in nz))
     return sgn / (1.0 - float(alpha)) * log_s
 
 
@@ -163,37 +168,31 @@ class RFilterVerdict(NamedTuple):
         }
 
 
-def _sign(v) -> int:
-    return (v > 0) - (v < 0)
+def _dips(x: ProbVec, y: ProbVec, alpha) -> bool:
+    """Is S(x) < S(y) at one order?
 
-
-def _entropy_diff_sign(x: ProbVec, y: ProbVec, alpha) -> int:
-    """Sign of S(x) - S(y) at one order.
-
-    Every order but 1 and the non-integer ones is a rational comparison:
-    the nonzero counts at 0, the largest entries at +inf
-    (S = -log2 max), the smallest nonzero entries at -inf (S = log2 min),
-    and integer power sums of the spectra (_power_sum) at the other
+    Every order but 1 and the non-integer ones is a rational comparison
+    on the spectra's integers: the nonzero counts at 0, the largest
+    values at +inf (S = -log2 max), the smallest nonzero values at -inf
+    (S = log2 min), and integer power sums (_power_sum) at the other
     integers.  Order 1 and the non-integer orders use floats with a
     tolerance."""
-    if alpha == POS_INF:
-        return _sign(y.entries[0] - x.entries[0])
-    if alpha == NEG_INF:
-        return _sign(x.entries[x.nonzero_dim - 1]
-                     - y.entries[y.nonzero_dim - 1])
+    sx, sy = spectrum_of(x), spectrum_of(y)
+    if math.isinf(alpha):
+        (u, _, fu), (w, _, fw) = (_power_terms(sx, False),
+                                  _power_terms(sy, False))
+        if alpha > 0:
+            return u[0] * fw > w[0] * fu
+        return u[-1] * fw < w[-1] * fu
     if float(alpha) == int(alpha) and int(alpha) != 1:
         a = int(alpha)
         if a == 0:
-            return _sign(x.nonzero_dim - y.nonzero_dim)
+            return x.nonzero_dim < y.nonzero_dim
         # at integer a > 1 and a < 0 the entropy order reverses the
         # power-sum order
-        (px, dx), (py, dy) = (_power_sum(spectrum_of(x), a),
-                              _power_sum(spectrum_of(y), a))
-        return _sign(py * dx - px * dy)
-    dx = renyi_entropy(x, alpha) - renyi_entropy(y, alpha)
-    if abs(dx) <= _FLOAT_TOL:
-        return 0
-    return 1 if dx > 0 else -1
+        (px, dx), (py, dy) = _power_sum(sx, a), _power_sum(sy, a)
+        return px * dy > py * dx
+    return renyi_entropy(x, alpha) - renyi_entropy(y, alpha) < -_FLOAT_TOL
 
 
 def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
@@ -225,7 +224,7 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
     float_used = any(not math.isinf(a) and float(a) != int(a)
                      for a in alphas if not math.isinf(a))
     for a in alphas:
-        if _entropy_diff_sign(x, y, a) < 0:
+        if _dips(x, y, a):
             return RFilterVerdict("violated", violating_alpha=float(a),
                                   mode=mode, grid_used=tuple(alphas),
                                   float_alphas_used=float_used)
@@ -241,9 +240,10 @@ def r_properties_check(x: ProbVec, y: ProbVec, grid=None) -> dict:
     _check_dims(x, y)
     forward = r_filter(x, y, grid)
     backward = r_filter(y, x, grid)
+    (x1, y1), (xn, yn) = _ends(x, y)
     rec = {
-        "head_ok": x.entries[0] <= y.entries[0],
-        "tail_ok": y.entries[-1] <= x.entries[-1],
+        "head_ok": x1 <= y1,
+        "tail_ok": yn <= xn,
         "forward_pass": not forward.violated,
         "backward_pass": not backward.violated,
     }

@@ -27,9 +27,9 @@ class ProbVec:
 
     Its state is its Spectrum (spectrum_of): integer numerators over one
     scale, equal entries merged into blocks.  ``entries``, the sorted tuple
-    of Fractions, is a read-only view built on first read; a vector built
-    from Fractions keeps them as that view.  Two vectors are equal exactly
-    when their sorted entries are, and hash, pickles and copies follow.
+    of Fractions, is a read-only view built on first read, and no decision
+    reads it.  Two vectors are equal exactly when their sorted entries
+    are, and hash, pickles and copies follow.
     """
 
     __slots__ = ("_spectrum", "_entries")
@@ -39,11 +39,11 @@ class ProbVec:
         if not entries:
             raise ValueError("empty probability vector")
         nums, scale = _numerators(entries)
-        self._fill(*_held(entries, nums, scale))
+        self._fill(_from_counts(Counter(nums), scale, sum(nums)))
 
-    def _fill(self, spectrum, entries=None):
+    def _fill(self, spectrum):
         object.__setattr__(self, "_spectrum", spectrum)
-        object.__setattr__(self, "_entries", entries)
+        object.__setattr__(self, "_entries", None)
         return self
 
     def __setattr__(self, *a):
@@ -129,21 +129,12 @@ def _numerators(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def _held(vals, nums, scale):
-    """What a vector of the rationals vals holds, given their numerators
-    nums over scale: its spectrum, and vals sorted nonincreasing (by their
-    numerators) as its entries."""
-    order = sorted(range(len(nums)), key=nums.__getitem__, reverse=True)
-    return (_from_counts(Counter(nums), scale, sum(nums)),
-            tuple(vals[i] for i in order))
-
-
 def make_probvec(raw, normalize: bool = False) -> ProbVec:
     """Build a ProbVec from raw entries (see _parse for what is accepted).
 
     With normalize set the entries are divided by their sum, as integer
     numerators over the numerators' sum (_normalized); otherwise the sum
-    must already be exactly 1, and the parsed entries are kept.
+    must already be exactly 1.
     """
     vals = [_parse(v) for v in raw]
     if not vals:
@@ -160,7 +151,7 @@ def make_probvec(raw, normalize: bool = False) -> ProbVec:
     if mass != scale:
         raise ValueError("entries sum to %s, not 1 (pass normalize=True "
                          "to rescale)" % (Fraction(mass, scale),))
-    return object.__new__(ProbVec)._fill(*_held(vals, nums, scale))
+    return _from_counts(Counter(nums), scale, mass).expand()
 
 
 def _normalized(nums) -> Spectrum:
@@ -179,7 +170,10 @@ def pad_to(x: ProbVec, n: int) -> ProbVec:
     makes multi-copy transformations useful)."""
     if n < x.dim:
         raise ValueError("cannot pad to a smaller dimension")
-    return ProbVec(x.entries + (Fraction(0),) * (n - x.dim))
+    s = x._spectrum
+    merged = Counter(dict(zip(s._int_vals, s._counts)))
+    merged[0] += n - x.dim  # a zero block, or more of the one x has
+    return _from_counts(+merged, s._scale, s._mass).expand()
 
 
 def _check_dims(x: ProbVec, y: ProbVec) -> None:
@@ -254,7 +248,11 @@ class Spectrum:
         return Fraction(self._mass, self._scale)
 
     def __eq__(self, other):
-        return isinstance(other, Spectrum) and self.blocks == other.blocks
+        """Equal counts and values; the values compare as numerators,
+        each times the other spectrum's scale."""
+        return (isinstance(other, Spectrum) and self._counts == other._counts
+                and [u * other._scale for u in self._int_vals]
+                == [v * self._scale for v in other._int_vals])
 
     def __repr__(self):
         return "Spectrum(%d blocks, total_count=%d)" % (
@@ -266,6 +264,10 @@ class Spectrum:
 
     def prefix_mass(self, l: int):
         """e_l: mass of the l largest components, blockwise."""
+        return Fraction(self._prefix(l), self._scale)
+
+    def _prefix(self, l: int) -> int:
+        """The numerator of e_l over the scale."""
         l = int(l)
         if not 0 <= l <= self.total_count:
             raise ValueError("prefix position out of range")
@@ -276,7 +278,7 @@ class Spectrum:
             take = c if c < l else l
             num += v * take
             l -= take
-        return Fraction(num, self._scale)
+        return num
 
     def expand(self) -> ProbVec:
         """The vector of this spectrum, which it holds as its state; its
@@ -301,6 +303,15 @@ def _from_counts(merged, scale, mass) -> Spectrum:
 def spectrum_of(x: ProbVec) -> Spectrum:
     """The spectrum of a vector: the state it holds."""
     return x._spectrum
+
+
+def _ends(x: ProbVec, y: ProbVec):
+    """(x_1, y_1) and (x_n, y_n) as integers over one common scale: the
+    end numerators of the spectra, each times the other's scale.  Every
+    head and tail test reads them; x and y may differ in dimension."""
+    sx, sy = x._spectrum, y._spectrum
+    u, v, fx, fy = sx._int_vals, sy._int_vals, sy._scale, sx._scale
+    return (u[0] * fx, v[0] * fy), (u[-1] * fx, v[-1] * fy)
 
 
 def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:

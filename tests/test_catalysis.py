@@ -321,27 +321,28 @@ class TestOneSpectrumPerVector:
             multicopy_catalyst_scan(x, y, c, 8)
             assert built == [x.entries, y.entries, c.entries]
 
-    @pytest.mark.parametrize("pair, builds", [
+    @pytest.mark.parametrize("pair, reads", [
         (PAIRS[0], 2),
         # Shannon entropy refutes it, before any integer order is read
         (PAIRS[1], 0),
         (PAIRS[2], 2)])
     def test_r_filter_builds_at_most_one_per_vector(self, monkeypatch, pair,
-                                                    builds):
-        # builds: how many of the two spectra an integer order reads
+                                                    reads):
+        # the two builds are the vectors' own: r_filter makes none.  reads:
+        # how many of the two spectra an integer power sum reads
         built = self.counting_builds(monkeypatch)
         x, y = fresh(*pair)
         read = []
-        real = renyi.spectrum_of
+        real = renyi._power_sum
 
-        def reading(v):
-            if v not in read:
-                read.append(v)
-            return real(v)
-        monkeypatch.setattr(renyi, "spectrum_of", reading)
+        def reading(s, a):
+            if s not in read:
+                read.append(s)
+            return real(s, a)
+        monkeypatch.setattr(renyi, "_power_sum", reading)
         r_filter(x, y)
         assert built == [x.entries, y.entries]
-        assert read == [x, y][:builds]
+        assert read == [spectrum_of(x), spectrum_of(y)][:reads]
 
     def test_combine_grows_each_power_once(self, monkeypatch):
         products = []

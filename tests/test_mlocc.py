@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import accumulate, combinations
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from trumpkit import mlocc, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
-                      in_Mk, is_interior_of_M,
+                      in_Mk, is_generalized_interior, is_interior_of_M,
                       lemma3_k_condition, majorizes, make_probvec,
                       nonclosedness_witness, scan_Mk, search_catalyst,
                       spectrum_majorizes, tensor_power_spectrum)
@@ -522,18 +525,21 @@ class TestManyCopiesNeeded:
 
 
 class TestCorollary4Bound:
-    def test_zero_tail_never_satisfiable(self):
-        assert corollary4_k_bound(PAPER_Y, 10) is None
+    def test_zero_tail_bound_is_two(self):
+        # a = b = 1/4, and y_n = 0 meets the second inequality at every
+        # k >= 2, as Lemma 3 at d = 2 says
+        assert corollary4_k_bound(PAPER_Y, 10) == 2
+        assert lemma3_k_condition(PAPER_Y, 2, 2)
 
-    def test_distinct_components_never_satisfiable(self):
+    def test_distinct_components_bound_is_three(self):
+        # a = 0.3, b = 0.2: 0.027 < 0.032 and 0.003 < 0.008 first at k = 3
         y = fv("0.4", "0.3", "0.2", "0.1")
-        assert corollary4_k_bound(y, 10) is None
+        assert corollary4_k_bound(y, 10) == 3
 
-    def test_generic_case_reports_absence(self):
-        # the tail component right after d_max always equals y_n, making the
-        # second inequality unsatisfiable; absence is the honest answer
+    def test_close_components_bound_is_five(self):
         y = fv("0.30", "0.28", "0.22", "0.20")
-        assert corollary4_k_bound(y, 12) is None
+        assert corollary4_k_bound(y, 12) == 5
+        assert corollary4_k_bound(y, 4) is None
 
     def test_uniform_rejected(self):
         with pytest.raises(ValueError):
@@ -542,6 +548,85 @@ class TestCorollary4Bound:
     def test_useless_target_rejected(self):
         with pytest.raises(ValueError):
             corollary4_k_bound(fv("0.5", "0.25", "0.25"), 4)
+
+
+@st.composite
+def useful_y(draw, sizes=(4, 5)):
+    """A useful y: integer parts over their sum with y_1 > y_2 and
+    y_(n-1) > y_n, so at least two entries lie strictly between y_1 and
+    y_n.  The middle steps may be 0 (ties) and y_n may be 0."""
+    n = draw(st.sampled_from(sizes))
+    steps = [draw(st.integers(1, 8))]
+    steps += [draw(st.integers(0, 8)) for _ in range(n - 3)]
+    steps.append(draw(st.integers(1, 8)))
+    parts = accumulate(steps, initial=draw(st.integers(0, 40)))
+    return make_probvec(list(parts)[::-1], normalize=True)
+
+
+def block_averages(y):
+    """Every vector that averages y over the blocks between cuts at a
+    subset of the positions 2..n-2: each is majorized by y, with
+    equalities at the cuts."""
+    n, ys = y.dim, y.entries
+    for r in range(n - 2):
+        for cuts in combinations(range(2, n - 1), r):
+            ends = [0, *cuts, n]
+            yield ProbVec([sum(ys[a:b]) / (b - a) for a, b in
+                           zip(ends, ends[1:]) for _ in range(a, b)])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(useful_y())
+@example(PAPER_Y)
+@example(fv("0.30", "0.28", "0.22", "0.20"))
+def test_corollary4_bound_covers_every_block_average(y):
+    k = corollary4_k_bound(y, 40)
+    assume(k is not None)
+    if y.dim == 4:
+        assert k == next(j for j in range(1, 41)
+                         if lemma3_k_condition(y, 2, j))
+    for x in block_averages(y):
+        if is_generalized_interior(x, y):
+            assert in_Mk(x, y, k), (y, x, k)
+
+
+def _needs_exactly_k(y, k_max):
+    """A pair (x, K) for a useful y of dimension 4 and d = 2, or None
+    when no k <= k_max meets Lemma 3's condition.
+
+    K is the least k with lemma3_k_condition(y, 2, k), and x is the
+    averaging witness of classify_usefulness (equality at l = 2) moved
+    by eps (e_1 - e_4), eps = gap / (4K) with gap the least interior gap
+    of the witness's K-th power against y's.  That moves the entries of
+    x^(x)K by at most (1 + 2 eps)^K - 1 < gap in total (see
+    TestManyCopiesNeeded), so x stays a member at K, while
+    e_2(x) > e_2(y) makes one copy fail."""
+    k = next((j for j in range(1, k_max + 1) if lemma3_k_condition(y, 2, j)),
+             None)
+    if k is None:
+        return None
+    w = classify_usefulness(y).witness_x
+    gap = least_interior_gap(w, y, k)
+    eps = gap / (4 * k)
+    assert (1 + 2 * eps) ** k - 1 < gap
+    x = make_probvec([w[0] + eps, w[1], w[2], w[3] - eps])
+    return x, k
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(useful_y(sizes=(4,)))
+@example(make_probvec([40, 38, 28, 27], normalize=True))  # K = 10
+def test_generated_pair_needs_exactly_least_k(y):
+    case = _needs_exactly_k(y, 10)
+    assume(case is not None)
+    x, k = case
+    assert scan_Mk(x, y, k + 2).first_success == k
+    assert in_Mk(x, y, k)
+    assert not any(in_Mk(x, y, j) for j in range(1, k))
+    for j in range(1, min(k, 7)):
+        holds, _ = brute_majorizes(brute_tensor_power(x, j),
+                                   brute_tensor_power(y, j))
+        assert not holds, (y, j)
 
 
 class TestInteriorOfM:

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
@@ -81,6 +83,45 @@ class TestRenyiEntropy:
         assert PAPER_Y.nonzero_dim == 3
         assert renyi_entropy(PAPER_Y, 0) == pytest.approx(math.log2(3))
         assert renyi_entropy(PAPER_Y, POS_INF) == pytest.approx(1.0)
+
+
+def entries_renyi_entropy(x, alpha):
+    """Reference: the Renyi entropy read from the Fraction entries, each
+    nonzero entry turned into a float by float(), the integer orders
+    through Fraction power sums in lowest terms."""
+    nz = [v for v in x.entries if v]
+    if alpha == POS_INF:
+        return -math.log2(float(max(nz)))
+    if alpha == NEG_INF:
+        return math.log2(float(min(nz)))
+    if alpha == 0:
+        return math.log2(len(nz))
+    if alpha == 1:
+        return -sum(float(v) * math.log2(float(v)) for v in nz)
+    sgn = 1.0 if alpha >= 0 else -1.0
+    if float(alpha) == int(alpha):
+        s = sum((v ** int(alpha) for v in nz), F(0))
+        log_s = math.log2(s.numerator) - math.log2(s.denominator)
+    else:
+        log_s = math.log2(sum(float(v) ** float(alpha) for v in nz))
+    return sgn / (1.0 - float(alpha)) * log_s
+
+
+# small parts give ties, zeros and uniform vectors; parts near 2000 give
+# denominators near 1e4 once normalized
+RENYI_PARTS = st.lists(st.one_of(st.integers(0, 6), st.integers(1900, 2100)),
+                       min_size=1, max_size=8).filter(any)
+ORDERS = st.one_of(st.sampled_from([POS_INF, NEG_INF, 0, 1, 0.5, -0.5]),
+                   st.integers(-12, 12),
+                   st.floats(-16, 16, allow_nan=False))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(RENYI_PARTS, ORDERS)
+def test_renyi_entropy_bit_identical_to_entries(parts, alpha):
+    x = make_probvec(parts, normalize=True)
+    assert (renyi_entropy(x, alpha).hex()
+            == entries_renyi_entropy(x, alpha).hex()), (x, alpha)
 
 
 class TestSchurConcavity:
