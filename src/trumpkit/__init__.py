@@ -4,8 +4,8 @@ convertibility, explicit catalyst constructions, usefulness classification,
 and Renyi-entropy necessary-condition filters, in exact rational arithmetic.
 """
 
-from .specvec import (ProbVec, Spectrum, make_probvec, pad_to, spectrum_of,
-                      spectrum_tensor, tensor_power_spectrum)
+from .specvec import (ProbVec, make_probvec, pad_to, spectrum_tensor,
+                      tensor_power_spectrum)
 from .majorize import (MajReport, check_direct_sum_interior_condition,
                        check_overlap_chain, is_generalized_interior,
                        is_interior, majorizes, spectrum_majorizes)
@@ -22,8 +22,8 @@ from .renyi import (DEFAULT_ALPHA_GRID, RFilterVerdict,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProbVec", "Spectrum", "make_probvec", "pad_to", "spectrum_of",
-    "spectrum_tensor", "tensor_power_spectrum",
+    "ProbVec", "make_probvec", "pad_to", "spectrum_tensor",
+    "tensor_power_spectrum",
     "MajReport", "check_direct_sum_interior_condition", "check_overlap_chain",
     "is_generalized_interior", "is_interior", "majorizes",
     "spectrum_majorizes",

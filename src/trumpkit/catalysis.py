@@ -9,37 +9,36 @@ algorithms: absence after its trials is never read as nonexistence, and
 only a failed endpoint test or an exact power-sum refutation
 (mlocc._exclusion) stops it before any trial.
 
-Construction runs on integer spectra, and a lift to n copies is
-returned factored (LiftedCatalyst), so c^(x)n exists in full only when
-its expand() is called.  Every check x (x) c majorized by y (x) c is one
+Construction runs on the vectors' integers, and a lift to n copies is
+returned factored (LiftedCatalyst), so c^(x)n is built only when its
+expand() is called.  Every check x (x) c majorized by y (x) c is one
 signed pass over the product values (majorize._product_majorizes):
-neither x (x) c nor its spectrum is built.
+x (x) c is never built.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from itertools import chain, islice
 from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _product_majorizes, _verdict
 from .mlocc import _exclusion, in_Mk
-from .specvec import (ProbVec, Spectrum, _check_dims, _normalized,
-                      spectrum_direct_sum, spectrum_of, spectrum_tensor,
+from .specvec import (ProbVec, _check_dims, _from_counts, _normalized,
+                      spectrum_direct_sum, spectrum_tensor,
                       tensor_power_spectrum, tensor_powers)
 
 
 class LiftedCatalyst:
     """c^(x)n kept factored as its base catalyst c and copy count n.
 
-    ``dim``, ``==`` and ``to_json`` answer as the expanded vector would;
-    only ``expand()`` builds its base.dim ** n_copies entries, and
-    ``spectrum()`` gives the compressed multiset without them.  It builds
-    that spectrum on its first call and keeps it in ``_spectrum`` (left
-    out of ``==``, repr and pickles), as Spectrum.blocks keeps its view.
-    Immutable and unhashable, and not a sequence: ``len()`` raises, as a
-    length would be read as the catalyst's dimension.
+    ``dim``, ``==`` and ``to_json`` answer as the expanded vector would.
+    ``expand()`` builds c^(x)n, compressed, on its first call and keeps
+    it in ``_spectrum`` (left out of ``==``, repr and pickles), as
+    ProbVec.blocks keeps its view; only reading that vector's entries
+    builds its base.dim ** n_copies Fractions.  Immutable and unhashable,
+    and not a sequence: ``len()`` raises, as a length would be read as
+    the catalyst's dimension.
     """
 
     __slots__ = ("base", "n_copies", "_spectrum")
@@ -64,15 +63,12 @@ class LiftedCatalyst:
     def dim(self) -> int:
         return self.base.dim ** self.n_copies
 
-    def spectrum(self) -> Spectrum:
+    def expand(self) -> ProbVec:
+        """The vector c^(x)n, built on the first call and kept."""
         if self._spectrum is None:
             object.__setattr__(self, "_spectrum", tensor_power_spectrum(
                 self.base, self.n_copies))
         return self._spectrum
-
-    def expand(self) -> ProbVec:
-        """The full sorted vector c^(x)n, one scalar per distinct value."""
-        return self.spectrum().expand()
 
     def __eq__(self, other):
         if isinstance(other, LiftedCatalyst):
@@ -102,26 +98,25 @@ class CatalystCert(NamedTuple):
         }
 
 
-def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> Spectrum:
-    """Merged-value view of a catalyst, factored or not; the catalyst
-    itself keeps full length so dimension claims stay checkable."""
-    return c.spectrum() if isinstance(c, LiftedCatalyst) else spectrum_of(c)
+def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> ProbVec:
+    """The vector of a catalyst, factored or not."""
+    return c.expand() if isinstance(c, LiftedCatalyst) else c
 
 
-_ONE = Spectrum([(Fraction(1), 1)])
+_ONE = _from_counts({1: 1}, 1, 1)
 
 
 def _powers(x: ProbVec, k: int):
-    """The spectra of x^(x)0 = (1), x^(x)1, ..., x^(x)k, each grown from
-    the one before (tensor_powers)."""
+    """x^(x)0 = (1), x^(x)1, ..., x^(x)k, each grown from the one before
+    (tensor_powers)."""
     return [_ONE, *tensor_powers(x, k)]
 
 
-def _mixed_power_catalyst(px, py) -> Spectrum:
-    """Spectrum of the catalyst (1/k) * direct-sum of x^(k-1-i) (x) y^(i),
-    i = 0..k-1, from the spectra px and py of the powers 0..k-1 of x and
-    y (_powers): the k term spectra merged over one common scale.  For
-    k = 1 it is the trivial scalar catalyst (1)."""
+def _mixed_power_catalyst(px, py) -> ProbVec:
+    """The catalyst (1/k) * direct-sum of x^(k-1-i) (x) y^(i), i = 0..k-1,
+    from the powers px and py, 0..k-1, of x and y (_powers): the k terms
+    merged over one common scale.  For k = 1 it is the trivial scalar
+    catalyst (1)."""
     return spectrum_direct_sum([spectrum_tensor(a, b)
                                 for a, b in zip(reversed(px), py)])
 
@@ -139,10 +134,9 @@ def build_catalyst_thm1(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
     if not in_Mk(x, y, k):
         raise ValueError("precondition fails: x^(x)%d not majorized by "
                          "y^(x)%d" % (k, k))
-    sc = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
-    c = sc.expand()
+    c = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
     dim_ok = c.dim == k * x.dim ** (k - 1)
-    verified = _product_majorizes(spectrum_of(x), spectrum_of(y), sc)
+    verified = _product_majorizes(x, y, c)
     return CatalystCert(c, "thm1_construction(k=%d)" % k, verified, dim_ok)
 
 
@@ -155,27 +149,27 @@ def combine_catalysts(x: ProbVec, y: ProbVec, k: int,
     _check_dims(x, y)
     if k < 1:
         raise ValueError("k must be >= 1")
-    px, py, scp = _powers(x, k), _powers(y, k), spectrum_of(c_prime)
-    if not _product_majorizes(px[k], py[k], scp):
+    px, py = _powers(x, k), _powers(y, k)
+    if not _product_majorizes(px[k], py[k], c_prime):
         raise ValueError("precondition fails: x^(x)%d (x) c' not majorized "
                          "by y^(x)%d (x) c'" % (k, k))
-    sc2 = spectrum_tensor(_mixed_power_catalyst(px[:k], py[:k]), scp)
-    verified = _product_majorizes(spectrum_of(x), spectrum_of(y), sc2)
-    return CatalystCert(sc2.expand(), "thm2_combination(k=%d)" % k, verified)
+    c2 = spectrum_tensor(_mixed_power_catalyst(px[:k], py[:k]), c_prime)
+    verified = _product_majorizes(x, y, c2)
+    return CatalystCert(c2, "thm2_combination(k=%d)" % k, verified)
 
 
 def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
                   n_copies: int) -> CatalystCert:
     """Lift a verified catalyst to n copies: c^(x)n certifies the n-copy
     transformation.  For n_copies > 1 the catalyst is returned factored
-    (a LiftedCatalyst), and verification runs on compressed spectra:
-    neither c^(x)n nor (x (x) c)^(x)n is built.  The one-copy spectra of
-    x, y and c, their state, serve the premise check and are the bases
-    of the three powers; the lift keeps the spectrum of c^(x)n."""
+    (a LiftedCatalyst), and verification runs on compressed powers:
+    (x (x) c)^(x)n is never built.  x, y and c serve the premise check
+    and are the bases of the three powers; the lift keeps the c^(x)n it
+    built."""
     if n_copies < 1:
         raise ValueError("n_copies must be >= 1")
     _check_dims(x, y)
-    if not _product_majorizes(spectrum_of(x), spectrum_of(y), spectrum_of(c)):
+    if not _product_majorizes(x, y, c):
         raise ValueError("precondition fails: c is not a catalyst for x -> y")
     if n_copies == 1:
         return CatalystCert(c, "lifted(n=1)", True)
@@ -184,14 +178,14 @@ def lift_catalyst(x: ProbVec, y: ProbVec, c: ProbVec,
     lifted = LiftedCatalyst(c, n_copies)
     verified = _product_majorizes(tensor_power_spectrum(x, n_copies),
                                   tensor_power_spectrum(y, n_copies),
-                                  lifted.spectrum())
+                                  lifted.expand())
     return CatalystCert(lifted, "lifted(n=%d)" % n_copies, verified)
 
 
 def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
                             m_max: int) -> Dict[int, bool]:
     """For each m up to m_max: does borrowing m copies of c enable the
-    single-copy transformation?  Compressed spectra keep dim(c)^m
+    single-copy transformation?  Compressed powers keep dim(c)^m
     implicit.
 
     The answer is monotone in m: tensoring both sides of x (x) c^(x)m
@@ -209,8 +203,7 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
         raise ValueError("m_max must be >= 1")
 
     def works(m):
-        return _product_majorizes(spectrum_of(x), spectrum_of(y),
-                                  tensor_power_spectrum(c, m))
+        return _product_majorizes(x, y, tensor_power_spectrum(c, m))
 
     lo, hi = 0, 1  # lo fails (0 stands for "none probed"); hi is probed
     while not works(hi):
@@ -265,15 +258,15 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
                     seed: int = 0) -> Optional[CatalystCert]:
     """Heuristic catalyst search: `budget` trials (budget >= 0) from the
     candidate stream (_candidates); at dim_c = 1 the one point (1) is
-    tried whatever the budget.  A trial tests the spectrum of the
-    candidate's integers over their sum (specvec._normalized), and a
-    hit's catalyst is the vector of that spectrum.
+    tried whatever the budget.  A trial tests the vector of the
+    candidate's integers over their sum (specvec._normalized), and a hit
+    returns that vector.
     Absence after the trials is a normal outcome, never a proof of
-    nonexistence.  The one-copy walk on the spectra of x and y runs first
-    and raises on a total mass mismatch; when it fails and the pair is
-    excluded (_exclusion: a failed endpoint test or a refuting power
-    sum), None comes back without a trial, since then no catalyst of any
-    dimension exists."""
+    nonexistence.  The one-copy walk on x and y runs first and raises on
+    a total mass mismatch; when it fails and the pair is excluded
+    (_exclusion: a failed endpoint test or a refuting power sum), None
+    comes back without a trial, since then no catalyst of any dimension
+    exists."""
     found = _search(x, y, dim_c, budget, seed)
     return found if isinstance(found, CatalystCert) else None
 
@@ -288,16 +281,14 @@ def _search(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     if budget < 0:
         raise ValueError("budget must be >= 0")
     _check_dims(x, y)
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    if _verdict(sx, sy) == "fails":
+    if _verdict(x, y) == "fails":
         reason = _exclusion(x, y)
         if reason is not None:
             return reason
     trials = 1 if dim_c == 1 else budget
     for comp in islice(_candidates(dim_c, seed), trials):
-        sc = _normalized(comp)
-        if _product_majorizes(sx, sy, sc):
-            return CatalystCert(sc.expand(),
-                                "search(seed=%d, dim=%d)" % (seed, dim_c),
+        c = _normalized(comp)
+        if _product_majorizes(x, y, c):
+            return CatalystCert(c, "search(seed=%d, dim=%d)" % (seed, dim_c),
                                 True)
     return None

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, islice, repeat
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
 from .mlocc import _failed_endpoint
-from .specvec import load_vector, spectrum_of
+from .specvec import load_vector
 
 
 def _build_parser():
@@ -179,8 +179,8 @@ def cmd_catalyst(args) -> int:
     if args.transcript:
         sc = catalysis.reduce_catalyst(cert.catalyst)
         count = min(x.dim * sc.total_count, 64) - 1
-        ex = _leading_prefix_masses(spectrum_of(x), sc, count)
-        ey = _leading_prefix_masses(spectrum_of(y), sc, count)
+        ex = _leading_prefix_masses(x, sc, count)
+        ey = _leading_prefix_masses(y, sc, count)
         payload["transcript"] = [
             {"l": l, "ex": str(a), "ey": str(b)}
             for l, (a, b) in enumerate(zip(ex, ey), 1)]

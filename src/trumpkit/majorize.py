@@ -9,11 +9,11 @@ used for tensor powers.  Three exact integer tests decide them:
   so the gap e_l(sy) - e_l(sx) is concave there, its minimum sits at an
   end, and a zero inside forces zeros at both ends.  Only an interval
   that fails at its right end, or is tight at both, is stepped through
-  at every breakpoint of either spectrum, for the report's detail.
+  at every breakpoint of either vector, for the report's detail.
   spectrum_majorizes and majorizes build the full report -- verdict,
-  equality positions, first violation -- and vectors are compared
-  through their spectra.  in_Mk, scan_Mk and search_catalyst read only
-  the bare verdict, for which the walk builds no report or Fraction;
+  equality positions, first violation.  in_Mk, scan_Mk and
+  search_catalyst read only the bare verdict, for which the walk builds
+  no report or Fraction;
 * the value pass (_product_majorizes) gives the bare verdict for products
   sx (x) sc against sy (x) sc, as catalyst checks need, from one signed
   multiset of product values, without building either product;
@@ -28,8 +28,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .specvec import (_READ_COST, ProbVec, Spectrum, _add_products,
-                      _check_dims, _ends, _power_blocks, spectrum_of)
+from .specvec import (_READ_COST, ProbVec, _add_products, _check_dims,
+                      _ends, _power_blocks)
 
 
 class MajReport(NamedTuple):
@@ -77,14 +77,13 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
     Raises ValueError when the total masses differ.
     """
     _check_dims(x, y)
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    rep = spectrum_majorizes(sx, sy)
+    rep = spectrum_majorizes(x, y)
     equalities = set(rep.equality_indices)
     if rep.zero_segment:
         # a segment with both ends tight is zero all along; n is always
         # tight (equal masses), and a failing segment never ends there
         tight = equalities | {0, x.dim}
-        bps = sorted({0, *sx.breakpoints(), *sy.breakpoints()})
+        bps = sorted({0, *x.breakpoints(), *y.breakpoints()})
         equalities.update(l for lo, hi in zip(bps, bps[1:])
                           if lo in tight and hi in tight
                           for l in range(lo + 1, hi))
@@ -93,20 +92,20 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
         # the gap is linear on the failing segment, so before l it can
         # be zero only at l - 1, which need not be a breakpoint
         l = fv[0]
-        if l > 1 and (sx._prefix(l - 1) * sy._scale
-                      == sy._prefix(l - 1) * sx._scale):
+        if l > 1 and (x._prefix(l - 1) * y._scale
+                      == y._prefix(l - 1) * x._scale):
             equalities.add(l - 1)
     return MajReport(rep.verdict, frozenset(equalities), fv)
 
 
-def spectrum_majorizes(sx: Spectrum, sy: Spectrum) -> MajReport:
-    """Compressed-spectrum majorization, equivalent to majorizes() on the
-    fully expanded vectors but evaluated only at breakpoints, with its
-    full report (see _verdict)."""
+def spectrum_majorizes(sx: ProbVec, sy: ProbVec) -> MajReport:
+    """Majorization evaluated only at breakpoints, with its full report
+    (see _verdict); majorizes() checks the dimensions first and widens
+    the report to every equality position."""
     return _verdict(sx, sy, True)
 
 
-def _verdict(sx: Spectrum, sy: Spectrum, report: bool = False):
+def _verdict(sx: ProbVec, sy: ProbVec, report: bool = False):
     """The walk behind spectrum_majorizes: 'fails', 'boundary' or
     'strict_interior', and with report set the MajReport instead.  The
     bare verdict builds no report, set or Fraction.
@@ -198,7 +197,7 @@ def _verdict(sx: Spectrum, sy: Spectrum, report: bool = False):
 _END_WALK_SHARE = 2
 
 
-def _ends_refute(sx: Spectrum, sy: Spectrum, k: int, work: int) -> bool:
+def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, work: int) -> bool:
     """Does x^(x)k fail to be majorized by y^(x)k, as seen from either end
     of the sorted powers?  True proves it; False only says that no
     violation was found within the budget.  Neither power is built.
@@ -258,7 +257,7 @@ def _excess_steps(u, w):
         yield read
 
 
-def _product_majorizes(sx: Spectrum, sy: Spectrum, sc: Spectrum) -> bool:
+def _product_majorizes(sx: ProbVec, sy: ProbVec, sc: ProbVec) -> bool:
     """Is sx (x) sc majorized by sy (x) sc?  Decided in value space; neither
     product is built.
 
@@ -329,7 +328,7 @@ def is_interior(x: ProbVec, y: ProbVec) -> bool:
     """Strict interior of the majorization region: all interior prefix
     inequalities strict."""
     _check_dims(x, y)
-    return _verdict(spectrum_of(x), spectrum_of(y)) == "strict_interior"
+    return _verdict(x, y) == "strict_interior"
 
 
 def is_generalized_interior(x: ProbVec, y: ProbVec) -> bool:
@@ -337,8 +336,7 @@ def is_generalized_interior(x: ProbVec, y: ProbVec) -> bool:
     (x_1 < y_1) and strict tail (x_n > y_n); interior equalities allowed."""
     _check_dims(x, y)
     (x1, y1), (xn, yn) = _ends(x, y)
-    return (_verdict(spectrum_of(x), spectrum_of(y)) != "fails"
-            and x1 < y1 and yn < xn)
+    return _verdict(x, y) != "fails" and x1 < y1 and yn < xn
 
 
 def check_direct_sum_interior_condition(y: ProbVec, yp: ProbVec) -> bool:

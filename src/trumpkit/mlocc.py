@@ -15,9 +15,8 @@ from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
 from .renyi import power_sum_refutation
-from .specvec import (_CHAIN_MAX_K, ProbVec, Spectrum, _check_dims, _ends,
-                      _enumeration_cost, _from_counts, _grow, _growth_cost,
-                      spectrum_of)
+from .specvec import (_CHAIN_MAX_K, ProbVec, _check_dims, _ends,
+                      _enumeration_cost, _from_counts, _grow, _growth_cost)
 
 
 class MloccScan(NamedTuple):
@@ -60,18 +59,17 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     by y implies x^(x)k majorized by y^(x)k for every k; membership at
     any k needs x_1 <= y_1 and x_n >= y_n, and it needs the power sums
     that power_sum_refutation compares.  The checks run in this order:
-    dimensions; k >= 1; the one-copy walk on the spectra of x and y,
-    which raises on a total mass mismatch and answers True when it holds;
-    False at k = 1, or when the endpoint filter fails or a power sum
-    refutes the pair (_exclusion).  Only then does the k-sweep (_sweep)
-    run, asked for k's verdict alone: it answers True once k is a sum of
-    members and otherwise settles k by its rules, from the last powers it
-    grew.
+    dimensions; k >= 1; the one-copy walk on x and y, which raises on a
+    total mass mismatch and answers True when it holds; False at k = 1,
+    or when the endpoint filter fails or a power sum refutes the pair
+    (_exclusion).  Only then does the k-sweep (_sweep) run, asked for k's
+    verdict alone: it answers True once k is a sum of members and
+    otherwise settles k by its rules, from the last powers it grew.
     """
     _check_dims(x, y)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if _verdict(spectrum_of(x), spectrum_of(y)) != "fails":
+    if _verdict(x, y) != "fails":
         return True
     if k == 1 or _exclusion(x, y) is not None:
         return False
@@ -144,7 +142,7 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
     Returns the verdicts of the k settled, in increasing k, the given
     one-copy verdict first.
     """
-    bases = held = (spectrum_of(x), spectrum_of(y))
+    bases = held = (x, y)
     grown = 1  # the k of the powers held
     budgets = ([_enumeration_cost(len(b._counts), k_max) for b in bases]
                if last_only else None)
@@ -226,16 +224,15 @@ def _exclusion(x: ProbVec, y: ProbVec) -> Union[str, int, None]:
     refuting power sum (power_sum_refutation, an int, possibly 0), else
     None.  The one-copy walk must have checked x and y for equal mass;
     callers test the answer with `is not None`."""
-    return (_failed_endpoint(x, y)
-            or power_sum_refutation(spectrum_of(x), spectrum_of(y)))
+    return _failed_endpoint(x, y) or power_sum_refutation(x, y)
 
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     """Check every k up to k_max.  Success is not monotone in k, so every
     requested k gets a verdict.
 
-    After the dimension and k_max checks, k = 1 is walked on the spectra
-    of x and y, as in in_Mk; that walk raises on a total mass mismatch.
+    After the dimension and k_max checks, k = 1 is walked on x and y, as
+    in in_Mk; that walk raises on a total mass mismatch.
     When it fails and the pair is excluded at every k (_exclusion), every
     k is marked 'fails' and no second power is built: short_circuited when
     an endpoint test fails, refuting_order when a power sum refutes the
@@ -244,7 +241,7 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    verdict = _verdict(spectrum_of(x), spectrum_of(y))
+    verdict = _verdict(x, y)
     reason = None if verdict != "fails" else _exclusion(x, y)
     if reason is not None:
         endpoint = isinstance(reason, str)
@@ -265,18 +262,17 @@ def lemma3_k_condition(y: ProbVec, d: int, k: int) -> bool:
         raise ValueError("d must satisfy 1 < d < n-1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    s = spectrum_of(y)
-    bps, vals = s.breakpoints(), s._int_vals
+    bps, vals = y.breakpoints(), y._int_vals
     # position p lies in the first block whose breakpoint is >= p
     a, b = (vals[bisect_left(bps, p)] for p in (d, d + 1))
-    return _overlaps(s, a, b, k)
+    return _overlaps(y, a, b, k)
 
 
-def _overlaps(s: Spectrum, a: int, b: int, k: int) -> bool:
+def _overlaps(y: ProbVec, a: int, b: int, k: int) -> bool:
     """The strict overlap inequalities a^k < y_1^(k-1) b and
-    a y_n^(k-1) < b^k on two numerators a and b of the spectrum s of y:
-    both sides of each carry the scale to the power k, which cancels."""
-    y1, yn = s._int_vals[0], s._int_vals[-1]
+    a y_n^(k-1) < b^k on two numerators a and b of y: both sides of each
+    carry the scale to the power k, which cancels."""
+    y1, yn = y._int_vals[0], y._int_vals[-1]
     return a ** k < y1 ** (k - 1) * b and a * yn ** (k - 1) < b ** k
 
 
@@ -290,9 +286,8 @@ def corollary4_k_bound(y: ProbVec, k_max: int) -> Optional[int]:
         raise ValueError("y must be non-uniform")
     if not classify_usefulness(y).useful:
         raise ValueError("usefulness condition fails for y")
-    s = spectrum_of(y)
-    a, b = s._int_vals[1], s._int_vals[-2]
-    return next((k for k in range(1, k_max + 1) if _overlaps(s, a, b, k)),
+    a, b = y._int_vals[1], y._int_vals[-2]
+    return next((k for k in range(1, k_max + 1) if _overlaps(y, a, b, k)),
                 None)
 
 
@@ -320,16 +315,15 @@ def classify_usefulness(y: ProbVec) -> UsefulnessVerdict:
     first l and the last n-l components of y: it sits on the single-copy
     boundary (equality at l) yet is interior to the multi-copy region.
     """
-    s = spectrum_of(y)
-    n, counts = s.total_count, s._counts
+    n, counts, vals = y.dim, y._counts, y._int_vals
     l = counts[0] + 1
     if not l + counts[-1] < n:
         return UsefulnessVerdict(False)
     # e_l = c_1 y_1 + y_(c_1 + 1); the two averages over D l (n - l)
-    head = s._int_vals[0] * counts[0] + s._int_vals[1]
-    witness = _from_counts({head * (n - l): l, (s._mass - head) * l: n - l},
-                           s._scale * l * (n - l), s._mass * l * (n - l))
-    return UsefulnessVerdict(True, l, witness.expand())
+    head = vals[0] * counts[0] + vals[1]
+    witness = _from_counts({head * (n - l): l, (y._mass - head) * l: n - l},
+                           y._scale * l * (n - l), y._mass * l * (n - l))
+    return UsefulnessVerdict(True, l, witness)
 
 
 def nonclosedness_witness(y: ProbVec) -> ProbVec:
@@ -341,11 +335,10 @@ def nonclosedness_witness(y: ProbVec) -> ProbVec:
     y_(d_max) down."""
     if not classify_usefulness(y).useful:
         raise ValueError("usefulness condition fails for y")
-    s = spectrum_of(y)
-    v = s._int_vals
+    v = y._int_vals
     delta = min(v[0] - v[1], v[-2] - v[-1])
-    merged = Counter(dict(zip(v, s._counts)))
+    merged = Counter(dict(zip(v, y._counts)))
     for old, new in ((v[1], v[1] + delta), (v[-2], v[-2] - delta)):
         merged[old] -= 1
         merged[new] += 1
-    return _from_counts(+merged, s._scale, s._mass).expand()
+    return _from_counts(+merged, y._scale, y._mass)

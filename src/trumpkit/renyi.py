@@ -15,7 +15,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Optional
 
-from .specvec import ProbVec, Spectrum, _check_dims, _ends, spectrum_of
+from .specvec import ProbVec, _check_dims, _ends
 
 POS_INF = math.inf
 NEG_INF = -math.inf
@@ -47,7 +47,7 @@ def _first_excess(u, m, fu, w, n, fw, first: int, last: int = 8):
     return None
 
 
-def _power_terms(s: Spectrum, reciprocal: bool):
+def _power_terms(s: ProbVec, reciprocal: bool):
     """Numerators, counts and scale of the nonzero values of s, or of
     their reciprocals: 1 / (p / D) = D * (L // p) / L, L the lcm of the
     nonzero numerators."""
@@ -59,7 +59,7 @@ def _power_terms(s: Spectrum, reciprocal: bool):
     return [s._scale * (lcm // p) for p in vals], counts, lcm
 
 
-def _power_sum(s: Spectrum, a: int):
+def _power_sum(s: ProbVec, a: int):
     """P_a(s), the sum of v^a over the nonzero values v of s for an
     integer a != 0, as an integer numerator and denominator: the terms of
     _power_terms, reciprocal for a < 0, raised to |a|."""
@@ -67,7 +67,7 @@ def _power_sum(s: Spectrum, a: int):
     return sum(m * p ** abs(a) for p, m in zip(vals, counts)), scale ** abs(a)
 
 
-def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
+def power_sum_refutation(sx: ProbVec, sy: ProbVec) -> Optional[int]:
     """First integer order that proves no number of copies and no
     catalyst turns x into y, or None.
 
@@ -88,7 +88,7 @@ def power_sum_refutation(sx: Spectrum, sy: Spectrum) -> Optional[int]:
     k, orders 2..8 and -1..-8 refuted 79 and orders 9..32 one more, so the
     list stops at 8.
 
-    All arithmetic is on the spectra's integers.  With x's values p_i / D_x
+    All arithmetic is on the vectors' integers.  With x's values p_i / D_x
     (counts m_i) and y's q_j / D_y (counts n_j), order a > 0 compares
     sum m_i p_i^a * D_y^a with sum n_j q_j^a * D_x^a, and a negative order
     compares the reciprocals the same way over the lcm of the numerators.
@@ -114,10 +114,11 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
     before the single log; non-integer orders evaluate in floating point
     (irrational powers have no exact representation), on the nonzero
     entries p / D as correctly rounded floats, summed entry by entry from
-    the largest.
+    the largest.  Where a term overflows or the sum underflows to 0, as
+    at large |alpha|, the sum is taken in log space instead, shifted by
+    its largest term's log2.
     """
-    s = spectrum_of(x)
-    vals, counts, scale = _power_terms(s, False)
+    vals, counts, scale = _power_terms(x, False)
     if alpha == POS_INF:
         return -math.log2(vals[0] / scale)
     if alpha == NEG_INF:
@@ -130,13 +131,23 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
         return -sum(v * math.log2(v) for v in nz)
     sgn = 1.0 if alpha >= 0 else -1.0
     if float(alpha) == int(alpha):
-        num, den = _power_sum(s, int(alpha))
+        num, den = _power_sum(x, int(alpha))
         g = math.gcd(num, den)
         # big-int-safe log2 in lowest terms: exact power sums overflow
         # float at large |alpha|
         log_s = math.log2(num // g) - math.log2(den // g)
     else:
-        log_s = math.log2(sum(v ** float(alpha) for v in nz))
+        a = float(alpha)
+        try:
+            total = sum(v ** a for v in nz)
+        except OverflowError:
+            total = math.inf
+        if 0 < total < math.inf:
+            log_s = math.log2(total)
+        else:
+            logs = [a * math.log2(v) for v in nz]
+            top = max(logs)
+            log_s = top + math.log2(sum(2.0 ** (t - top) for t in logs))
     return sgn / (1.0 - float(alpha)) * log_s
 
 
@@ -172,15 +183,13 @@ def _dips(x: ProbVec, y: ProbVec, alpha) -> bool:
     """Is S(x) < S(y) at one order?
 
     Every order but 1 and the non-integer ones is a rational comparison
-    on the spectra's integers: the nonzero counts at 0, the largest
+    on the vectors' integers: the nonzero counts at 0, the largest
     values at +inf (S = -log2 max), the smallest nonzero values at -inf
     (S = log2 min), and integer power sums (_power_sum) at the other
     integers.  Order 1 and the non-integer orders use floats with a
     tolerance."""
-    sx, sy = spectrum_of(x), spectrum_of(y)
     if math.isinf(alpha):
-        (u, _, fu), (w, _, fw) = (_power_terms(sx, False),
-                                  _power_terms(sy, False))
+        (u, _, fu), (w, _, fw) = _power_terms(x, False), _power_terms(y, False)
         if alpha > 0:
             return u[0] * fw > w[0] * fu
         return u[-1] * fw < w[-1] * fu
@@ -190,7 +199,7 @@ def _dips(x: ProbVec, y: ProbVec, alpha) -> bool:
             return x.nonzero_dim < y.nonzero_dim
         # at integer a > 1 and a < 0 the entropy order reverses the
         # power-sum order
-        (px, dx), (py, dy) = _power_sum(sx, a), _power_sum(sy, a)
+        (px, dx), (py, dy) = _power_sum(x, a), _power_sum(y, a)
         return px * dy > py * dx
     return renyi_entropy(x, alpha) - renyi_entropy(y, alpha) < -_FLOAT_TOL
 

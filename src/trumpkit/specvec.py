@@ -1,13 +1,12 @@
-"""Probability vectors and compressed spectra.
+"""Probability vectors, held as their compressed spectra.
 
-A ProbVec is a sorted (nonincreasing) probability vector -- the Schmidt
-coefficient vector identifying a bipartite pure state.  A Spectrum is the
-compressed multiset view of a huge sorted vector such as a k-fold tensor
-power: distinct values with arbitrary-precision multiplicities, so x^(x)k
-at n=4, k=30 stays at a few thousand blocks instead of 4^30 entries.  A
-ProbVec holds its Spectrum as its only state, so a vector and a built
-product are the same kind of object, and entries are Fractions built only
-when read.
+A ProbVec is a sorted (nonincreasing) probability vector: the Schmidt
+coefficient vector identifying a bipartite pure state, or a vector built
+from such ones, such as a k-fold tensor power.  It is held as its
+spectrum, the distinct values with arbitrary-precision multiplicities,
+so x^(x)k at n=4, k=30 stays at a few thousand blocks instead of 4^30
+entries.  A vector and a built product are the same kind of object, and
+their Fraction views are built only when read.
 """
 
 from __future__ import annotations
@@ -25,69 +24,126 @@ from operator import mul
 class ProbVec:
     """Immutable probability vector, entries sorted nonincreasing.
 
-    Its state is its Spectrum (spectrum_of): integer numerators over one
-    scale, equal entries merged into blocks.  ``entries``, the sorted tuple
-    of Fractions, is a read-only view built on first read, and no decision
-    reads it.  Two vectors are equal exactly when their sorted entries
-    are, and hash, pickles and copies follow.
+    The state every computation runs on is a list of strictly decreasing
+    numerators (``_int_vals``), their counts (``_counts``) and one common
+    ``_scale``: block i holds ``_counts[i]`` copies of
+    ``_int_vals[i] / _scale``; ``_total`` is the sum of the counts and
+    ``_mass`` the numerator of the total mass.  Numerators and scale are
+    plain integers, so building, merging, sorting and prefix walks never
+    normalize a rational.  Two read-only Fraction views are built on
+    first read, and no decision reads either: ``blocks``, the
+    ``(value, count)`` tuple, and ``entries``, the sorted tuple of
+    entries.  Two vectors are equal exactly when their sorted entries
+    are, and hash, pickles and copies follow; repr, hash, bool and ==
+    never read the entries, so a huge power prints and compares in
+    O(blocks).
     """
 
-    __slots__ = ("_spectrum", "_entries")
+    __slots__ = ("_int_vals", "_counts", "_scale", "_total", "_mass",
+                 "_blocks", "_entries")
 
     def __init__(self, entries):
         entries = tuple(entries)
         if not entries:
             raise ValueError("empty probability vector")
         nums, scale = _numerators(entries)
-        self._fill(_from_counts(Counter(nums), scale, sum(nums)))
+        merged = Counter(nums)
+        vals = sorted(merged, reverse=True)
+        self._set(vals, [merged[v] for v in vals], scale, sum(nums))
 
-    def _fill(self, spectrum):
-        object.__setattr__(self, "_spectrum", spectrum)
-        object.__setattr__(self, "_entries", None)
+    def _set(self, vals, counts, scale, mass):
+        """Fill the state; mass is the numerator of the total mass over
+        scale."""
+        put = object.__setattr__
+        put(self, "_int_vals", vals)
+        put(self, "_counts", counts)
+        put(self, "_scale", scale)
+        put(self, "_total", sum(counts))
+        put(self, "_mass", mass)
+        put(self, "_blocks", None)
+        put(self, "_entries", None)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError("ProbVec is immutable")
 
     def __reduce__(self):
-        return Spectrum.expand, (self._spectrum,)
+        return _from_counts, (dict(zip(self._int_vals, self._counts)),
+                              self._scale, self._mass)
+
+    @property
+    def blocks(self):
+        """The (Fraction value, count) tuple, built on first read."""
+        if self._blocks is None:
+            object.__setattr__(self, "_blocks", tuple(
+                (Fraction(v, self._scale), c)
+                for v, c in zip(self._int_vals, self._counts)))
+        return self._blocks
 
     @property
     def entries(self):
         """The sorted Fraction entries, built on first read."""
         if self._entries is None:
             object.__setattr__(self, "_entries", tuple(chain.from_iterable(
-                repeat(v, c) for v, c in self._spectrum.blocks)))
+                repeat(v, c) for v, c in self.blocks)))
         return self._entries
 
     @property
     def dim(self) -> int:
-        return self._spectrum.total_count
+        return self._total
+
+    # a vector's length and a power's entry count are one number; the
+    # benchmark reads it by both names
+    total_count = dim
 
     @property
     def nonzero_dim(self) -> int:
         """d_x: number of nonzero entries (zeros are retained, not stripped,
         because trailing zeros change classification)."""
-        s = self._spectrum
-        return s.total_count - (0 if s._int_vals[-1] else s._counts[-1])
+        return self._total - (0 if self._int_vals[-1] else self._counts[-1])
 
-    def total(self):
-        return self._spectrum.total_mass()
+    def total_mass(self):
+        return Fraction(self._mass, self._scale)
 
-    def prefix(self, l: int):
-        """e_l: sum of the l largest entries."""
-        return self._spectrum.prefix_mass(l)
+    def prefix_mass(self, l: int):
+        """e_l: mass of the l largest entries, blockwise."""
+        return Fraction(self._prefix(l), self._scale)
+
+    def _prefix(self, l: int) -> int:
+        """The numerator of e_l over the scale."""
+        l = int(l)
+        if not 0 <= l <= self._total:
+            raise ValueError("prefix position out of range")
+        num = 0
+        for v, c in zip(self._int_vals, self._counts):
+            if not l:  # all l positions are taken
+                break
+            take = c if c < l else l
+            num += v * take
+            l -= take
+        return num
+
+    def breakpoints(self):
+        """Cumulative count boundaries (excluding 0)."""
+        return list(accumulate(self._counts))
 
     def __eq__(self, other):
+        """Equal counts and values; the values compare as numerators,
+        each times the other vector's scale."""
         if not isinstance(other, ProbVec):
             return NotImplemented  # let a factored catalyst compare itself
-        return self._spectrum == other._spectrum
+        return (self._counts == other._counts
+                and [u * other._scale for u in self._int_vals]
+                == [v * self._scale for v in other._int_vals])
 
     def __hash__(self):
-        return hash(self._spectrum.blocks)
+        return hash(self.blocks)
+
+    def __bool__(self):
+        return True  # never empty, and len() overflows on huge powers
 
     def __len__(self):
-        return self.dim
+        return self._total
 
     def __getitem__(self, i):
         return self.entries[i]
@@ -96,13 +152,22 @@ class ProbVec:
         return iter(self.entries)
 
     def __repr__(self):
-        return "ProbVec(%s)" % (", ".join(map(str, self.entries)))
+        return "ProbVec(%s)" % ", ".join(
+            str(v) if c == 1 else "%s x%d" % (v, c) for v, c in self.blocks)
 
     def is_uniform(self) -> bool:
-        return len(self._spectrum._counts) == 1
+        return len(self._counts) == 1
 
     def to_json(self):
         return [str(v) for v in self.entries]
+
+
+def _from_counts(merged, scale, mass) -> ProbVec:
+    """Trusted constructor: the vector of a {numerator: count} map over one
+    scale, counts >= 1."""
+    vals = sorted(merged, reverse=True)
+    return object.__new__(ProbVec)._set(
+        vals, [merged[v] for v in vals], scale, mass)
 
 
 def _parse(raw) -> Fraction:
@@ -147,16 +212,17 @@ def make_probvec(raw, normalize: bool = False) -> ProbVec:
     if mass == 0:
         raise ValueError("zero total mass")
     if normalize:
-        return _normalized(nums).expand()
+        return _normalized(nums)
     if mass != scale:
         raise ValueError("entries sum to %s, not 1 (pass normalize=True "
                          "to rescale)" % (Fraction(mass, scale),))
-    return _from_counts(Counter(nums), scale, mass).expand()
+    return _from_counts(Counter(nums), scale, mass)
 
 
-def _normalized(nums) -> Spectrum:
-    """Spectrum of nonnegative integers, not all 0, divided by their sum,
-    in lowest terms: divided by their gcd first, the sum is the scale."""
+def _normalized(nums) -> ProbVec:
+    """The vector of nonnegative integers, not all 0, divided by their
+    sum, in lowest terms: divided by their gcd first, the sum is the
+    scale."""
     g = math.gcd(*nums)
     if g > 1:
         nums = [u // g for u in nums]
@@ -170,10 +236,9 @@ def pad_to(x: ProbVec, n: int) -> ProbVec:
     makes multi-copy transformations useful)."""
     if n < x.dim:
         raise ValueError("cannot pad to a smaller dimension")
-    s = x._spectrum
-    merged = Counter(dict(zip(s._int_vals, s._counts)))
+    merged = Counter(dict(zip(x._int_vals, x._counts)))
     merged[0] += n - x.dim  # a zero block, or more of the one x has
-    return _from_counts(+merged, s._scale, s._mass).expand()
+    return _from_counts(+merged, x._scale, x._mass)
 
 
 def _check_dims(x: ProbVec, y: ProbVec) -> None:
@@ -184,139 +249,17 @@ def _check_dims(x: ProbVec, y: ProbVec) -> None:
                          % (x.dim, y.dim))
 
 
-class Spectrum:
-    """Compressed multiset of a huge sorted vector: blocks of equal values,
-    values strictly decreasing, counts arbitrary-precision integers.
-
-    The state every computation runs on is a list of strictly decreasing
-    numerators (``_int_vals``), their counts (``_counts``) and one common
-    ``_scale``: block i holds ``_counts[i]`` copies of
-    ``_int_vals[i] / _scale``.  Numerators and scale are plain integers,
-    so building, merging, sorting and prefix walks never normalize a
-    rational.  ``blocks``, the ``(Fraction, count)`` tuple, is a read-only
-    view built on first access.
-    """
-
-    __slots__ = ("_int_vals", "_counts", "_scale", "_total", "_mass",
-                 "_blocks")
-
-    def __init__(self, blocks):
-        blocks = tuple((v, int(c)) for v, c in blocks)
-        for (v1, c1), (v2, c2) in zip(blocks, blocks[1:]):
-            if not v1 > v2:
-                raise ValueError("block values must be strictly decreasing")
-        for _, c in blocks:
-            if c < 1:
-                raise ValueError("block counts must be >= 1")
-        vals, scale = _numerators([v for v, _ in blocks])
-        counts = [c for _, c in blocks]
-        self._set(vals, counts, scale, sum(map(mul, vals, counts)), blocks)
-
-    def _set(self, vals, counts, scale, mass, blocks=None):
-        """Fill the state; mass is the numerator of the total mass over
-        scale."""
-        put = object.__setattr__
-        put(self, "_int_vals", vals)
-        put(self, "_counts", counts)
-        put(self, "_scale", scale)
-        put(self, "_total", sum(counts))
-        put(self, "_mass", mass)
-        put(self, "_blocks", blocks)
-        return self
-
-    def __setattr__(self, *a):
-        raise AttributeError("Spectrum is immutable")
-
-    def __reduce__(self):
-        return _from_counts, (dict(zip(self._int_vals, self._counts)),
-                              self._scale, self._mass)
-
-    @property
-    def blocks(self):
-        """The (Fraction value, count) tuple, built on first read."""
-        if self._blocks is None:
-            object.__setattr__(self, "_blocks", tuple(
-                (Fraction(v, self._scale), c)
-                for v, c in zip(self._int_vals, self._counts)))
-        return self._blocks
-
-    @property
-    def total_count(self) -> int:
-        return self._total
-
-    def total_mass(self):
-        return Fraction(self._mass, self._scale)
-
-    def __eq__(self, other):
-        """Equal counts and values; the values compare as numerators,
-        each times the other spectrum's scale."""
-        return (isinstance(other, Spectrum) and self._counts == other._counts
-                and [u * other._scale for u in self._int_vals]
-                == [v * self._scale for v in other._int_vals])
-
-    def __repr__(self):
-        return "Spectrum(%d blocks, total_count=%d)" % (
-            len(self._counts), self.total_count)
-
-    def breakpoints(self):
-        """Cumulative count boundaries (excluding 0)."""
-        return list(accumulate(self._counts))
-
-    def prefix_mass(self, l: int):
-        """e_l: mass of the l largest components, blockwise."""
-        return Fraction(self._prefix(l), self._scale)
-
-    def _prefix(self, l: int) -> int:
-        """The numerator of e_l over the scale."""
-        l = int(l)
-        if not 0 <= l <= self.total_count:
-            raise ValueError("prefix position out of range")
-        num = 0
-        for v, c in zip(self._int_vals, self._counts):
-            if not l:  # all l positions are taken
-                break
-            take = c if c < l else l
-            num += v * take
-            l -= take
-        return num
-
-    def expand(self) -> ProbVec:
-        """The vector of this spectrum, which it holds as its state; its
-        entries are built only when read."""
-        return object.__new__(ProbVec)._fill(self)
-
-    def to_json(self):
-        return {
-            "blocks": [[str(v), str(c)] for v, c in self.blocks],
-            "total": str(self.total_count),
-        }
-
-
-def _from_counts(merged, scale, mass) -> Spectrum:
-    """Trusted builder: the Spectrum of a {numerator: count} map over one
-    scale, counts >= 1."""
-    vals = sorted(merged, reverse=True)
-    return object.__new__(Spectrum)._set(
-        vals, [merged[v] for v in vals], scale, mass)
-
-
-def spectrum_of(x: ProbVec) -> Spectrum:
-    """The spectrum of a vector: the state it holds."""
-    return x._spectrum
-
-
 def _ends(x: ProbVec, y: ProbVec):
     """(x_1, y_1) and (x_n, y_n) as integers over one common scale: the
-    end numerators of the spectra, each times the other's scale.  Every
+    end numerators of the vectors, each times the other's scale.  Every
     head and tail test reads them; x and y may differ in dimension."""
-    sx, sy = x._spectrum, y._spectrum
-    u, v, fx, fy = sx._int_vals, sy._int_vals, sy._scale, sx._scale
+    u, v, fx, fy = x._int_vals, y._int_vals, y._scale, x._scale
     return (u[0] * fx, v[0] * fy), (u[-1] * fx, v[-1] * fy)
 
 
-def spectrum_tensor(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Tensor product of two compressed spectra: numerators multiply
-    pairwise (_add_products), and so do the scales."""
+def spectrum_tensor(a: ProbVec, b: ProbVec) -> ProbVec:
+    """Tensor product a (x) b: numerators multiply pairwise
+    (_add_products), and so do the scales."""
     merged = {}
     _add_products(merged, a, b, 1, 1)
     return _from_counts(merged, a._scale * b._scale, a._mass * b._mass)
@@ -339,8 +282,8 @@ def _add_products(acc, a, b, factor, sign):
             acc[key] = get(key, 0) + m * c
 
 
-def spectrum_direct_sum(parts) -> Spectrum:
-    """Spectrum of (1/k) * (p_1 (+) ... (+) p_k), k = len(parts): the
+def spectrum_direct_sum(parts) -> ProbVec:
+    """The vector (1/k) * (p_1 (+) ... (+) p_k), k = len(parts): the
     multiset union of the parts over the lcm of their scales, every value
     divided by k."""
     scale = math.lcm(*(p._scale for p in parts))
@@ -384,16 +327,16 @@ def _walk_too_deep(d: int) -> bool:
 
 
 def tensor_powers(x: ProbVec, k_max: int):
-    """Yield the spectra of x^(x)1, ..., x^(x)k_max, each grown from the
-    previous one by _grow; S_1 is spectrum_of(x) itself."""
-    s = base = spectrum_of(x)
+    """Yield x^(x)1, ..., x^(x)k_max, each grown from the previous one by
+    _grow; S_1 is x itself."""
+    s = x
     for k in range(1, k_max + 1):
         if k > 1:
-            s = _grow(base, s, k - 1, k)
+            s = _grow(x, s, k - 1, k)
         yield s
 
 
-def _chain_cost(base: Spectrum, s: Spectrum, j: int, k: int) -> int:
+def _chain_cost(base: ProbVec, s: ProbVec, j: int, k: int) -> int:
     """Estimated block products of the k - j chain steps from s = S_j to
     S_k.  The step from S_i costs d * |S_i|, and |S_i| is taken to grow
     as the C(d+i-1, d-1) compositions do, times the share of them that
@@ -405,15 +348,15 @@ def _chain_cost(base: Spectrum, s: Spectrum, j: int, k: int) -> int:
             // math.comb(d + j - 1, d - 1))
 
 
-def _growth_cost(base: Spectrum, s: Spectrum, j: int, k: int) -> int:
+def _growth_cost(base: ProbVec, s: ProbVec, j: int, k: int) -> int:
     """Estimated block products of growing S_k from s = S_j: the cheaper
     of the chain and one enumeration of S_k."""
     return min(_chain_cost(base, s, j, k),
                _enumeration_cost(len(base._counts), k))
 
 
-def _grow(base: Spectrum, s: Spectrum, j: int, k: int) -> Spectrum:
-    """The spectrum S_k of the k-th power of base, given s = S_j, j <= k.
+def _grow(base: ProbVec, s: ProbVec, j: int, k: int) -> ProbVec:
+    """S_k, the k-th power of base, given s = S_j, j <= k.
 
     S_k is the chain of k - j steps spectrum_tensor(S_i, base), integer
     numerators over the scale D^k, unless that chain would cost more than
@@ -433,9 +376,9 @@ def _grow(base: Spectrum, s: Spectrum, j: int, k: int) -> Spectrum:
     return s
 
 
-def tensor_power_spectrum(x: ProbVec, k: int) -> Spectrum:
-    """Compressed spectrum of x^(x)k, grown by _grow from S_1, the
-    spectrum x holds (spectrum_of); k = 1 is that spectrum itself.
+def tensor_power_spectrum(x: ProbVec, k: int) -> ProbVec:
+    """x^(x)k, compressed, grown by _grow from S_1 = x; k = 1 is x
+    itself.
 
     Measured per power on bases of 2 to 72 distinct values, the chain is
     1.1-8x faster than the enumeration at k = 2 and 3; the crossover lies
@@ -443,16 +386,15 @@ def tensor_power_spectrum(x: ProbVec, k: int) -> Spectrum:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    base = spectrum_of(x)
-    return _grow(base, base, 1, k)
+    return _grow(x, x, 1, k)
 
 
-def _enumerate(base: Spectrum, k: int) -> Spectrum:
-    """Compressed spectrum of the k-th power of base, k >= 2, by
-    enumerating exponent vectors a over its *distinct* values, so the
-    block count is bounded by C(d-1+k, d-1) with d the number of distinct
-    values.  With the distinct values p_i / D (multiplicities m_i), the
-    composition a gives the value prod p_i^a_i / D^k with count
+def _enumerate(base: ProbVec, k: int) -> ProbVec:
+    """The k-th power of base, k >= 2, by enumerating exponent vectors
+    a over its *distinct* values, so the block count is bounded by
+    C(d-1+k, d-1) with d the number of distinct values.  With the
+    distinct values p_i / D (multiplicities m_i), the composition a
+    gives the value prod p_i^a_i / D^k with count
     multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
     counts are running products over precomputed power tables, and the
     recursion takes one level per distinct value.  At d = 2 the k + 1
@@ -474,7 +416,7 @@ def _enumerate(base: Spectrum, k: int) -> Spectrum:
         else:
             vals = [p1[k], 0]
             counts = [m1[k], base.total_count ** k - m1[k]]
-        return object.__new__(Spectrum)._set(vals, counts, scale, mass)
+        return object.__new__(ProbVec)._set(vals, counts, scale, mass)
     merged, tails = {}, {}
 
     def walk(i, r, v, c):
@@ -503,7 +445,7 @@ def _enumerate(base: Spectrum, k: int) -> Spectrum:
     return _from_counts(merged, scale, mass)
 
 
-def _power_blocks(base: Spectrum, k: int, top: bool, factor: int):
+def _power_blocks(base: ProbVec, k: int, top: bool, factor: int):
     """Stream the blocks of the k-th power of base lazily, as
     (numerator over (factor * base._scale) ** k, count, compositions read)
     triples: values decreasing from the top end, or increasing from the

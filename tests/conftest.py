@@ -10,9 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from trumpkit import (ProbVec, make_probvec, power_sum_refutation,
-                      spectrum_of, spectrum_tensor)
-from trumpkit.specvec import spectrum_direct_sum
+from trumpkit import ProbVec, make_probvec, power_sum_refutation
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -61,18 +59,6 @@ def random_strict_interior(rng, y):
     t = Fraction(rng.randint(1, 7), 8)
     u = Fraction(1, n)
     return ProbVec([t * v + (1 - t) * u for v in y.entries])
-
-
-def product(a, b):
-    """a (x) b as a vector: the vector of the compressed product.  Not an
-    oracle: it runs the code under test."""
-    return spectrum_tensor(spectrum_of(a), spectrum_of(b)).expand()
-
-
-def mean_sum(*parts):
-    """(p_1 (+) ... (+) p_k) / k as a vector, k = len(parts), through
-    spectrum_direct_sum.  Not an oracle either."""
-    return spectrum_direct_sum([spectrum_of(p) for p in parts]).expand()
 
 
 def brute_tensor(a, b):
@@ -196,6 +182,5 @@ def random_mid_pair(rng, n, denom_max=24):
         y = random_rational_vec(rng, n, denom_max)
         if (x.entries[0] <= y.entries[0] and x.entries[-1] >= y.entries[-1]
                 and not brute_majorizes(x.entries, y.entries)[0]
-                and power_sum_refutation(spectrum_of(x),
-                                         spectrum_of(y)) is None):
+                and power_sum_refutation(x, y) is None):
             return x, y

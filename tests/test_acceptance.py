@@ -16,11 +16,11 @@ from trumpkit import (DEFAULT_ALPHA_GRID, ProbVec, build_catalyst_thm1,
                       combine_catalysts, in_Mk, lift_catalyst, majorizes,
                       make_probvec, multicopy_catalyst_scan,
                       classify_usefulness, nonclosedness_witness, r_filter,
-                      renyi_entropy, spectrum_majorizes, spectrum_of,
-                      spectrum_tensor, tensor_power_spectrum)
+                      renyi_entropy, spectrum_majorizes, spectrum_tensor,
+                      tensor_power_spectrum)
 from trumpkit.renyi import NEG_INF, POS_INF
 
-from conftest import (brute_majorizes, brute_tensor_power, product,
+from conftest import (brute_majorizes, brute_tensor_power,
                       random_majorized_below, random_rational_vec)
 
 F = Fraction
@@ -51,7 +51,7 @@ def test_criterion_02_multicopy_threshold_at_k3():
 
 
 def test_criterion_03_catalyst_z():
-    assert majorizes(product(X, Z), product(Y, Z)).holds
+    assert majorizes(spectrum_tensor(X, Z), spectrum_tensor(Y, Z)).holds
     report(3, "z=(0.6,0.4) catalyzes the single-copy transformation")
 
 
@@ -173,7 +173,7 @@ def test_criterion_10_renyi_coherence():
     for _ in range(20):
         x = random_rational_vec(rng, 3, positive=True)
         c = random_rational_vec(rng, 2, positive=True)
-        xc = product(x, c)
+        xc = spectrum_tensor(x, c)
         for a in orders:
             assert abs(renyi_entropy(xc, a)
                        - renyi_entropy(x, a) - renyi_entropy(c, a)) <= 1e-9
@@ -197,8 +197,8 @@ def test_criterion_11_combine_and_lift_25():
         if k is None:
             continue
         cp = random_rational_vec(rng, 2)
-        sx = spectrum_tensor(tensor_power_spectrum(x, k), spectrum_of(cp))
-        sy = spectrum_tensor(tensor_power_spectrum(y, k), spectrum_of(cp))
+        sx = spectrum_tensor(tensor_power_spectrum(x, k), cp)
+        sy = spectrum_tensor(tensor_power_spectrum(y, k), cp)
         if not spectrum_majorizes(sx, sy).holds:
             continue
         cert = combine_catalysts(x, y, k, cp)

@@ -7,12 +7,12 @@ from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
                       combine_catalysts, in_Mk,
                       lift_catalyst, majorizes, make_probvec,
                       multicopy_catalyst_scan, r_filter, scan_Mk,
-                      search_catalyst, spectrum_of)
+                      search_catalyst, spectrum_tensor)
 from trumpkit import catalysis, renyi, specvec
 from trumpkit.catalysis import reduce_catalyst
 
 from conftest import (brute_majorizes, brute_tensor, brute_tensor_power,
-                      product, random_rational_vec)
+                      random_rational_vec)
 
 F = Fraction
 
@@ -109,12 +109,9 @@ class TestCombineCatalysts:
         pairs = incomparable_multicopy_pairs(rng, 10)
         for x, y, k in pairs:
             cp = random_rational_vec(rng, 2)
-            from trumpkit import (spectrum_majorizes, spectrum_of,
-                                  spectrum_tensor, tensor_power_spectrum)
-            sx = spectrum_tensor(tensor_power_spectrum(x, k),
-                                 spectrum_of(cp))
-            sy = spectrum_tensor(tensor_power_spectrum(y, k),
-                                 spectrum_of(cp))
+            from trumpkit import spectrum_majorizes, tensor_power_spectrum
+            sx = spectrum_tensor(tensor_power_spectrum(x, k), cp)
+            sy = spectrum_tensor(tensor_power_spectrum(y, k), cp)
             if not spectrum_majorizes(sx, sy).holds:
                 continue
             assert combine_catalysts(x, y, k, cp).verified
@@ -283,19 +280,19 @@ class TestOneSpectrumPerVector:
         assert cert.verified
         assert built == [x.entries, y.entries, c.entries]
         lifted = cert.catalyst
-        assert lifted.spectrum() is lifted.spectrum() is lifted._spectrum
+        assert lifted.expand() is lifted.expand() is lifted._spectrum
         assert built == [x.entries, y.entries, c.entries]
 
     def test_unlifted_spectrum_is_built_once_and_kept(self, monkeypatch):
         lifted = LiftedCatalyst(Z, 3)
         assert lifted._spectrum is None
-        first = lifted.spectrum()
+        first = lifted.expand()
 
         def refuse(*a):
             raise AssertionError("rebuilt c^(x)n")
         monkeypatch.setattr(catalysis, "tensor_power_spectrum", refuse)
-        assert lifted.spectrum() is first
-        assert first == spectrum_of(ProbVec(brute_tensor_power(Z, 3)))
+        assert lifted.expand() is first
+        assert first == ProbVec(brute_tensor_power(Z, 3))
 
     # the paper pair (open at one copy, converts at k = 3), a pair refuted
     # by a power sum, and a pair that holds at one copy
@@ -342,7 +339,7 @@ class TestOneSpectrumPerVector:
         monkeypatch.setattr(renyi, "_power_sum", reading)
         r_filter(x, y)
         assert built == [x.entries, y.entries]
-        assert read == [spectrum_of(x), spectrum_of(y)][:reads]
+        assert read == [x, y][:reads]
 
     def test_combine_grows_each_power_once(self, monkeypatch):
         products = []
@@ -385,7 +382,7 @@ class TestOneSpectrumPerVector:
         assert (cert is not None) is hit
         if hit:
             comp, s = made[-1]
-            assert spectrum_of(cert.catalyst) is s
+            assert cert.catalyst is s
             assert cert.catalyst._entries is None
             assert list(cert.catalyst) == [F(a, sum(comp)) for a in comp]
 
@@ -473,7 +470,8 @@ class TestUniformCatalystIsVacuous:
             y = random_rational_vec(rng, n)
             for dim_c in (2, 3):
                 u = ProbVec([F(1, dim_c)] * dim_c)
-                assisted = majorizes(product(x, u), product(y, u)).holds
+                assisted = majorizes(spectrum_tensor(x, u),
+                                     spectrum_tensor(y, u)).holds
                 assert assisted == majorizes(x, y).holds
 
 
@@ -499,7 +497,8 @@ class TestFactoredLift:
 
         def refuse(self):
             raise AssertionError("the 96^3 lift was expanded")
-        monkeypatch.setattr(LiftedCatalyst, "expand", refuse)
+        # expand() builds c^(x)3 compressed; its entries are never read
+        monkeypatch.setattr(ProbVec, "entries", property(refuse))
         cert = lift_catalyst(PAPER_X, PAPER_Y, c2, 3)
         assert cert.verified
         assert cert.catalyst.dim == 96 ** 3
@@ -516,7 +515,7 @@ class TestFactoredLift:
         monkeypatch.setattr(catalysis, "tensor_power_spectrum", refuse)
         assert reduce_catalyst(lifted) is lifted._spectrum
         assert reduce_catalyst(lifted) == want
-        assert lifted.to_json() == want.expand().to_json()
+        assert lifted.to_json() == want.to_json()
         # the kept spectrum is neither compared nor shown
         assert lifted == LiftedCatalyst(Z, 3)
         assert repr(lifted) == repr(LiftedCatalyst(Z, 3))

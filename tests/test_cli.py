@@ -22,6 +22,8 @@ MID_Y = str(corpus_path("y_0.6_0.25_0.1_0.05.json"))
 # x_1 > y_1 excludes every k and every catalyst; no power sum refutes it
 HEAD_X = str(corpus_path("x_0.41_0.2_0.2_0.19.json"))
 HEAD_Y = str(corpus_path("y_0.4_0.4_0.1_0.1.json"))
+FIVE_X = str(corpus_path("x_0.425_0.325_0.125_0.1_0.025.json"))
+FIVE_Y = str(corpus_path("y_0.5_0.2_0.2_0.075_0.025.json"))
 
 
 def run(capsys, *argv):
@@ -309,6 +311,20 @@ class TestRFilterCommand:
                      "--alpha-grid", grid, "--json")
         assert json.loads(out)["float_alphas_used"] is floats
 
+    def test_large_non_integer_orders_give_a_verdict(self, capsys,
+                                                     tmp_path):
+        # at -200.5 a term of the float power sum overflows on the first
+        # pair; at 2000.5 the sum underflows to 0 on the second
+        half = tmp_path / "half.json"
+        half.write_text('["1/2", "1/2"]')
+        for x, y, grid in ((FIVE_X, FIVE_Y, "-200.5"),
+                           (half, half, "2000.5")):
+            code = main(["rfilter", "--x", str(x), "--y", str(y),
+                         "--alpha-grid=" + grid, "--json"])
+            out, err = capsys.readouterr()
+            assert code in (0, 1) and err == ""
+            assert json.loads(out)["grid_used"][-1] == float(grid)
+
 
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, capsys):
@@ -349,7 +365,7 @@ class TestVectorFiles:
         f = tmp_path / "v.json"
         f.write_text("[0.1, 0.2, 0.7]")
         v = load_vector(f)
-        assert v.total() == 1
+        assert v.total_mass() == 1
         assert v.entries == (Fraction(7, 10), Fraction(1, 5),
                              Fraction(1, 10))
 

@@ -1,4 +1,4 @@
-"""Property tests of the integer Spectrum kernel against the brute-force
+"""Property tests of the integer kernel against the brute-force
 oracles in conftest: tensor powers, spectrum tensor products and the
 breakpoint walk, on ties, trailing zeros, n=1, uniform vectors and
 denominators near 1e4, plus majorizes against a per-entry Fraction walk,
@@ -33,12 +33,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (LiftedCatalyst, ProbVec, Spectrum, catalysis, in_Mk,
+from trumpkit import (LiftedCatalyst, ProbVec, catalysis, in_Mk,
                       is_generalized_interior, is_interior, lift_catalyst,
                       majorize, majorizes, make_probvec,
                       mlocc, multicopy_catalyst_scan,
                       power_sum_refutation, scan_Mk, search_catalyst,
-                      spectrum_majorizes, spectrum_of, spectrum_tensor,
+                      spectrum_majorizes, spectrum_tensor,
                       tensor_power_spectrum)
 from trumpkit.catalysis import _mixed_power_catalyst, _powers
 from trumpkit import specvec
@@ -93,7 +93,7 @@ def test_tensor_power_expands_to_brute(case):
 def test_spectrum_tensor_is_sorted_products(case, c):
     x, _, k = case
     c = vec(c)
-    got = spectrum_tensor(tensor_power_spectrum(x, k), spectrum_of(c))
+    got = spectrum_tensor(tensor_power_spectrum(x, k), c)
     want = sorted((u * v for u in brute_tensor_power(x, k) for v in c),
                   reverse=True)
     assert flat(got) == want
@@ -206,7 +206,7 @@ def test_walk_report_matches_brute_field_by_field(case):
 def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):
     x = make_probvec(["0.4", "0.4", "0.1", "0.1"])
     y = make_probvec(["0.5", "0.25", "0.25", "0"])
-    c = spectrum_of(make_probvec(["0.6", "0.4"]))
+    c = make_probvec(["0.6", "0.4"])
     made = []
     new = F.__new__
 
@@ -230,8 +230,7 @@ def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):
 def test_single_copy_verification_matches_brute(case, c):
     x, y, _ = case
     c = vec(c)
-    assert _product_majorizes(spectrum_of(x), spectrum_of(y),
-                              spectrum_of(c)) == brute_majorizes(
+    assert _product_majorizes(x, y, c) == brute_majorizes(
         brute_tensor(x, c), brute_tensor(y, c))[0]
 
 
@@ -247,10 +246,10 @@ def fraction_mixed_power(x, y, k):
        st.integers(1, 4))
 def test_mixed_power_catalyst_matches_fractions(xy, k):
     x, y = map(vec, xy)
-    sc = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
-    c = sc.expand()
-    assert c.entries == fraction_mixed_power(x, y, k).entries
-    assert sc == spectrum_of(c)
+    c = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
+    want = fraction_mixed_power(x, y, k)
+    assert c.entries == want.entries
+    assert c == want
 
 
 def reference_search(x, y, dim_c, budget, seed):
@@ -295,7 +294,7 @@ def test_trial_spectrum_is_the_normalized_candidate():
     for dim_c in (1, 2, 3, 4):
         for comp in islice(catalysis._candidates(dim_c, 11), 80):
             assert all(type(a) is int and a > 0 for a in comp), comp
-            want = spectrum_of(ProbVec([F(a, sum(comp)) for a in comp]))
+            want = ProbVec([F(a, sum(comp)) for a in comp])
             got = specvec._normalized(comp)
             assert got == want and got.total_mass() == 1, comp
             assert state(got) == state(want), comp
@@ -311,7 +310,6 @@ def test_lifted_catalyst_is_its_tensor_power(c, n):
     assert lifted.dim == full.dim == c.dim ** n
     assert lifted.expand() == full
     assert lifted == full and full == lifted
-    assert lifted.spectrum() == spectrum_of(full)
     assert lifted.to_json() == full.to_json()
 
 
@@ -351,9 +349,8 @@ def test_grow_from_any_smaller_power_is_the_power(x, a, b):
     # from S_j, 1 <= j <= k, _grow gives S_k whether it chains or
     # enumerates
     x, (j, k) = vec(x), sorted((a, b))
-    base = spectrum_of(x)
-    want = state(chain(base, k))
-    assert state(specvec._grow(base, chain(base, j), j, k)) == want
+    want = state(chain(x, k))
+    assert state(specvec._grow(x, chain(x, j), j, k)) == want
     assert state(tensor_power_spectrum(x, k)) == want
 
 
@@ -365,7 +362,7 @@ def test_grow_from_any_smaller_power_is_the_power(x, a, b):
 def test_two_value_enumeration_is_the_chain(p, q, m1, m2, k):
     # the k + 1 blocks written in order, no merge, against chain steps
     assume(p != q)
-    base = spectrum_of(vec([p] * m1 + [q] * m2))
+    base = vec([p] * m1 + [q] * m2)
     assert len(base._counts) == 2
     got = specvec._enumerate(base, k)
     assert state(got) == state(chain(base, k))
@@ -376,7 +373,7 @@ def test_two_value_enumeration_is_the_chain(p, q, m1, m2, k):
 @given(st.integers(1, 6).flatmap(parts), st.integers(1, 8))
 def test_only_powers_past_three_are_enumerated(x, k):
     x = vec(x)
-    base, enumerated = spectrum_of(x), []
+    enumerated = []
     real = specvec._enumerate
 
     def counted(b, m):
@@ -387,7 +384,7 @@ def test_only_powers_past_three_are_enumerated(x, k):
         tensor_power_spectrum(x, k)
     if k <= 3:
         assert enumerated == []
-    elif len(base._counts) >= 2:
+    elif len(x._counts) >= 2:
         assert enumerated == [k]
 
 
@@ -395,10 +392,11 @@ def test_only_powers_past_three_are_enumerated(x, k):
 @given(st.integers(1, 8).flatmap(parts))
 def test_spectrum_of_matches_distinct_blocks(x):
     x = vec(x)
-    want = Spectrum([(v, len(list(run))) for v, run in groupby(x.entries)])
-    got = spectrum_of(x)
-    assert got == want
-    assert state(got) == state(want)
+    runs = [(v, len(list(run))) for v, run in groupby(x.entries)]
+    want = ProbVec([v for v, c in runs for _ in range(c)])
+    assert x.blocks == tuple(runs)
+    assert x == want
+    assert state(x) == state(want)
 
 
 @st.composite
@@ -456,7 +454,7 @@ def oriented_pair(draw):
     is refuted when either direction is."""
     n = draw(st.integers(2, 6))
     x, y = vec(draw(parts(n))), vec(draw(parts(n)))
-    if power_sum_refutation(spectrum_of(x), spectrum_of(y)) is None:
+    if power_sum_refutation(x, y) is None:
         x, y = y, x
     return x, y
 
@@ -470,7 +468,7 @@ def test_refuted_pairs_are_never_members(pair):
     # brute walks wherever n^k <= 4096, then the per-k walk of scan_Mk
     # with the refutation switched off, up to k = 12
     x, y = pair
-    order = power_sum_refutation(spectrum_of(x), spectrum_of(y))
+    order = power_sum_refutation(x, y)
     if order is None:
         return
     assert power_sum_refutes(x, y, order)
@@ -638,8 +636,7 @@ def scan_case(draw):
 
 def per_m_scan(x, y, c, m_max):
     """Reference: one value pass for every m on the power chain."""
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    return {m: _product_majorizes(sx, sy, s)
+    return {m: _product_majorizes(x, y, s)
             for m, s in enumerate(tensor_powers(c, m_max), 1)}
 
 
@@ -690,12 +687,12 @@ def test_galloping_scan_probe_bound(case):
 @given(st.integers(1, 8).flatmap(parts), st.integers(1, 3))
 def test_chained_small_powers_match_brute(x, k):
     x = vec(x)
-    s, base = tensor_power_spectrum(x, k), spectrum_of(x)
+    s = tensor_power_spectrum(x, k)
     brute = brute_tensor_power(x, k)
     assert s.blocks == tuple((v, brute.count(v))
                              for v in sorted(set(brute), reverse=True))
-    assert s._scale == base._scale ** k
-    assert s._mass == base._mass ** k
+    assert s._scale == x._scale ** k
+    assert s._mass == x._mass ** k
     assert s.total_mass() == 1
 
 
@@ -750,16 +747,16 @@ def product_case(draw):
     else:
         sc = _mixed_power_catalyst(_powers(x, m - 1), _powers(y, m - 1))
         if kind == "mixed_with_c":
-            sc = spectrum_tensor(sc, spectrum_of(c))
+            sc = spectrum_tensor(sc, c)
     sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
     return sx, sy, sc, sx.total_count * sc.total_count
 
 
 @PROPS
 @given(product_case())
-@example((*(spectrum_of(v) for v in PAPER), spectrum_of(vec([3, 2])), 8))
+@example((*PAPER, vec([3, 2]), 8))
 @example((*(tensor_power_spectrum(v, 3) for v in PAPER),
-          spectrum_of(vec([3, 2])), 128))
+          vec([3, 2]), 128))
 def test_value_pass_matches_product_walk(case):
     sx, sy, sc, _ = case
     assert _product_majorizes(sx, sy, sc) == spectrum_majorizes(
@@ -805,10 +802,10 @@ def test_catalyst_checks_build_no_product_and_walk_none():
 
 
 def test_value_pass_rejects_count_and_mass_mismatch():
-    x, c = spectrum_of(PAPER[0]), spectrum_of(vec([3, 2]))
+    x, c = PAPER[0], vec([3, 2])
     with pytest.raises(ValueError, match="^total_count mismatch: 8 vs 6$"):
-        _product_majorizes(x, spectrum_of(vec([1, 1, 1])), c)
-    heavy = spectrum_of(ProbVec([F(1), F(1, 2), F(1, 2), F(0)]))
+        _product_majorizes(x, vec([1, 1, 1]), c)
+    heavy = ProbVec([F(1), F(1, 2), F(1, 2), F(0)])
     with pytest.raises(ValueError,
                        match="^total mass mismatch: 1 vs 2$"):
         _product_majorizes(x, heavy, c)
@@ -833,16 +830,16 @@ def stream_case(draw):
 @example((vec([1]), 5), 2)
 def test_lazy_streams_drain_to_the_power_spectrum(case, factor):
     x, k = case
-    s, base = tensor_power_spectrum(x, k), spectrum_of(x)
+    s = tensor_power_spectrum(x, k)
     want = [(v * factor ** k, c) for v, c in zip(s._int_vals, s._counts)]
-    top = list(_power_blocks(base, k, True, factor))
-    bottom = list(_power_blocks(base, k, False, factor))
+    top = list(_power_blocks(x, k, True, factor))
+    bottom = list(_power_blocks(x, k, False, factor))
     assert [(v, c) for v, c, _ in top] == want
     assert [(v, c) for v, c, _ in bottom] == want[::-1]
     # each composition over the nonzero values is read exactly once; the
     # zero block is given as one read
-    nonzero = sum(1 for v in base._int_vals if v)
-    reads = math.comb(nonzero + k - 1, k) + (nonzero < len(base._counts))
+    nonzero = sum(1 for v in x._int_vals if v)
+    reads = math.comb(nonzero + k - 1, k) + (nonzero < len(x._counts))
     assert sum(r for *_, r in top) == sum(r for *_, r in bottom) == reads
 
 
@@ -867,12 +864,10 @@ def test_end_walk_fails_agree_with_brute(case):
     # with no budget an end runs through the whole power, so the walk
     # then decides every k
     x, y, k = case
-    sx, sy = spectrum_of(x), spectrum_of(y)
     holds = brute_majorizes(brute_tensor_power(x, k),
                             brute_tensor_power(y, k))[0]
-    assert not (_ends_refute(sx, sy, k, enumeration_work(sx, sy, k))
-                and holds)
-    assert _ends_refute(sx, sy, k, 10 ** 12) == (not holds)
+    assert not (_ends_refute(x, y, k, enumeration_work(x, y, k)) and holds)
+    assert _ends_refute(x, y, k, 10 ** 12) == (not holds)
 
 
 @PROPS
@@ -886,8 +881,7 @@ def test_end_walk_fails_agree_on_mid_pairs(case):
     if x.dim ** k <= 4096:
         assert holds == brute_majorizes(brute_tensor_power(x, k),
                                         brute_tensor_power(y, k))[0]
-    sx, sy = spectrum_of(x), spectrum_of(y)
-    if _ends_refute(sx, sy, k, enumeration_work(sx, sy, k)):
+    if _ends_refute(x, y, k, enumeration_work(x, y, k)):
         assert not holds
 
 
@@ -939,4 +933,4 @@ def test_verdict_only_callers_build_no_report():
         assert [is_generalized_interior(*p) for p in (mid, tied, strict)] == [
             False, False, True]
         with pytest.raises(AssertionError, match="report built"):
-            spectrum_majorizes(*map(spectrum_of, mid))
+            spectrum_majorizes(*mid)

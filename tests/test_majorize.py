@@ -6,13 +6,13 @@ import pytest
 from trumpkit import (ProbVec, check_direct_sum_interior_condition,
                       check_overlap_chain, is_generalized_interior,
                       is_interior, majorizes, make_probvec,
-                      spectrum_majorizes, spectrum_of, spectrum_tensor,
+                      spectrum_majorizes, spectrum_tensor,
                       tensor_power_spectrum)
+from trumpkit.specvec import spectrum_direct_sum
 
 from conftest import (brute_majorizes, brute_strict_interior,
-                      brute_tensor_power, mean_sum, product,
-                      random_majorized_below, random_rational_vec,
-                      random_strict_interior)
+                      brute_tensor_power, random_majorized_below,
+                      random_rational_vec, random_strict_interior)
 
 F = Fraction
 
@@ -109,15 +109,14 @@ class TestSpectrumMajorizes:
         assert rep.verdict == "boundary"
 
     def test_failing_report_keeps_zero_segment(self):
-        rep = spectrum_majorizes(spectrum_of(fv("0.3", "0.3", "0.3", "0.1")),
-                                 spectrum_of(fv("0.3", "0.3", "0.2", "0.2")))
+        rep = spectrum_majorizes(fv("0.3", "0.3", "0.3", "0.1"),
+                                 fv("0.3", "0.3", "0.2", "0.2"))
         assert not rep.holds
         assert rep.zero_segment is True
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
-            spectrum_majorizes(spectrum_of(fv("1")),
-                               spectrum_of(fv("0.5", "0.5")))
+            spectrum_majorizes(fv("1"), fv("0.5", "0.5"))
 
     def test_oracle_equivalence(self):
         # compressed verdicts must match brute-force expansion verdicts
@@ -193,7 +192,8 @@ class TestDirectSumInteriorCondition:
         rng = random.Random(2)
         x = random_strict_interior(rng, y)
         xp = random_strict_interior(rng, yp)
-        rep = majorizes(mean_sum(x, xp), mean_sum(y, yp))
+        rep = majorizes(spectrum_direct_sum([x, xp]),
+                        spectrum_direct_sum([y, yp]))
         assert rep.verdict == "boundary"
 
     def test_condition_predicts_interior_sums(self):
@@ -207,8 +207,8 @@ class TestDirectSumInteriorCondition:
             cond = check_direct_sum_interior_condition(y, yp)
             x = random_strict_interior(rng, y)
             xp = random_strict_interior(rng, yp)
-            sum_x = mean_sum(x, xp)
-            sum_y = mean_sum(y, yp)
+            sum_x = spectrum_direct_sum([x, xp])
+            sum_y = spectrum_direct_sum([y, yp])
             if cond:
                 assert is_interior(sum_x, sum_y)
             else:
@@ -235,7 +235,7 @@ class TestOverlapChain:
             if i:
                 parts.append(tensor_power_spectrum(yt, i))
             v = parts[0] if len(parts) == 1 else spectrum_tensor(*parts)
-            chain.append((v.expand(), 1))
+            chain.append((v, 1))
         # head split is non-uniform with a zero tail block: chain (iii)
         # requires tail_i < head_{i+1}, which the zero in yt breaks
         assert not check_overlap_chain(chain)
@@ -260,8 +260,10 @@ class TestMajorizationOrderProperties:
             yp = random_rational_vec(rng, rng.randint(2, 4))
             x = random_majorized_below(rng, y)
             xp = random_majorized_below(rng, yp)
-            assert majorizes(mean_sum(x, xp), mean_sum(y, yp)).holds
-            assert majorizes(product(x, xp), product(y, yp)).holds
+            assert majorizes(spectrum_direct_sum([x, xp]),
+                             spectrum_direct_sum([y, yp])).holds
+            assert majorizes(spectrum_tensor(x, xp),
+                             spectrum_tensor(y, yp)).holds
 
     def test_interior_preserved_under_tensor(self):
         rng = random.Random(47)
@@ -273,7 +275,7 @@ class TestMajorizationOrderProperties:
                 continue
             x = random_strict_interior(rng, y)
             xp = random_strict_interior(rng, yp)
-            assert is_interior(product(x, xp), product(y, yp))
+            assert is_interior(spectrum_tensor(x, xp), spectrum_tensor(y, yp))
             checked += 1
 
     def test_repeat_sum_interior_iff(self):
@@ -285,12 +287,13 @@ class TestMajorizationOrderProperties:
                 continue
             x = random_strict_interior(rng, y)
             for k in (2, 3):
-                assert is_interior(mean_sum(*[x] * k), mean_sum(*[y] * k))
+                assert is_interior(spectrum_direct_sum([x] * k),
+                                   spectrum_direct_sum([y] * k))
             # and a boundary point stays boundary
             b = random_majorized_below(rng, y)
             if not is_interior(b, y):
-                b2 = mean_sum(b, b)
-                y2 = mean_sum(y, y)
+                b2 = spectrum_direct_sum([b, b])
+                y2 = spectrum_direct_sum([y, y])
                 assert not is_interior(b2, y2)
             checked += 1
 

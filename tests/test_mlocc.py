@@ -300,13 +300,13 @@ class TestSumOfMembersInMk:
         x, y, k = self.UNDECIDED
         bases, work, steps = [], {}, []  # steps: n^j of each power grown
         calls = []  # the k of each enumeration of S_k
-        real_of = mlocc.spectrum_of
+        real_sweep = mlocc._sweep
         real_tensor = specvec.spectrum_tensor
         real_enum = specvec._enumerate
 
-        def spectrum_of(v):
-            bases.append(real_of(v))
-            return bases[-1]
+        def sweep(x, y, *a, **kw):
+            bases.extend((x, y))
+            return real_sweep(x, y, *a, **kw)
 
         def chain_step(a, b):
             work[id(b)] = work.get(id(b), 0) + len(a._counts) * len(b._counts)
@@ -321,7 +321,7 @@ class TestSumOfMembersInMk:
                 specvec._enumeration_cost(len(base._counts), j)
             steps.append(base.total_count ** j)
             return real_enum(base, j)
-        monkeypatch.setattr(mlocc, "spectrum_of", spectrum_of)
+        monkeypatch.setattr(mlocc, "_sweep", sweep)
         monkeypatch.setattr(specvec, "spectrum_tensor", chain_step)
         monkeypatch.setattr(specvec, "_enumerate", enumeration)
         assert not in_Mk(x, y, k)

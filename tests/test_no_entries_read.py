@@ -1,7 +1,8 @@
-"""Every public decision runs on the spectra's integers: with
-ProbVec.entries patched to raise, on vectors built before the patch,
-each returns what it returns unpatched.  The vectors hold zeros, ties,
-two-block and uniform vectors, at n = 2..6."""
+"""Every public decision runs on the vectors' integers: with both
+Fraction views, ProbVec.entries and ProbVec.blocks, patched to raise, on
+vectors built before the patch, each returns what it returns unpatched.
+The vectors hold zeros, ties, two-block and uniform vectors, at
+n = 2..6."""
 
 from fractions import Fraction as F
 from itertools import product
@@ -17,8 +18,10 @@ from trumpkit import (ProbVec, build_catalyst_thm1,
                       make_probvec, multicopy_catalyst_scan,
                       nonclosedness_witness, pad_to, r_filter,
                       r_properties_check, renyi_entropy, scan_Mk,
-                      search_catalyst, spectrum_majorizes, spectrum_of)
+                      search_catalyst, spectrum_majorizes, spectrum_tensor,
+                      tensor_power_spectrum)
 from trumpkit.renyi import NEG_INF, POS_INF
+from trumpkit.specvec import spectrum_direct_sum
 
 VECTORS = [make_probvec(v) for v in (
     ["0.6", "0.4"], ["0.5", "0.5"], ["1", "0"],
@@ -52,8 +55,9 @@ def decisions():
     """Every public decision on the vectors above, as (name, call, args)."""
     for x, y in PAIRS:
         yield "majorizes", majorizes, (x, y)
-        yield "spectrum_majorizes", spectrum_majorizes, (spectrum_of(x),
-                                                         spectrum_of(y))
+        yield "spectrum_majorizes", spectrum_majorizes, (x, y)
+        yield "spectrum_tensor", spectrum_tensor, (x, y)
+        yield "spectrum_direct_sum", spectrum_direct_sum, ([x, y, x],)
         yield "is_interior", is_interior, (x, y)
         yield "is_generalized_interior", is_generalized_interior, (x, y)
         for k in (1, 2, 3, 5):
@@ -80,6 +84,8 @@ def decisions():
         yield "corollary4_k_bound", corollary4_k_bound, (y, 40)
         yield "nonclosedness_witness", nonclosedness_witness, (y,)
         yield "pad_to", pad_to, (y, 6)
+        for k in (1, 2, 3, 5):
+            yield "tensor_power_spectrum", tensor_power_spectrum, (y, k)
         for d, k in product(range(2, y.dim - 1), range(1, 9)):
             yield "lemma3_k_condition", lemma3_k_condition, (y, d, k)
         for a in (POS_INF, NEG_INF, 0, 1, 2, -3, 0.5, -2.5):
@@ -91,9 +97,10 @@ def test_decisions_never_read_entries(monkeypatch):
     want = [outcome(call, *args) for _, call, args in calls]
 
     def refuse(self):
-        raise AssertionError("a decision read ProbVec.entries")
+        raise AssertionError("a decision read a Fraction view")
     with monkeypatch.context() as patch:
-        patch.setattr(ProbVec, "entries", property(refuse))
+        for view in ("entries", "blocks"):
+            patch.setattr(ProbVec, view, property(refuse))
         got = [outcome(call, *args) for _, call, args in calls]
     for (name, _, args), g, w in zip(calls, got, want):
         assert g == w, (name, args)

@@ -36,8 +36,8 @@ RECORDS = [
         True, id="MajReport"),
     pytest.param(
         lambda: scan_Mk(X, Y, 3), "results",
-        "MloccScan(x=ProbVec(2/5, 2/5, 1/10, 1/10), "
-        "y=ProbVec(1/2, 1/4, 1/4, 0), k_max=3, "
+        "MloccScan(x=ProbVec(2/5 x2, 1/10 x2), "
+        "y=ProbVec(1/2, 1/4 x2, 0), k_max=3, "
         "results={1: 'fails', 2: 'fails', 3: 'strict_interior'}, "
         "first_success=3, short_circuited=False, refuting_order=None)",
         {"k_max": 3,
@@ -48,7 +48,7 @@ RECORDS = [
     pytest.param(
         lambda: classify_usefulness(Y), "useful",
         "UsefulnessVerdict(useful=True, witness_l=2, "
-        "witness_x=ProbVec(3/8, 3/8, 1/8, 1/8))",
+        "witness_x=ProbVec(3/8 x2, 1/8 x2))",
         {"useful": True, "witness_l": 2,
          "witness_x": ["3/8", "3/8", "1/8", "1/8"]},
         True, id="UsefulnessVerdict"),

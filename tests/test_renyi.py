@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
-                      r_properties_check, renyi_entropy, spectrum_of)
+                      r_properties_check, renyi_entropy, spectrum_tensor)
 from trumpkit.renyi import NEG_INF, POS_INF, _power_sum
 
-from conftest import (power_sum, power_sum_refutes, product,
-                      random_majorized_below, random_rational_vec)
+from conftest import (power_sum, power_sum_refutes, random_majorized_below,
+                      random_rational_vec)
 
 F = Fraction
 
@@ -36,6 +36,15 @@ class TestRenyiEntropy:
             neg = a < 0 or a == NEG_INF
             expected = -1.0 if neg else 1.0
             assert renyi_entropy(x, a) == pytest.approx(expected, abs=1e-12)
+
+    def test_uniform_at_large_non_integer_orders(self):
+        # the float power sum overflows (negative orders) or underflows
+        # to 0 (positive ones) here, and is summed in log space instead
+        for n in (2, 3, 5):
+            x = make_probvec([F(1, n)] * n)
+            for a in (2000.5, 1100.5, -200.5, -2000.5):
+                want = math.log2(n) if a > 0 else -math.log2(n)
+                assert renyi_entropy(x, a) == pytest.approx(want, rel=1e-12)
 
     def test_alpha_zero_counts_nonzeros(self):
         assert renyi_entropy(PAPER_Y, 0) == pytest.approx(math.log2(3))
@@ -74,7 +83,7 @@ class TestRenyiEntropy:
         for _ in range(10):
             x = random_rational_vec(rng, 3, positive=True)
             c = random_rational_vec(rng, 2, positive=True)
-            xc = product(x, c)
+            xc = spectrum_tensor(x, c)
             for a in ALL_ORDERS:
                 assert renyi_entropy(xc, a) == pytest.approx(
                     renyi_entropy(x, a) + renyi_entropy(c, a), abs=1e-9)
@@ -182,7 +191,7 @@ class TestRFilter:
 
 def integer_power_sum(x, a):
     """The integer power sum of the Renyi filter, as a Fraction."""
-    return F(*_power_sum(spectrum_of(x), a))
+    return F(*_power_sum(x, a))
 
 
 class TestPowerSums:
@@ -274,7 +283,7 @@ ZERO_Y = fv("0.5", "0.2", "0.2", "0.1", "0")
 
 
 def refutation(x, y):
-    return power_sum_refutation(spectrum_of(x), spectrum_of(y))
+    return power_sum_refutation(x, y)
 
 
 class TestPowerSumRefutation:
