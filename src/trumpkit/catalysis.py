@@ -103,7 +103,7 @@ def reduce_catalyst(c: Union[ProbVec, LiftedCatalyst]) -> ProbVec:
     return c.expand() if isinstance(c, LiftedCatalyst) else c
 
 
-_ONE = _from_counts({1: 1}, 1, 1)
+_ONE = _from_counts({1: 1}, 1)
 
 
 def _powers(x: ProbVec, k: int):
@@ -194,10 +194,10 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     finds: m = 1, 2, 4, ... (the last probe capped at m_max) until one
     works, then bisection of the last gap.  That takes at most
     2 * ceil(log2 m_max) + 2 probes, and no c^(x)m is built past twice
-    the least working m (past m_max when none works).  The probe m = 1
-    raises on a total mass mismatch; when it fails and the pair is
-    excluded (mlocc._exclusion), no catalyst of any dimension works, and
-    every m fails with no further power built."""
+    the least working m (past m_max when none works).  When the probe
+    m = 1 fails and the pair is excluded (mlocc._exclusion), no catalyst
+    of any dimension works, and every m fails with no further power
+    built."""
     _check_dims(x, y)
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -262,11 +262,10 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     candidate's integers over their sum (specvec._normalized), and a hit
     returns that vector.
     Absence after the trials is a normal outcome, never a proof of
-    nonexistence.  The one-copy walk on x and y runs first and raises on
-    a total mass mismatch; when it fails and the pair is excluded
-    (_exclusion: a failed endpoint test or a refuting power sum), None
-    comes back without a trial, since then no catalyst of any dimension
-    exists."""
+    nonexistence.  When the one-copy walk on x and y fails and the pair
+    is excluded (_exclusion: a failed endpoint test or a refuting power
+    sum), None comes back without a trial, since then no catalyst of any
+    dimension exists."""
     found = _search(x, y, dim_c, budget, seed)
     return found if isinstance(found, CatalystCert) else None
 

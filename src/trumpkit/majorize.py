@@ -74,7 +74,6 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
     explicit act (see pad_to) since it changes the answer.  The spectrum
     walk decides; its report is then widened to every equality position:
     those inside a zero segment, and the one just before a violation.
-    Raises ValueError when the total masses differ.
     """
     _check_dims(x, y)
     rep = spectrum_majorizes(x, y)
@@ -127,9 +126,6 @@ def _verdict(sx: ProbVec, sy: ProbVec, report: bool = False):
                          % (sx.total_count, sy.total_count))
     scale = math.lcm(sx._scale, sy._scale)
     mx, my = scale // sx._scale, scale // sy._scale
-    if sx._mass * mx != sy._mass * my:
-        raise ValueError("total mass mismatch: %s vs %s"
-                         % (sx.total_mass(), sy.total_mass()))
     total = sx.total_count
     yv, yc = sy._int_vals, sy._counts
     j = ry = vy = l = ex = ey = 0
@@ -214,7 +210,7 @@ def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, work: int) -> bool:
     the whole power, or the compositions read cost more than
     1 / _END_WALK_SHARE of work, the estimated block products of the
     growth of both powers that the walk may spare.  sx and sy must carry
-    equal counts and masses, as the one-copy walk checks.
+    equal counts, as the one-copy walk checks.
     """
     budget = work // (_READ_COST * _END_WALK_SHARE)
     ends = (_excess_steps(_power_blocks(sx, k, True, sy._scale),
@@ -281,15 +277,11 @@ def _product_majorizes(sx: ProbVec, sy: ProbVec, sc: ProbVec) -> bool:
     One sort of the keys, one pass from the top, and the first negative
     G(v) at a value with delta(v) > 0 answers False.  Raises ValueError,
     as spectrum_majorizes on the products would, when their total counts
-    or masses differ.
+    differ.
     """
     nx, ny = sx.total_count * sc.total_count, sy.total_count * sc.total_count
     if nx != ny:
         raise ValueError("total_count mismatch: %d vs %d" % (nx, ny))
-    if sx._mass * sy._scale * sc._mass != sy._mass * sx._scale * sc._mass:
-        raise ValueError("total mass mismatch: %s vs %s" % (
-            Fraction(sx._mass * sc._mass, sx._scale * sc._scale),
-            Fraction(sy._mass * sc._mass, sy._scale * sc._scale)))
     delta = {}
     _add_products(delta, sx, sc, sy._scale, -1)
     _add_products(delta, sy, sc, sx._scale, 1)

@@ -59,12 +59,12 @@ def in_Mk(x: ProbVec, y: ProbVec, k: int) -> bool:
     by y implies x^(x)k majorized by y^(x)k for every k; membership at
     any k needs x_1 <= y_1 and x_n >= y_n, and it needs the power sums
     that power_sum_refutation compares.  The checks run in this order:
-    dimensions; k >= 1; the one-copy walk on x and y, which raises on a
-    total mass mismatch and answers True when it holds; False at k = 1,
-    or when the endpoint filter fails or a power sum refutes the pair
-    (_exclusion).  Only then does the k-sweep (_sweep) run, asked for k's
-    verdict alone: it answers True once k is a sum of members and
-    otherwise settles k by its rules, from the last powers it grew.
+    dimensions; k >= 1; the one-copy walk on x and y, which answers True
+    when it holds; False at k = 1, or when the endpoint filter fails or
+    a power sum refutes the pair (_exclusion).  Only then does the
+    k-sweep (_sweep) run, asked for k's verdict alone: it answers True
+    once k is a sum of members and otherwise settles k by its rules, from
+    the last powers it grew.
     """
     _check_dims(x, y)
     if k < 1:
@@ -212,18 +212,11 @@ def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
     return None
 
 
-def endpoint_filter_passes(x: ProbVec, y: ProbVec) -> bool:
-    """Necessary condition for membership at any k: x_1 <= y_1 and
-    x_n >= y_n.  Exact, not heuristic."""
-    return _failed_endpoint(x, y) is None
-
-
 def _exclusion(x: ProbVec, y: ProbVec) -> Union[str, int, None]:
     """Why no k and no catalyst turns x into y: the endpoint test that
     fails (_failed_endpoint, a non-empty string), else the order of a
     refuting power sum (power_sum_refutation, an int, possibly 0), else
-    None.  The one-copy walk must have checked x and y for equal mass;
-    callers test the answer with `is not None`."""
+    None; callers test the answer with `is not None`."""
     return _failed_endpoint(x, y) or power_sum_refutation(x, y)
 
 
@@ -232,12 +225,11 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     requested k gets a verdict.
 
     After the dimension and k_max checks, k = 1 is walked on x and y, as
-    in in_Mk; that walk raises on a total mass mismatch.
-    When it fails and the pair is excluded at every k (_exclusion), every
-    k is marked 'fails' and no second power is built: short_circuited when
-    an endpoint test fails, refuting_order when a power sum refutes the
-    pair.  Otherwise the k-sweep (_sweep) settles every k > 1, from
-    smaller k where its rules allow."""
+    in in_Mk.  When it fails and the pair is excluded at every k
+    (_exclusion), every k is marked 'fails' and no second power is built:
+    short_circuited when an endpoint test fails, refuting_order when a
+    power sum refutes the pair.  Otherwise the k-sweep (_sweep) settles
+    every k > 1, from smaller k where its rules allow."""
     _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -321,8 +313,8 @@ def classify_usefulness(y: ProbVec) -> UsefulnessVerdict:
         return UsefulnessVerdict(False)
     # e_l = c_1 y_1 + y_(c_1 + 1); the two averages over D l (n - l)
     head = vals[0] * counts[0] + vals[1]
-    witness = _from_counts({head * (n - l): l, (y._mass - head) * l: n - l},
-                           y._scale * l * (n - l), y._mass * l * (n - l))
+    witness = _from_counts({head * (n - l): l, (y._scale - head) * l: n - l},
+                           y._scale * l * (n - l))
     return UsefulnessVerdict(True, l, witness)
 
 
@@ -341,4 +333,4 @@ def nonclosedness_witness(y: ProbVec) -> ProbVec:
     for old, new in ((v[1], v[1] + delta), (v[-2], v[-2] - delta)):
         merged[old] -= 1
         merged[new] += 1
-    return _from_counts(+merged, y._scale, y._mass)
+    return _from_counts(+merged, y._scale)

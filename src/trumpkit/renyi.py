@@ -92,8 +92,7 @@ def power_sum_refutation(sx: ProbVec, sy: ProbVec) -> Optional[int]:
     (counts m_i) and y's q_j / D_y (counts n_j), order a > 0 compares
     sum m_i p_i^a * D_y^a with sum n_j q_j^a * D_x^a, and a negative order
     compares the reciprocals the same way over the lcm of the numerators.
-    The first violation stops the test.  sx and sy must carry equal total
-    mass, which the one-copy walk checks.
+    The first violation stops the test.
     """
     tx, ty = _power_terms(sx, False), _power_terms(sy, False)
     order = _first_excess(*tx, *ty, 2)
@@ -125,18 +124,18 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
         return math.log2(vals[-1] / scale)
     if alpha == 0:
         return math.log2(sum(counts))
-    # p / D is correctly rounded, so it is float(Fraction(p, D))
-    nz = [p / scale for p, m in zip(vals, counts) for _ in range(m)]
-    if alpha == 1:
-        return -sum(v * math.log2(v) for v in nz)
     sgn = 1.0 if alpha >= 0 else -1.0
-    if float(alpha) == int(alpha):
+    if alpha != 1 and float(alpha) == int(alpha):
         num, den = _power_sum(x, int(alpha))
         g = math.gcd(num, den)
         # big-int-safe log2 in lowest terms: exact power sums overflow
         # float at large |alpha|
         log_s = math.log2(num // g) - math.log2(den // g)
     else:
+        # p / D is correctly rounded, so it is float(Fraction(p, D))
+        nz = [p / scale for p, m in zip(vals, counts) for _ in range(m)]
+        if alpha == 1:
+            return -sum(v * math.log2(v) for v in nz)
         a = float(alpha)
         try:
             total = sum(v ** a for v in nz)

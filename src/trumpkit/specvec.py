@@ -27,11 +27,13 @@ class ProbVec:
     The state every computation runs on is a list of strictly decreasing
     numerators (``_int_vals``), their counts (``_counts``) and one common
     ``_scale``: block i holds ``_counts[i]`` copies of
-    ``_int_vals[i] / _scale``; ``_total`` is the sum of the counts and
-    ``_mass`` the numerator of the total mass.  Numerators and scale are
-    plain integers, so building, merging, sorting and prefix walks never
-    normalize a rational.  Two read-only Fraction views are built on
-    first read, and no decision reads either: ``blocks``, the
+    ``_int_vals[i] / _scale``, and ``_total`` is the sum of the counts.
+    The entries are nonnegative and sum to exactly 1: the constructor
+    checks that (_checked_numerators), and every builder keeps it, so the
+    numerators times their counts sum to the scale.  Numerators and
+    scale are plain integers, so building, merging, sorting and prefix
+    walks never normalize a rational.  Two read-only Fraction views are
+    built on first read, and no decision reads either: ``blocks``, the
     ``(value, count)`` tuple, and ``entries``, the sorted tuple of
     entries.  Two vectors are equal exactly when their sorted entries
     are, and hash, pickles and copies follow; repr, hash, bool and ==
@@ -39,27 +41,24 @@ class ProbVec:
     O(blocks).
     """
 
-    __slots__ = ("_int_vals", "_counts", "_scale", "_total", "_mass",
-                 "_blocks", "_entries")
+    __slots__ = ("_int_vals", "_counts", "_scale", "_total", "_blocks",
+                 "_entries")
 
-    def __init__(self, entries):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("empty probability vector")
-        nums, scale = _numerators(entries)
+    def __init__(self, raw):
+        """The vector of raw entries (see _parse for what is accepted),
+        which must be nonnegative and sum to exactly 1."""
+        nums, scale = _checked_numerators(raw)
         merged = Counter(nums)
         vals = sorted(merged, reverse=True)
-        self._set(vals, [merged[v] for v in vals], scale, sum(nums))
+        self._set(vals, [merged[v] for v in vals], scale)
 
-    def _set(self, vals, counts, scale, mass):
-        """Fill the state; mass is the numerator of the total mass over
-        scale."""
+    def _set(self, vals, counts, scale):
+        """Fill the state."""
         put = object.__setattr__
         put(self, "_int_vals", vals)
         put(self, "_counts", counts)
         put(self, "_scale", scale)
         put(self, "_total", sum(counts))
-        put(self, "_mass", mass)
         put(self, "_blocks", None)
         put(self, "_entries", None)
         return self
@@ -69,7 +68,7 @@ class ProbVec:
 
     def __reduce__(self):
         return _from_counts, (dict(zip(self._int_vals, self._counts)),
-                              self._scale, self._mass)
+                              self._scale)
 
     @property
     def blocks(self):
@@ -103,7 +102,10 @@ class ProbVec:
         return self._total - (0 if self._int_vals[-1] else self._counts[-1])
 
     def total_mass(self):
-        return Fraction(self._mass, self._scale)
+        """The sum of the entries, from the state: 1 for every vector
+        built right."""
+        return Fraction(sum(map(mul, self._int_vals, self._counts)),
+                        self._scale)
 
     def prefix_mass(self, l: int):
         """e_l: mass of the l largest entries, blockwise."""
@@ -162,12 +164,12 @@ class ProbVec:
         return [str(v) for v in self.entries]
 
 
-def _from_counts(merged, scale, mass) -> ProbVec:
+def _from_counts(merged, scale) -> ProbVec:
     """Trusted constructor: the vector of a {numerator: count} map over one
-    scale, counts >= 1."""
+    scale, counts >= 1, whose numerators times counts sum to the scale."""
     vals = sorted(merged, reverse=True)
-    return object.__new__(ProbVec)._set(
-        vals, [merged[v] for v in vals], scale, mass)
+    return object.__new__(ProbVec)._set(vals, [merged[v] for v in vals],
+                                        scale)
 
 
 def _parse(raw) -> Fraction:
@@ -194,14 +196,13 @@ def _numerators(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def make_probvec(raw, normalize: bool = False) -> ProbVec:
-    """Build a ProbVec from raw entries (see _parse for what is accepted).
-
-    With normalize set the entries are divided by their sum, as integer
-    numerators over the numerators' sum (_normalized); otherwise the sum
-    must already be exactly 1.
-    """
-    vals = [_parse(v) for v in raw]
+def _checked_numerators(raw, normalize: bool = False):
+    """The one validation of raw entries, behind ProbVec(raw) and
+    make_probvec: each entry parsed (_parse), none negative, not all 0,
+    and all put over one scale (_numerators), which is returned with the
+    numerators.  Unless normalize is set, the numerators must sum to the
+    scale, that is the entries to exactly 1."""
+    vals = tuple(map(_parse, raw))
     if not vals:
         raise ValueError("empty input")
     for v in vals:
@@ -211,12 +212,20 @@ def make_probvec(raw, normalize: bool = False) -> ProbVec:
     mass = sum(nums)
     if mass == 0:
         raise ValueError("zero total mass")
-    if normalize:
-        return _normalized(nums)
-    if mass != scale:
+    if not normalize and mass != scale:
         raise ValueError("entries sum to %s, not 1 (pass normalize=True "
                          "to rescale)" % (Fraction(mass, scale),))
-    return _from_counts(Counter(nums), scale, mass)
+    return nums, scale
+
+
+def make_probvec(raw, normalize: bool = False) -> ProbVec:
+    """Build a ProbVec from raw entries, checked as ProbVec(raw) checks
+    them (_checked_numerators).  With normalize set the entries are
+    divided by their sum, as integer numerators over the numerators' sum
+    (_normalized); otherwise the sum must already be exactly 1."""
+    if not normalize:
+        return ProbVec(raw)
+    return _normalized(_checked_numerators(raw, True)[0])
 
 
 def _normalized(nums) -> ProbVec:
@@ -226,8 +235,7 @@ def _normalized(nums) -> ProbVec:
     g = math.gcd(*nums)
     if g > 1:
         nums = [u // g for u in nums]
-    mass = sum(nums)
-    return _from_counts(Counter(nums), mass, mass)
+    return _from_counts(Counter(nums), sum(nums))
 
 
 def pad_to(x: ProbVec, n: int) -> ProbVec:
@@ -238,7 +246,7 @@ def pad_to(x: ProbVec, n: int) -> ProbVec:
         raise ValueError("cannot pad to a smaller dimension")
     merged = Counter(dict(zip(x._int_vals, x._counts)))
     merged[0] += n - x.dim  # a zero block, or more of the one x has
-    return _from_counts(+merged, x._scale, x._mass)
+    return _from_counts(+merged, x._scale)
 
 
 def _check_dims(x: ProbVec, y: ProbVec) -> None:
@@ -262,7 +270,7 @@ def spectrum_tensor(a: ProbVec, b: ProbVec) -> ProbVec:
     (_add_products), and so do the scales."""
     merged = {}
     _add_products(merged, a, b, 1, 1)
-    return _from_counts(merged, a._scale * b._scale, a._mass * b._mass)
+    return _from_counts(merged, a._scale * b._scale)
 
 
 def _add_products(acc, a, b, factor, sign):
@@ -287,14 +295,13 @@ def spectrum_direct_sum(parts) -> ProbVec:
     multiset union of the parts over the lcm of their scales, every value
     divided by k."""
     scale = math.lcm(*(p._scale for p in parts))
-    merged, mass = {}, 0
+    merged = {}
     for p in parts:
         m = scale // p._scale
-        mass += p._mass * m
         for v, c in zip(p._int_vals, p._counts):
             v *= m
             merged[v] = merged.get(v, 0) + c
-    return _from_counts(merged, scale * len(parts), mass)
+    return _from_counts(merged, scale * len(parts))
 
 
 # A chain step multiplies d * |S_(k-1)| block pairs; enumerating S_k
@@ -403,7 +410,7 @@ def _enumerate(base: ProbVec, k: int) -> ProbVec:
     p_1^k and 0.
     """
     nums, mults = base._int_vals, base._counts
-    scale, mass = base._scale ** k, base._mass ** k
+    scale = base._scale ** k
     # pw[i][a] = p_i^a and mw[i][a] = m_i^a, a = 0..k, running products
     pw = [list(accumulate(repeat(p, k), mul, initial=1)) for p in nums]
     mw = [list(accumulate(repeat(m, k), mul, initial=1)) for m in mults]
@@ -416,7 +423,7 @@ def _enumerate(base: ProbVec, k: int) -> ProbVec:
         else:
             vals = [p1[k], 0]
             counts = [m1[k], base.total_count ** k - m1[k]]
-        return object.__new__(ProbVec)._set(vals, counts, scale, mass)
+        return object.__new__(ProbVec)._set(vals, counts, scale)
     merged, tails = {}, {}
 
     def walk(i, r, v, c):
@@ -442,7 +449,7 @@ def _enumerate(base: ProbVec, k: int) -> ProbVec:
         merged[pw[0][k]] = mw[0][k]
     else:
         walk(0, k, pw[0][0], 1)
-    return _from_counts(merged, scale, mass)
+    return _from_counts(merged, scale)
 
 
 def _power_blocks(base: ProbVec, k: int, top: bool, factor: int):

@@ -76,6 +76,21 @@ def brute_tensor_power(x, k):
     return sorted(vals, reverse=True)
 
 
+def brute_power_majorizes(x, y, k):
+    """Oracle: is x^(x)k majorized by y^(x)k, walked entry by entry over
+    all n^k products?  The entries go over one common denominator first,
+    so the products, the sorts and the prefix sums are plain integers."""
+    den = math.lcm(*(v.denominator for v in x.entries + y.entries))
+
+    def power(vs):
+        nums, out = [v.numerator * (den // v.denominator) for v in vs], [1]
+        for _ in range(k):
+            out = [a * b for a in out for b in nums]
+        return itertools.accumulate(sorted(out, reverse=True))
+
+    return all(a <= b for a, b in zip(power(x.entries), power(y.entries)))
+
+
 def brute_majorizes(xs, ys):
     """Oracle on plain sorted lists: (holds, first_violation_l)."""
     ex = Fraction(0)

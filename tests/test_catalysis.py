@@ -71,14 +71,14 @@ class TestBuildCatalystThm1:
         # scale identically under c -> c/k
         cert = build_catalyst_thm1(PAPER_X, PAPER_Y, 3)
         c = cert.catalyst
-        scaled = ProbVec([v * 3 for v in c.entries])
-        lhs = ProbVec([a * b for a in PAPER_X for b in scaled])
-        rhs = ProbVec([a * b for a in PAPER_Y for b in scaled])
+        scaled = [v * 3 for v in c.entries]
+        lhs = sorted((a * b for a in PAPER_X for b in scaled), reverse=True)
+        rhs = sorted((a * b for a in PAPER_Y for b in scaled), reverse=True)
         ex = F(0)
         ey = F(0)
-        for l in range(lhs.dim - 1):
-            ex += lhs.entries[l]
-            ey += rhs.entries[l]
+        for l in range(len(lhs) - 1):
+            ex += lhs[l]
+            ey += rhs[l]
             assert ex <= ey
 
     def test_reduce_view_merges_values(self):
@@ -183,10 +183,10 @@ class TestSearchRefutation:
                                    seed=0) is None
 
     def test_mass_mismatch_still_raises(self):
-        light = ProbVec([F(3, 10)] * 4)
-        with pytest.raises(ValueError, match="total mass mismatch"):
-            search_catalyst(light, ProbVec([F(3, 10)] * 3 + [F(1, 10)]),
-                            2, 10, seed=0)
+        # at construction: the light vector of (3/10) x4 against
+        # (3/10 x3, 1/10) is rejected before any search can see it
+        with pytest.raises(ValueError, match="^entries sum to 6/5, not 1 "):
+            ProbVec([F(3, 10)] * 4)
 
 
 class TestSearchTrialSequence:
@@ -445,10 +445,10 @@ class TestMulticopyCatalystScan:
         assert list(result) == list(range(1, 2001))
 
     def test_unequal_masses_raise_before_the_exclusion(self):
-        # x_1 > y_1 would exclude the pair, but the first probe raises
-        big, small = ProbVec([F(1, 2)] * 2), ProbVec([F(3, 10)] * 2)
-        with pytest.raises(ValueError, match="total mass mismatch"):
-            multicopy_catalyst_scan(big, small, Z, 8)
+        # at construction: the light vector of (1/2, 1/2) against
+        # (3/10, 3/10) never reaches the scan
+        with pytest.raises(ValueError, match="^entries sum to 3/5, not 1 "):
+            ProbVec([F(3, 10)] * 2)
 
     def test_stops_growing_after_first_success(self, monkeypatch):
         # c fails at one copy and works at two: x (x) c^(x)m majorized by

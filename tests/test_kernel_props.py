@@ -20,10 +20,13 @@ lazy block streams of a power against its spectrum, the end walk's
 refutations against brute walks and the full walk, the position walk's
 report against the brute Fraction walk field by field, the callers
 of its bare verdict, which build no report, the two-value enumeration
-against the chain, and the catalyst search on integer spectra against a
-loop that builds every candidate as a ProbVec."""
+against the chain, the catalyst search on integer spectra against a
+loop that builds every candidate as a ProbVec, and the unit total mass
+that every builder keeps, pickled and copied too."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction as F
 from itertools import accumulate, groupby, islice
@@ -33,17 +36,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import (LiftedCatalyst, ProbVec, catalysis, in_Mk,
-                      is_generalized_interior, is_interior, lift_catalyst,
-                      majorize, majorizes, make_probvec,
-                      mlocc, multicopy_catalyst_scan,
-                      power_sum_refutation, scan_Mk, search_catalyst,
+from trumpkit import (LiftedCatalyst, ProbVec, build_catalyst_thm1,
+                      catalysis, classify_usefulness, combine_catalysts,
+                      in_Mk, is_generalized_interior, is_interior,
+                      lift_catalyst, majorize, majorizes, make_probvec,
+                      mlocc, multicopy_catalyst_scan, nonclosedness_witness,
+                      pad_to, power_sum_refutation, scan_Mk, search_catalyst,
                       spectrum_majorizes, spectrum_tensor,
                       tensor_power_spectrum)
 from trumpkit.catalysis import _mixed_power_catalyst, _powers
 from trumpkit import specvec
 from trumpkit.majorize import _ends_refute, _product_majorizes, _verdict
-from trumpkit.specvec import _power_blocks, load_vector, tensor_powers
+from trumpkit.specvec import (_power_blocks, load_vector,
+                              spectrum_direct_sum, tensor_powers)
 
 from conftest import (brute_majorization_report, brute_majorizes,
                       brute_strict_interior, brute_tensor, brute_tensor_power,
@@ -314,7 +319,7 @@ def test_lifted_catalyst_is_its_tensor_power(c, n):
 
 
 def state(s):
-    return s._int_vals, s._counts, s._scale, s._mass
+    return s._int_vals, s._counts, s._scale
 
 
 @PROPS
@@ -692,7 +697,6 @@ def test_chained_small_powers_match_brute(x, k):
     assert s.blocks == tuple((v, brute.count(v))
                              for v in sorted(set(brute), reverse=True))
     assert s._scale == x._scale ** k
-    assert s._mass == x._mass ** k
     assert s.total_mass() == 1
 
 
@@ -805,10 +809,10 @@ def test_value_pass_rejects_count_and_mass_mismatch():
     x, c = PAPER[0], vec([3, 2])
     with pytest.raises(ValueError, match="^total_count mismatch: 8 vs 6$"):
         _product_majorizes(x, vec([1, 1, 1]), c)
-    heavy = ProbVec([F(1), F(1, 2), F(1, 2), F(0)])
-    with pytest.raises(ValueError,
-                       match="^total mass mismatch: 1 vs 2$"):
-        _product_majorizes(x, heavy, c)
+    # a vector of mass 2 is refused when it is built, so the pass never
+    # meets unequal masses
+    with pytest.raises(ValueError, match="^entries sum to 2, not 1 "):
+        ProbVec([F(1), F(1, 2), F(1, 2), F(0)])
 
 
 @st.composite
@@ -934,3 +938,55 @@ def test_verdict_only_callers_build_no_report():
             False, False, True]
         with pytest.raises(AssertionError, match="report built"):
             spectrum_majorizes(*mid)
+
+
+def assert_unit_mass(s):
+    """The invariant ProbVec(raw) checks and every builder keeps, in
+    place of a mass check downstream: strictly decreasing nonnegative
+    numerators with positive counts, summing to the scale."""
+    assert s._int_vals == sorted(set(s._int_vals), reverse=True)
+    assert s._int_vals[-1] >= 0 and min(s._counts) >= 1
+    assert sum(u * c for u, c in zip(s._int_vals, s._counts)) == s._scale
+    assert s.total_mass() == 1
+
+
+@st.composite
+def unit_mass_case(draw):
+    """y of dimension 1-4, x = y mixed toward uniform (so x is majorized
+    by y and every catalyst precondition holds), a second vector c, a
+    power k and copy count n."""
+    y = draw(st.integers(1, 4).flatmap(parts))
+    t = draw(st.sampled_from([F(0), F(1, 2), F(1)]))
+    ys = [F(a, sum(y)) for a in y]
+    x = make_probvec([t * v + (1 - t) / len(y) for v in ys])
+    c = draw(st.integers(1, 3).flatmap(parts))
+    return x, vec(y), vec(c), draw(st.integers(1, 4)), draw(
+        st.integers(2, 3))
+
+
+@PROPS
+@given(unit_mass_case())
+@example((vec([1, 1]), vec([1, 1]), vec([1]), 3, 2))  # d = 1
+@example((vec([3, 2]), vec([4, 1]), vec([3, 2]), 4, 3))  # d = 2
+@example((vec([2, 1, 1]), vec([2, 1, 0]), vec([3, 0]), 4, 2))  # zero tails
+@example((vec([1, 1]), vec([1, 0]), vec([3, 2]), 3, 2))  # d = 2, zero tail
+def test_every_builder_keeps_unit_mass(case):
+    x, y, c, k, n = case
+    built = [x, y, c, spectrum_tensor(x, c), spectrum_direct_sum([x, y, c]),
+             tensor_power_spectrum(y, k), chain(y, k), pad_to(y, y.dim + 2),
+             specvec._normalized([3 * u for u in y._int_vals] + [0])]
+    if k > 1:
+        built.append(specvec._enumerate(y, k))
+    usefulness = classify_usefulness(y)
+    if usefulness.useful:
+        built += [usefulness.witness_x, nonclosedness_witness(y)]
+    built += [build_catalyst_thm1(x, y, k).catalyst,
+              combine_catalysts(x, y, k, c).catalyst]
+    lifted = lift_catalyst(x, y, c, n).catalyst
+    built += [lifted.expand(), pickle.loads(pickle.dumps(lifted)).expand()]
+    for s in built:
+        assert_unit_mass(s)
+        for again in (pickle.loads(pickle.dumps(s)), copy.copy(s),
+                      copy.deepcopy(s)):
+            assert state(again) == state(s)
+            assert_unit_mass(again)

@@ -10,12 +10,12 @@ from trumpkit import mlocc, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
                       in_Mk, is_generalized_interior, is_interior_of_M,
                       lemma3_k_condition, majorizes, make_probvec,
-                      nonclosedness_witness, scan_Mk, search_catalyst,
-                      spectrum_majorizes, tensor_power_spectrum)
+                      nonclosedness_witness, scan_Mk, spectrum_majorizes,
+                      tensor_power_spectrum)
 
-from conftest import (brute_majorizes, brute_strict_interior,
-                      brute_tensor_power, least_interior_gap,
-                      random_rational_vec)
+from conftest import (brute_majorizes, brute_power_majorizes,
+                      brute_strict_interior, brute_tensor_power,
+                      least_interior_gap, random_rational_vec)
 
 F = Fraction
 
@@ -134,18 +134,21 @@ class TestInMkPreDecision:
         assert built == [x.entries, y.entries]
 
     def test_mass_mismatch_raises_before_endpoint_filter(self):
-        # every question that can exclude a pair walks one copy first, so
-        # unequal masses raise before a failed endpoint test excludes it
-        big = ProbVec([F(1, 2), F(1, 2)])
-        small = ProbVec([F(3, 10), F(3, 10)])
-        for x, y in ((big, small), (small, big)):
-            assert not mlocc.endpoint_filter_passes(x, y)
-            for ask in (lambda: in_Mk(x, y, 3), lambda: scan_Mk(x, y, 3),
-                        lambda: is_interior_of_M(x, y, 3),
-                        lambda: search_catalyst(x, y, 2, 10),
-                        lambda: search_catalyst(x, y, 1, 0)):
-                with pytest.raises(ValueError, match="total mass mismatch"):
-                    ask()
+        # no pair question can meet unequal masses: the light vector of
+        # (1/2, 1/2) against (3/10, 3/10) is rejected when it is built,
+        # before any walk or endpoint test
+        with pytest.raises(ValueError, match="^entries sum to 3/5, not 1 "):
+            ProbVec([F(3, 10), F(3, 10)])
+
+    def test_failed_endpoint_names_the_test(self):
+        assert mlocc._failed_endpoint(self.EARLY_X, self.HOLD_Y) == (
+            "x_1 <= y_1")
+        assert mlocc._failed_endpoint(self.LATE_X, self.HOLD_Y) == (
+            "x_n >= y_n")
+        assert mlocc._failed_endpoint(self.HOLD_X, self.HOLD_Y) is None
+        half, tilted = fv("0.5", "0.5"), fv("0.6", "0.4")
+        assert mlocc._failed_endpoint(tilted, half) == "x_1 <= y_1"
+        assert mlocc._failed_endpoint(half, tilted) is None
 
     def test_errors_before_shortcuts(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -590,27 +593,41 @@ def test_corollary4_bound_covers_every_block_average(y):
             assert in_Mk(x, y, k), (y, x, k)
 
 
-def _needs_exactly_k(y, k_max):
-    """A pair (x, K) for a useful y of dimension 4 and d = 2, or None
-    when no k <= k_max meets Lemma 3's condition.
+def _needs_exactly_k(y, k_max, d=2):
+    """A pair (x, K) for a y with y_1 > y_d and y_(d+1) > y_n, or None
+    when no k <= k_max meets Lemma 3's condition at d.
 
-    K is the least k with lemma3_k_condition(y, 2, k), and x is the
-    averaging witness of classify_usefulness (equality at l = 2) moved
-    by eps (e_1 - e_4), eps = gap / (4K) with gap the least interior gap
-    of the witness's K-th power against y's.  That moves the entries of
-    x^(x)K by at most (1 + 2 eps)^K - 1 < gap in total (see
-    TestManyCopiesNeeded), so x stays a member at K, while
-    e_2(x) > e_2(y) makes one copy fail."""
-    k = next((j for j in range(1, k_max + 1) if lemma3_k_condition(y, 2, j)),
+    K is the least k with lemma3_k_condition(y, d, k), and x is y's block
+    average with one cut at d (equality at l = d; at n = 4 and d = 2 the
+    averaging witness of classify_usefulness) moved by eps (e_1 - e_n),
+    eps = gap / (4K) with gap the least interior gap of the average's
+    K-th power against y's.  That moves the entries of x^(x)K by at most
+    (1 + 2 eps)^K - 1 < gap in total (see TestManyCopiesNeeded), so x
+    stays a member at K, while e_d(x) > e_d(y) makes one copy fail."""
+    k = next((j for j in range(1, k_max + 1) if lemma3_k_condition(y, d, j)),
              None)
     if k is None:
         return None
-    w = classify_usefulness(y).witness_x
+    n, ys = y.dim, y.entries
+    head = sum(ys[:d])
+    w = make_probvec([head / d] * d + [(1 - head) / (n - d)] * (n - d))
     gap = least_interior_gap(w, y, k)
     eps = gap / (4 * k)
     assert (1 + 2 * eps) ** k - 1 < gap
-    x = make_probvec([w[0] + eps, w[1], w[2], w[3] - eps])
+    x = make_probvec([w[0] + eps, *w[1:-1], w[-1] - eps])
     return x, k
+
+
+def _assert_needs_exactly(x, y, k, brute_max):
+    """x -> y converts at k copies and at no fewer: by the sweep, by in_Mk,
+    and for every j < k with n^j <= brute_max by the brute walk."""
+    assert scan_Mk(x, y, k + 2).first_success == k
+    assert in_Mk(x, y, k)
+    assert not any(in_Mk(x, y, j) for j in range(1, k))
+    for j in range(1, k):
+        if x.dim ** j > brute_max:
+            break
+        assert not brute_power_majorizes(x, y, j), (y, j)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -620,13 +637,19 @@ def test_generated_pair_needs_exactly_least_k(y):
     case = _needs_exactly_k(y, 10)
     assume(case is not None)
     x, k = case
-    assert scan_Mk(x, y, k + 2).first_success == k
-    assert in_Mk(x, y, k)
-    assert not any(in_Mk(x, y, j) for j in range(1, k))
-    for j in range(1, min(k, 7)):
-        holds, _ = brute_majorizes(brute_tensor_power(x, j),
-                                   brute_tensor_power(y, j))
-        assert not holds, (y, j)
+    _assert_needs_exactly(x, y, k, 4 ** 6)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(useful_y(sizes=(5,)), st.sampled_from([2, 3]))
+@example(make_probvec([55, 40, 14, 13, 12], normalize=True), 2)  # K = 8
+@example(make_probvec([53, 50, 39, 32, 31], normalize=True), 3)  # K = 8
+def test_five_entry_pair_needs_exactly_least_k(y, d):
+    # the least k over a cut at d = 2 or 3 of a five-entry y, K <= 8
+    case = _needs_exactly_k(y, 8, d)
+    assume(case is not None)
+    x, k = case
+    _assert_needs_exactly(x, y, k, 10 ** 5)
 
 
 class TestInteriorOfM:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
-                      r_properties_check, renyi_entropy, spectrum_tensor)
+                      r_properties_check, renyi_entropy, spectrum_tensor,
+                      tensor_power_spectrum)
 from trumpkit.renyi import NEG_INF, POS_INF, _power_sum
 
 from conftest import (power_sum, power_sum_refutes, random_majorized_below,
@@ -131,6 +133,25 @@ def test_renyi_entropy_bit_identical_to_entries(parts, alpha):
     x = make_probvec(parts, normalize=True)
     assert (renyi_entropy(x, alpha).hex()
             == entries_renyi_entropy(x, alpha).hex()), (x, alpha)
+
+
+@pytest.mark.parametrize("alpha", [2, -3])
+def test_integer_orders_read_blocks_only(alpha):
+    # p^(x)20 has 21 blocks and 2^20 entries; an integer order reads the
+    # blocks' power sum, so its peak allocation stays far below one float
+    # per entry (about 34 MB as a list)
+    base = make_probvec(["0.6", "0.4"])
+    p = tensor_power_spectrum(base, 20)
+    assert len(p._counts) == 21
+    tracemalloc.start()
+    try:
+        got = renyi_entropy(p, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    # Renyi entropy is additive over tensor products
+    assert got == pytest.approx(20 * renyi_entropy(base, alpha), rel=1e-12)
 
 
 class TestSchurConcavity:

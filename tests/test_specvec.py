@@ -59,6 +59,54 @@ class TestMakeProbvec:
         assert x.nonzero_dim == 3
 
 
+class TestOneValidation:
+    """ProbVec(raw) and make_probvec(raw) check raw entries alike: a
+    vector is a probability vector from the moment it is built."""
+
+    BUILD = pytest.mark.parametrize("build", [ProbVec, make_probvec],
+                                    ids=["ProbVec", "make_probvec"])
+
+    @BUILD
+    @pytest.mark.parametrize("raw, message", [
+        (["3/10", "3/10"], "^entries sum to 3/5, not 1 "),
+        ([F(3, 10)] * 2, "^entries sum to 3/5, not 1 "),
+        (["3/2", "-1/2"], "^negative entry -1/2$"),
+        ([F(3, 2), F(-1, 2)], "^negative entry -1/2$"),
+        ([0.5, 0.5], "^float literal 0.5 not allowed"),
+        ([True], "^entry True is not a number literal$"),
+        ([None, 1], "^entry None is not a number literal$"),
+        (["1/0", "1"], "^entry '1/0' has a zero denominator$"),
+        ([], "^empty input$"),
+        (["0", "0"], "^zero total mass$"),
+    ], ids=["sum-str", "sum-fraction", "negative-str", "negative-fraction",
+            "float", "bool", "none", "zero-denominator", "empty", "zeros"])
+    def test_rejects(self, build, raw, message):
+        with pytest.raises(ValueError, match=message):
+            build(raw)
+
+    @BUILD
+    def test_accepts_exact_literals(self, build):
+        want = (F(2, 5), F(2, 5), F(1, 5))
+        for raw in (["0.4", "2/5", "0.2"], [F(2, 5), "0.4", F(1, 5)],
+                    iter(["1/5", "0.4", "2/5"])):
+            assert build(raw).entries == want
+        assert build([1]).entries == (F(1),)
+        assert build(["1/2", "1/2"]) == make_probvec(["0.5", "0.5"])
+
+    def test_one_helper_behind_both(self, monkeypatch):
+        seen = []
+        real = specvec._checked_numerators
+
+        def recording(raw, normalize=False):
+            seen.append(normalize)
+            return real(raw, normalize)
+        monkeypatch.setattr(specvec, "_checked_numerators", recording)
+        ProbVec(["0.5", "0.5"])
+        make_probvec(["0.5", "0.5"])
+        make_probvec([1, 1], normalize=True)
+        assert seen == [False, False, True]
+
+
 class TestTensorAndDirectSum:
     # the vectors of spectrum_tensor and spectrum_direct_sum
     def test_tensor_direct_expansion(self):
@@ -149,8 +197,8 @@ class TestTensorPowerSpectrum:
         x = make_probvec([F(i) for i in range(1, d + 1)], normalize=True)
         s = tensor_power_spectrum(x, 2)
         want = spectrum_tensor(x, x)
-        assert (s._int_vals, s._counts, s._scale, s._mass) == (
-            want._int_vals, want._counts, want._scale, want._mass)
+        assert (s._int_vals, s._counts, s._scale) == (
+            want._int_vals, want._counts, want._scale)
         assert s.total_count == d ** 2
 
 
@@ -215,8 +263,8 @@ class TestSerialization:
         for again in (pickle.loads(pickle.dumps(s)), copy.copy(s),
                       copy.deepcopy(s)):
             assert again == s
-            assert ((again._int_vals, again._counts, again._scale, again._mass)
-                    == (s._int_vals, s._counts, s._scale, s._mass))
+            assert ((again._int_vals, again._counts, again._scale)
+                    == (s._int_vals, s._counts, s._scale))
             assert again.total_count == s.total_count
 
 
@@ -232,7 +280,7 @@ def fractions_of(parts):
 
 
 def state(s):
-    return s._int_vals, s._counts, s._scale, s._mass
+    return s._int_vals, s._counts, s._scale
 
 
 class TestRepresentation:
