@@ -198,9 +198,9 @@ def cmd_classify(args) -> int:
 def cmd_rfilter(args) -> int:
     x = load_vector(args.x)
     y = load_vector(args.y)
-    grid = None
-    if args.alpha_grid:
-        grid = tuple(float(a) for a in args.alpha_grid.split(","))
+    grid = args.alpha_grid
+    if grid is not None:  # an empty grid is r_filter's error, not the default
+        grid = tuple(float(a) for a in grid.split(",")) if grid else ()
     verdict = renyi.r_filter(x, y, grid)
     _emit(verdict.to_json(), args.as_json)
     return 0 if not verdict.violated else 1

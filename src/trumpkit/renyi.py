@@ -7,6 +7,11 @@ copies) must dominate y's whole entropy spectrum, so a single grid point
 where the source's entropy dips below the target's disproves
 convertibility.  The filter is one-sided: a finite grid can refute but
 never certify dominance.
+
+Every order it tests is Schur-concave on the pairs it tests it on, so a
+pair already majorized at one copy (majorize._verdict, the exact
+breakpoint walk) can have no dip, and r_filter answers it from the walk
+without evaluating an order; see r_filter for the argument in each mode.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import math
 from operator import mul
 from typing import NamedTuple, Optional
 
+from .majorize import _verdict
 from .specvec import ProbVec, _check_dims, _ends
 
 POS_INF = math.inf
@@ -155,8 +161,10 @@ class RFilterVerdict(NamedTuple):
     violating_alpha: Optional[float] = None
     mode: str = "dims_equal"  # "dims_differ" | "dims_equal"
     grid_used: tuple = ()
-    # non-integer orders went through floats; a = 1 (Shannon) does too but
-    # is not counted until it is certified (an open ROADMAP.md item)
+    # the grid has non-integer orders, which go through floats; a = 1
+    # (Shannon) does too but is not counted until it is certified (an open
+    # ROADMAP.md item).  It describes the grid's orders, whether or not
+    # they were evaluated: a pair the walk settles evaluates none.
     float_alphas_used: bool = False
 
     @property
@@ -211,6 +219,21 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
     visible at order 0, where entropy is log2 of the nonzero count).
     Reports the first grid order where x's entropy is strictly below y's;
     "no_violation_found" is not a membership certificate.
+
+    A pair with x majorized by y at one copy (majorize._verdict does not
+    fail) is answered "no_violation_found" by that walk alone, with the
+    same mode, grid and float flag, and no order is evaluated.  This is
+    exact: S_a is Schur-concave at every a >= 0 and at +inf, so x
+    majorized by y gives S_a(x) >= S_a(y) there, which covers every
+    order of "dims_differ" mode.  In "dims_equal" mode x and y have
+    equally many nonzero entries d, and x's d nonzero entries are
+    majorized by y's (both prefix sums reach 1 at d); t^a is convex on
+    t > 0 for a < 0, so P_a(x) <= P_a(y), that is S_a(x) >= S_a(y), at
+    every negative order, and x's smallest nonzero entry is at least
+    y's, which is -inf.  Pairs the walk fails run the orders one by one.
+    Every grid order is read (for float_alphas_used) before the walk, so
+    a grid the orders would refuse, such as one holding nan, raises on a
+    walked pair too.
     """
     _check_dims(x, y)
     if grid is None:
@@ -231,11 +254,12 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
         alphas.append(a)
     float_used = any(not math.isinf(a) and float(a) != int(a)
                      for a in alphas if not math.isinf(a))
-    for a in alphas:
-        if _dips(x, y, a):
-            return RFilterVerdict("violated", violating_alpha=float(a),
-                                  mode=mode, grid_used=tuple(alphas),
-                                  float_alphas_used=float_used)
+    if _verdict(x, y) == "fails":  # a majorized pair has no dip (above)
+        for a in alphas:
+            if _dips(x, y, a):
+                return RFilterVerdict("violated", violating_alpha=float(a),
+                                      mode=mode, grid_used=tuple(alphas),
+                                      float_alphas_used=float_used)
     return RFilterVerdict("no_violation_found", mode=mode,
                           grid_used=tuple(alphas),
                           float_alphas_used=float_used)

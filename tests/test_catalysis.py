@@ -248,16 +248,17 @@ def fresh(*vecs):
 
 
 class TestOneSpectrumPerVector:
-    # a vector's spectrum is built by the one Fraction -> integer pass
-    # (specvec._numerators) when the vector is built, and never in a query
+    # a vector's spectrum is built by the one parsed-entries -> integer
+    # pass (specvec._numerators) when the vector is built, and never in a
+    # query; each pass is recorded as the Fractions of the pairs it got
     @staticmethod
     def counting_builds(monkeypatch):
         built = []
         real = specvec._numerators
 
-        def counting(values):
-            built.append(values)
-            return real(values)
+        def counting(pairs):
+            built.append(tuple(F(n, d) for n, d in pairs))
+            return real(pairs)
         monkeypatch.setattr(specvec, "_numerators", counting)
         return built
 
@@ -322,7 +323,8 @@ class TestOneSpectrumPerVector:
         (PAIRS[0], 2),
         # Shannon entropy refutes it, before any integer order is read
         (PAIRS[1], 0),
-        (PAIRS[2], 2)])
+        # majorized at one copy: the walk settles it, and no order is read
+        (PAIRS[2], 0)])
     def test_r_filter_builds_at_most_one_per_vector(self, monkeypatch, pair,
                                                     reads):
         # the two builds are the vectors' own: r_filter makes none.  reads:

@@ -326,6 +326,23 @@ class TestRFilterCommand:
             assert json.loads(out)["grid_used"][-1] == float(grid)
 
 
+    def test_empty_alpha_grid_exits_two(self, capsys):
+        # an empty list of orders is an input error, as in r_filter, not
+        # the default grid
+        code = main(["rfilter", "--x", X, "--y", Y, "--alpha-grid="])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == "error: empty alpha grid\n"
+
+    def test_nan_order_exits_two_on_a_majorized_pair(self, capsys):
+        # the walk settles this pair, but the grid is still read in full
+        code = main(["rfilter", "--x", X, "--y", MID_X,
+                     "--alpha-grid=nan,2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 class TestReproducibility:
     def test_rerun_is_byte_identical(self, capsys):
         args = ("catalyst", "search", "--x", X, "--y", Y, "--dim-c", "2",

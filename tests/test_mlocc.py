@@ -34,15 +34,16 @@ def fresh(*vecs):
 
 
 def counting_builds(monkeypatch):
-    """The values of every Fraction -> integer pass from now on: a
-    vector's spectrum is built by one (specvec._numerators) when the
-    vector is built, and never in a query."""
+    """The entries, as Fractions, of every parsed-entries -> integer pass
+    from now on: a vector's spectrum is built by one
+    (specvec._numerators) when the vector is built, and never in a
+    query."""
     built = []
     real = specvec._numerators
 
-    def counting(values):
-        built.append(values)
-        return real(values)
+    def counting(pairs):
+        built.append(tuple(F(n, d) for n, d in pairs))
+        return real(pairs)
     monkeypatch.setattr(specvec, "_numerators", counting)
     return built
 
@@ -522,9 +523,7 @@ class TestManyCopiesNeeded:
     def test_fewer_copies_fail_by_the_brute_walk(self):
         xp = self.perturbed()
         for j in range(1, 9):
-            holds, _ = brute_majorizes(brute_tensor_power(xp, j),
-                                       brute_tensor_power(self.Y, j))
-            assert not holds, j
+            assert not brute_power_majorizes(xp, self.Y, j), j
 
 
 class TestCorollary4Bound:

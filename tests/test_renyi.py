@@ -2,15 +2,16 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
-                      r_properties_check, renyi_entropy, spectrum_tensor,
-                      tensor_power_spectrum)
+                      r_properties_check, renyi, renyi_entropy,
+                      spectrum_tensor, tensor_power_spectrum)
 from trumpkit.renyi import NEG_INF, POS_INF, _power_sum
 
 from conftest import (power_sum, power_sum_refutes, random_majorized_below,
@@ -208,6 +209,74 @@ class TestRFilter:
     def test_custom_grid(self):
         v = r_filter(PAPER_X, PAPER_Y, grid=(0.0, 2.0))
         assert not v.violated
+
+
+# the rfilter grids of the decision-batch benchmark workload
+BENCH_GRIDS = [(0.0, 2.0, 4.0), (-2.0, 0.5, 2.0, 8.0),
+               (-8.0, -1.0, 3.0, 16.0), (0.5, 2.0, 32.0)]
+
+
+@st.composite
+def majorized_pairs(draw):
+    """x majorized by y, of equal length.  y has small integer parts, so
+    ties and zero tails are common; x is y after a few moves of at most
+    half the gap from an entry to a smaller one (T-transforms, each
+    keeping x majorized by y).  A move into y's zero tail widens x's
+    support ("dims_differ"); moves between equal entries leave x == y."""
+    parts = draw(st.lists(st.integers(0, 6), min_size=2, max_size=6)
+                 .filter(any))
+    y = sorted((8 * p for p in parts), reverse=True)
+    x = list(y)
+    n = len(x)
+    for i, j, t in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                           st.integers(0, n - 1),
+                                           st.integers(1, 4)),
+                                 min_size=1, max_size=4)):
+        x.sort(reverse=True)
+        i, j = min(i, j), max(i, j)
+        move = (x[i] - x[j]) * t // 8
+        x[i] -= move
+        x[j] += move
+    return (make_probvec(x, normalize=True),
+            make_probvec(y, normalize=True))
+
+
+def is_exact_order(a):
+    # every order _dips compares on integers: 0, +-inf and the integers
+    # but 1
+    return math.isinf(a) or (a == int(a) and a != 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(majorized_pairs(), st.sampled_from([None] + BENCH_GRIDS))
+@example((fv("0.3", "0.3", "0.2", "0.2"), PAPER_Y), None)
+@example((PAPER_X, PAPER_X), None)
+def test_walk_settles_majorized_pairs(pair, grid):
+    # the walk's answer carries the fields of the order-by-order loop,
+    # and that loop finds no dip at any exact order
+    x, y = pair
+    assert majorizes(x, y).holds
+    got = r_filter(x, y, grid)
+    with mock.patch.object(renyi, "_verdict", lambda *a: "fails"):
+        loop = r_filter(x, y, grid)
+    assert got.status == "no_violation_found"
+    assert ((got.mode, got.grid_used, got.float_alphas_used)
+            == (loop.mode, loop.grid_used, loop.float_alphas_used))
+    for a in loop.grid_used:
+        if is_exact_order(a):
+            assert not renyi._dips(x, y, a), (x, y, a)
+
+
+@pytest.mark.parametrize("x, y", [
+    (fv("0.3", "0.3", "0.2", "0.2"), PAPER_Y),  # dims_differ
+    (PAPER_X, fv("0.6", "0.3", "0.05", "0.05")),  # dims_equal
+    (PAPER_X, PAPER_X)])
+def test_majorized_pair_evaluates_no_order(monkeypatch, x, y):
+    def refuse(*a):
+        raise AssertionError("evaluated an order")
+    monkeypatch.setattr(renyi, "_dips", refuse)
+    for grid in [None] + BENCH_GRIDS:
+        assert r_filter(x, y, grid).status == "no_violation_found"
 
 
 def integer_power_sum(x, a):
