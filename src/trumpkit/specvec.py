@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import json
 import math
-import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -173,58 +172,28 @@ def _from_counts(merged, scale) -> ProbVec:
                                         scale)
 
 
-# The plain literals [+-]digits, [+-]digits/digits and [+-]digits.digits,
-# ASCII digits only: _parse reads these straight to integers, and hands
-# every other string (exponents, underscores, padding, other digits,
-# junk) to Fraction, so the strings accepted, their values and the
-# errors are Fraction's.
-_PLAIN = re.compile(r"([+-]?)([0-9]+)(?:/([0-9]+)|\.([0-9]+))?")
-
-
-def _parse(raw):
+def _parse(raw) -> Fraction:
     """One exact entry from an int, a Fraction or a string such as "0.4"
-    or "2/5", as an integer numerator and a positive denominator, not
-    necessarily in lowest terms.  Bare floats are rejected, since their
-    binary value is almost never the decimal meant; so is every other
-    type (bool, None, lists), and a string that is no number or has a
-    zero denominator."""
+    or "2/5".  Bare floats are rejected, since their binary value is
+    almost never the decimal meant; so is every other type (bool, None,
+    lists), and a string that is no number or has a zero denominator."""
     if isinstance(raw, float):
         raise ValueError("float literal %r not allowed; pass a string like "
                          "'0.4' or '2/5'" % (raw,))
     if isinstance(raw, bool) or not isinstance(raw, (str, int, Fraction)):
         raise ValueError("entry %r is not a number literal" % (raw,))
-    if isinstance(raw, str):
-        m = _PLAIN.fullmatch(raw)
-        if m:
-            # the int() calls of Fraction's own string path, in its
-            # order, so a literal past int's digit limit fails alike
-            sign, whole, den, dec = m.groups()
-            n, d = int(whole), (int(den) if den else 1)
-            if dec:
-                d = 10 ** len(dec)
-                n = n * d + int(dec)
-            if d:
-                return (-n if sign == "-" else n), d
-        try:
-            raw = Fraction(raw)
-        except ZeroDivisionError:
-            raise ValueError("entry %r has a zero denominator"
-                             % (raw,)) from None
-    return raw.numerator, raw.denominator
+    try:
+        return Fraction(raw)
+    except ZeroDivisionError:
+        raise ValueError("entry %r has a zero denominator" % (raw,)) from None
 
 
-def _numerators(pairs):
-    """The numerators of (numerator, denominator) pairs over one scale,
-    and that scale: over the lcm of the denominators, then divided by
-    the gcd of the scale and every numerator, so the scale is the lcm of
-    the entries' reduced denominators.  The one pass from parsed entries
-    to the integer state."""
-    scale = math.lcm(*(d for _, d in pairs))
-    nums = [n * (scale // d) for n, d in pairs]
-    g = math.gcd(scale, *nums)
-    if g > 1:
-        nums, scale = [u // g for u in nums], scale // g
-    return nums, scale
+def _numerators(values):
+    """The numerators of rationals (Fractions or ints) over the lcm of
+    their denominators, and that lcm: the one pass from Fractions to the
+    integer state."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _checked_numerators(raw, normalize: bool = False):
@@ -233,13 +202,13 @@ def _checked_numerators(raw, normalize: bool = False):
     and all put over one scale (_numerators), which is returned with the
     numerators.  Unless normalize is set, the numerators must sum to the
     scale, that is the entries to exactly 1."""
-    pairs = tuple(map(_parse, raw))
-    if not pairs:
+    vals = tuple(map(_parse, raw))
+    if not vals:
         raise ValueError("empty input")
-    for n, d in pairs:
-        if n < 0:
-            raise ValueError("negative entry %s" % (Fraction(n, d),))
-    nums, scale = _numerators(pairs)
+    for v in vals:
+        if v < 0:
+            raise ValueError("negative entry %s" % (v,))
+    nums, scale = _numerators(vals)
     mass = sum(nums)
     if mass == 0:
         raise ValueError("zero total mass")
@@ -553,9 +522,9 @@ def _power_blocks(base: ProbVec, k: int, top: bool, factor: int):
 def parse_vector_literal(text: str) -> ProbVec:
     """Parse the shared JSON vector format: an array of strings ("0.4",
     "2/5") or of JSON numbers.  A number is read as the decimal it is
-    written as (0.1 is 1/10, not its binary float): a JSON decimal is
-    handed to _parse as its text, so either form is exact."""
-    data = json.loads(text, parse_float=str)
+    written as (0.1 is 1/10, not its binary float), so either form is
+    exact."""
+    data = json.loads(text, parse_float=Fraction)
     if not isinstance(data, list):
         raise ValueError("vector literal must be a JSON array")
     return make_probvec(data)

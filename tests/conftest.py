@@ -91,30 +91,6 @@ def brute_power_majorizes(x, y, k):
     return all(a <= b for a, b in zip(power(x.entries), power(y.entries)))
 
 
-def fraction_numerators(raws):
-    """Reference for specvec._checked_numerators(raws, normalize=True) on
-    literal strings: each read by Fraction(raw), a zero denominator
-    reported in the library's words; none negative, not all zero; the
-    numerators over the lcm of the reduced denominators, and that lcm."""
-    vals = []
-    for raw in raws:
-        try:
-            vals.append(Fraction(raw))
-        except ZeroDivisionError:
-            raise ValueError("entry %r has a zero denominator"
-                             % (raw,)) from None
-    if not vals:
-        raise ValueError("empty input")
-    for v in vals:
-        if v < 0:
-            raise ValueError("negative entry %s" % (v,))
-    scale = math.lcm(*(v.denominator for v in vals))
-    nums = [v.numerator * (scale // v.denominator) for v in vals]
-    if not any(nums):
-        raise ValueError("zero total mass")
-    return nums, scale
-
-
 def brute_majorizes(xs, ys):
     """Oracle on plain sorted lists: (holds, first_violation_l)."""
     ex = Fraction(0)

@@ -248,17 +248,16 @@ def fresh(*vecs):
 
 
 class TestOneSpectrumPerVector:
-    # a vector's spectrum is built by the one parsed-entries -> integer
-    # pass (specvec._numerators) when the vector is built, and never in a
-    # query; each pass is recorded as the Fractions of the pairs it got
+    # a vector's spectrum is built by the one Fraction -> integer pass
+    # (specvec._numerators) when the vector is built, and never in a query
     @staticmethod
     def counting_builds(monkeypatch):
         built = []
         real = specvec._numerators
 
-        def counting(pairs):
-            built.append(tuple(F(n, d) for n, d in pairs))
-            return real(pairs)
+        def counting(values):
+            built.append(values)
+            return real(values)
         monkeypatch.setattr(specvec, "_numerators", counting)
         return built
 
