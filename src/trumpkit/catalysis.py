@@ -7,7 +7,7 @@ catalyst and lifting to multiple copies are both constructive; the random
 search is an explicitly heuristic stand-in for exact fixed-dimension
 algorithms: absence after its trials is never read as nonexistence, and
 only a failed endpoint test or an exact power-sum refutation
-(mlocc._exclusion) stops it before any trial.
+(renyi._exclusion) stops it before any trial.
 
 Construction runs on the vectors' integers, and a lift to n copies is
 returned factored (LiftedCatalyst), so c^(x)n is built only when its
@@ -23,7 +23,8 @@ from itertools import chain, islice
 from typing import Dict, NamedTuple, Optional, Union
 
 from .majorize import _product_majorizes, _verdict
-from .mlocc import _exclusion, in_Mk
+from .mlocc import in_Mk
+from .renyi import _exclusion
 from .specvec import (ProbVec, _check_dims, _from_counts, _normalized,
                       spectrum_direct_sum, spectrum_tensor,
                       tensor_power_spectrum, tensor_powers)
@@ -195,7 +196,7 @@ def multicopy_catalyst_scan(x: ProbVec, y: ProbVec, c: ProbVec,
     works, then bisection of the last gap.  That takes at most
     2 * ceil(log2 m_max) + 2 probes, and no c^(x)m is built past twice
     the least working m (past m_max when none works).  When the probe
-    m = 1 fails and the pair is excluded (mlocc._exclusion), no catalyst
+    m = 1 fails and the pair is excluded (renyi._exclusion), no catalyst
     of any dimension works, and every m fails with no further power
     built."""
     _check_dims(x, y)

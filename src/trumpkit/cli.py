@@ -18,7 +18,6 @@ from itertools import accumulate, chain, islice, repeat
 
 from . import catalysis, mlocc, renyi
 from .majorize import majorizes
-from .mlocc import _failed_endpoint
 from .specvec import load_vector
 
 
@@ -124,7 +123,7 @@ def cmd_catalyst(args) -> int:
         if k is None:
             scan = mlocc.scan_Mk(x, y, args.k_max)
             if scan.short_circuited:
-                test = _failed_endpoint(x, y)
+                test = renyi._failed_endpoint(x, y)
                 _emit({"error": "no k exists: the endpoint test fails "
                        "(%s)" % test, "failed_endpoint": test}, args.as_json)
                 return 1

@@ -5,16 +5,19 @@ and bounded scans over k, both answered by one k-sweep (_sweep), the
 single-equality boundary criterion and its uniform-k corollary, interior
 classification of the multi-copy region, the usefulness characterization
 with its averaging witness, and the non-closedness perturbation witness.
+A pair that fails at one copy is first put to renyi._exclusion, the one
+exclusion rule, which catalysis and the CLI share; a pair it excludes
+fails at every k, and no power is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from typing import Dict, NamedTuple, Optional, Union
+from typing import Dict, NamedTuple, Optional
 
 from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
-from .renyi import power_sum_refutation
+from .renyi import _exclusion
 from .specvec import (_CHAIN_MAX_K, ProbVec, _check_dims, _ends,
                       _enumeration_cost, _from_counts, _grow, _growth_cost)
 
@@ -199,25 +202,6 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
         held = [_grow(b, s, grown, k) for b, s in zip(bases, held)]
         grown = k
         verdict = _verdict(*held)
-
-
-def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
-    """The endpoint test that x -> y fails, "x_1 <= y_1" or "x_n >= y_n",
-    or None.  Each is necessary at every k and with every catalyst."""
-    (x1, y1), (xn, yn) = _ends(x, y)
-    if y1 < x1:
-        return "x_1 <= y_1"
-    if xn < yn:
-        return "x_n >= y_n"
-    return None
-
-
-def _exclusion(x: ProbVec, y: ProbVec) -> Union[str, int, None]:
-    """Why no k and no catalyst turns x into y: the endpoint test that
-    fails (_failed_endpoint, a non-empty string), else the order of a
-    refuting power sum (power_sum_refutation, an int, possibly 0), else
-    None; callers test the answer with `is not None`."""
-    return _failed_endpoint(x, y) or power_sum_refutation(x, y)
 
 
 def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:

@@ -12,13 +12,20 @@ Every order it tests is Schur-concave on the pairs it tests it on, so a
 pair already majorized at one copy (majorize._verdict, the exact
 breakpoint walk) can have no dip, and r_filter answers it from the walk
 without evaluating an order; see r_filter for the argument in each mode.
+
+The exact order tests live here once.  One comparer (_first_excess)
+compares integer power sums, both for r_filter's integer orders (_dips)
+and for the runs of power_sum_refutation; one count rule (_count_mode)
+says from the nonzero counts which orders count.  The exclusion rule
+that mlocc, catalysis and the CLI share (_exclusion: the endpoint tests
+of _failed_endpoint, then power_sum_refutation) sits beside them.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .majorize import _verdict
 from .specvec import ProbVec, _check_dims, _ends
@@ -36,23 +43,6 @@ DEFAULT_ALPHA_GRID = (-64.0, -32.0, -16.0, -8.0, -4.0, -2.0, -0.5,
 _FLOAT_TOL = 1e-12
 
 
-def _first_excess(u, m, fu, w, n, fw, first: int, last: int = 8):
-    """Least e in first..last with P_e(u / fu) > P_e(w / fw), or None.
-
-    u and w are integer numerators with counts m and n over the scales fu
-    and fw; the comparison is sum m_i u_i^e * fw^e > sum n_j w_j^e * fu^e,
-    every power a running product."""
-    pu, pw, gu, gw = u, w, fu, fw
-    for e in range(1, last + 1):
-        if e > 1:
-            pu, pw = list(map(mul, pu, u)), list(map(mul, pw, w))
-            gu, gw = gu * fu, gw * fw
-        if e >= first and (sum(map(mul, m, pu)) * gw
-                           > sum(map(mul, n, pw)) * gu):
-            return e
-    return None
-
-
 def _power_terms(s: ProbVec, reciprocal: bool):
     """Numerators, counts and scale of the nonzero values of s, or of
     their reciprocals: 1 / (p / D) = D * (L // p) / L, L the lcm of the
@@ -65,12 +55,38 @@ def _power_terms(s: ProbVec, reciprocal: bool):
     return [s._scale * (lcm // p) for p in vals], counts, lcm
 
 
-def _power_sum(s: ProbVec, a: int):
-    """P_a(s), the sum of v^a over the nonzero values v of s for an
-    integer a != 0, as an integer numerator and denominator: the terms of
-    _power_terms, reciprocal for a < 0, raised to |a|."""
-    vals, counts, scale = _power_terms(s, a < 0)
-    return sum(m * p ** abs(a) for p, m in zip(vals, counts)), scale ** abs(a)
+def _first_excess(tx, ty, first: int, last: int):
+    """Least e in first..last with P_e(x) > P_e(y), or None: the one
+    exact power-sum comparer.
+
+    tx and ty are _power_terms of x and y, numerators u and w with counts
+    m and n over the scales fu and fw; order e compares
+    sum m_i u_i^e * fw^e with sum n_j w_j^e * fu^e.  The powers at first
+    are taken with ** (at first = 1 they are the terms), every later one
+    as a running product, and none past the answer."""
+    (u, m, fu), (w, n, fw) = tx, ty
+    e, gu, gw = first, fu ** first, fw ** first
+    pu, pw = (u, w) if e == 1 else ([p ** e for p in u], [p ** e for p in w])
+    while sum(map(mul, m, pu)) * gw <= sum(map(mul, n, pw)) * gu:
+        if e == last:
+            return None
+        e += 1
+        pu, pw = list(map(mul, pu, u)), list(map(mul, pw, w))
+        gu, gw = gu * fu, gw * fw
+    return e
+
+
+def _count_mode(x: ProbVec, y: ProbVec) -> Optional[str]:
+    """The one rule on nonzero counts that every exact order test reads.
+
+    None when x has fewer nonzero entries than y, which order 0 refutes
+    (S_0 is log2 of the count); "dims_equal" when the counts agree, the
+    only case in which negative orders and -inf count; "dims_differ"
+    when x has more, where they prove nothing."""
+    d_x, d_y = x.nonzero_dim, y.nonzero_dim
+    if d_x < d_y:
+        return None
+    return "dims_equal" if d_x == d_y else "dims_differ"
 
 
 def power_sum_refutation(sx: ProbVec, sy: ProbVec) -> Optional[int]:
@@ -89,7 +105,7 @@ def power_sum_refutation(sx: ProbVec, sy: ProbVec) -> Optional[int]:
 
     Orders run 2..8, then -1..-8 when x and y have equally many nonzero
     entries, or 0 when x has fewer (with more, negative orders prove
-    nothing).  Of 100 pairs from the multicopy benchmark's mid slots (both
+    nothing): the count rule of _count_mode.  Of 100 pairs from the multicopy benchmark's mid slots (both
     endpoint tests pass, one copy fails) that do not convert at the slot's
     k, orders 2..8 and -1..-8 refuted 79 and orders 9..32 one more, so the
     list stops at 8.
@@ -98,25 +114,26 @@ def power_sum_refutation(sx: ProbVec, sy: ProbVec) -> Optional[int]:
     (counts m_i) and y's q_j / D_y (counts n_j), order a > 0 compares
     sum m_i p_i^a * D_y^a with sum n_j q_j^a * D_x^a, and a negative order
     compares the reciprocals the same way over the lcm of the numerators.
-    The first violation stops the test.
+    The comparer (_first_excess) runs each of the two lists, and the
+    first violation stops the test.
     """
-    tx, ty = _power_terms(sx, False), _power_terms(sy, False)
-    order = _first_excess(*tx, *ty, 2)
+    order = _first_excess(_power_terms(sx, False), _power_terms(sy, False),
+                          2, 8)
     if order is not None:
         return order
-    dx, dy = sum(tx[1]), sum(ty[1])  # the nonzero counts
-    if dx != dy:
-        return 0 if dx < dy else None
-    order = _first_excess(*_power_terms(sx, True), *_power_terms(sy, True),
-                          1)
+    mode = _count_mode(sx, sy)
+    if mode != "dims_equal":
+        return 0 if mode is None else None
+    order = _first_excess(_power_terms(sx, True), _power_terms(sy, True), 1, 8)
     return None if order is None else -order
 
 
 def renyi_entropy(x: ProbVec, alpha) -> float:
     """Renyi entropy at any extended-real order.
 
-    Integer orders go through exact integer power sums (_power_sum)
-    before the single log; non-integer orders evaluate in floating point
+    Integer orders go through exact integer power sums, on the terms of
+    _power_terms (reciprocal for alpha < 0) raised to |alpha|, before the
+    single log; non-integer orders evaluate in floating point
     (irrational powers have no exact representation), on the nonzero
     entries p / D as correctly rounded floats, summed entry by entry from
     the largest.  Where a term overflows or the sum underflows to 0, as
@@ -132,7 +149,9 @@ def renyi_entropy(x: ProbVec, alpha) -> float:
         return math.log2(sum(counts))
     sgn = 1.0 if alpha >= 0 else -1.0
     if alpha != 1 and float(alpha) == int(alpha):
-        num, den = _power_sum(x, int(alpha))
+        a = abs(int(alpha))
+        vals, counts, scale = _power_terms(x, alpha < 0)
+        num, den = sum(m * p ** a for p, m in zip(vals, counts)), scale ** a
         g = math.gcd(num, den)
         # big-int-safe log2 in lowest terms: exact power sums overflow
         # float at large |alpha|
@@ -190,25 +209,50 @@ def _dips(x: ProbVec, y: ProbVec, alpha) -> bool:
     """Is S(x) < S(y) at one order?
 
     Every order but 1 and the non-integer ones is a rational comparison
-    on the vectors' integers: the nonzero counts at 0, the largest
-    values at +inf (S = -log2 max), the smallest nonzero values at -inf
-    (S = log2 min), and integer power sums (_power_sum) at the other
-    integers.  Order 1 and the non-integer orders use floats with a
-    tolerance."""
-    if math.isinf(alpha):
+    on the vectors' integers: the nonzero counts at 0 (_count_mode), the
+    largest values at +inf (S = -log2 max, read from specvec._ends), the
+    smallest nonzero values at -inf (S = log2 min), and the power sums of
+    the one comparer (_first_excess) at the other integers, whose order
+    the entropy reverses at a > 1 and a < 0.  Order 1 and the non-integer
+    orders use floats with a tolerance."""
+    if alpha == POS_INF:
+        x1, y1 = _ends(x, y)[0]
+        return y1 < x1
+    if alpha == NEG_INF:
         (u, _, fu), (w, _, fw) = _power_terms(x, False), _power_terms(y, False)
-        if alpha > 0:
-            return u[0] * fw > w[0] * fu
         return u[-1] * fw < w[-1] * fu
     if float(alpha) == int(alpha) and int(alpha) != 1:
         a = int(alpha)
         if a == 0:
-            return x.nonzero_dim < y.nonzero_dim
-        # at integer a > 1 and a < 0 the entropy order reverses the
-        # power-sum order
-        (px, dx), (py, dy) = _power_sum(x, a), _power_sum(y, a)
-        return px * dy > py * dx
+            return _count_mode(x, y) is None
+        tx, ty = _power_terms(x, a < 0), _power_terms(y, a < 0)
+        return _first_excess(tx, ty, abs(a), abs(a)) is not None
     return renyi_entropy(x, alpha) - renyi_entropy(y, alpha) < -_FLOAT_TOL
+
+
+def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
+    """The endpoint test that x -> y fails, "x_1 <= y_1" or "x_n >= y_n",
+    or None.  Each is necessary at every k and with every catalyst.
+
+    The head test is _dips at +inf, which reads specvec._ends.  The tail
+    test reads _ends too, not _dips at -inf: x_n >= y_n counts zero
+    entries (x_n = 0 < y_n fails it), while -inf compares the smallest
+    nonzero ones."""
+    if _dips(x, y, POS_INF):
+        return "x_1 <= y_1"
+    xn, yn = _ends(x, y)[1]
+    if xn < yn:
+        return "x_n >= y_n"
+    return None
+
+
+def _exclusion(x: ProbVec, y: ProbVec) -> Union[str, int, None]:
+    """Why no k and no catalyst turns x into y: the endpoint test that
+    fails (_failed_endpoint, a non-empty string), else the order of a
+    refuting power sum (power_sum_refutation, an int, possibly 0), else
+    None; callers test the answer with `is not None`.  mlocc, catalysis
+    and the CLI all exclude pairs through it."""
+    return _failed_endpoint(x, y) or power_sum_refutation(x, y)
 
 
 def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
@@ -240,20 +284,14 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
         grid = DEFAULT_ALPHA_GRID
     if not grid:
         raise ValueError("empty alpha grid")
-    d_x, d_y = x.nonzero_dim, y.nonzero_dim
-    if d_x < d_y:
+    mode = _count_mode(x, y)
+    if mode is None:
         return RFilterVerdict("violated", violating_alpha=0.0,
                               mode="dims_differ", grid_used=(0.0,))
-    mode = "dims_differ" if d_x > d_y else "dims_equal"
-    alphas = [0, 1, POS_INF]
-    if mode == "dims_equal":
-        alphas.append(NEG_INF)
-    for a in grid:
-        if mode == "dims_differ" and a < 0:
-            continue
-        alphas.append(a)
-    float_used = any(not math.isinf(a) and float(a) != int(a)
-                     for a in alphas if not math.isinf(a))
+    alphas = [0, 1, POS_INF, NEG_INF, *grid]
+    if mode == "dims_differ":  # negative orders prove nothing (_count_mode)
+        alphas = [a for a in alphas if not a < 0]
+    float_used = any(float(a) != int(a) for a in alphas if not math.isinf(a))
     if _verdict(x, y) == "fails":  # a majorized pair has no dip (above)
         for a in alphas:
             if _dips(x, y, a):

@@ -327,20 +327,21 @@ class TestOneSpectrumPerVector:
     def test_r_filter_builds_at_most_one_per_vector(self, monkeypatch, pair,
                                                     reads):
         # the two builds are the vectors' own: r_filter makes none.  reads:
-        # how many of the two spectra an integer power sum reads
+        # how many of the two spectra an integer power sum reads, seen at
+        # the one power-sum comparer (limits and floats read the terms too)
         built = self.counting_builds(monkeypatch)
         x, y = fresh(*pair)
         read = []
-        real = renyi._power_sum
+        real = renyi._first_excess
 
-        def reading(s, a):
-            if s not in read:
-                read.append(s)
-            return real(s, a)
-        monkeypatch.setattr(renyi, "_power_sum", reading)
+        def reading(tx, ty, first, last):
+            read.extend(t for t in (tx, ty) if t not in read)
+            return real(tx, ty, first, last)
+        monkeypatch.setattr(renyi, "_first_excess", reading)
         r_filter(x, y)
         assert built == [x.entries, y.entries]
-        assert read == [x, y][:reads]
+        terms = [renyi._power_terms(s, False) for s in (x, y)]
+        assert read == terms[:reads]
 
     def test_combine_grows_each_power_once(self, monkeypatch):
         products = []

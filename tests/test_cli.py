@@ -4,7 +4,7 @@ from itertools import accumulate
 
 import pytest
 
-from trumpkit import catalysis, make_probvec, mlocc
+from trumpkit import catalysis, make_probvec, renyi
 from trumpkit.cli import main
 from trumpkit.specvec import load_vector
 
@@ -201,12 +201,12 @@ class TestPowerSumRefutationCommands:
     def test_search_asks_the_power_sums_once(self, capsys, monkeypatch,
                                              argv, result):
         calls = []
-        real = mlocc.power_sum_refutation
+        real = renyi.power_sum_refutation
 
         def counting(sx, sy):
             calls.append((sx, sy))
             return real(sx, sy)
-        monkeypatch.setattr(mlocc, "power_sum_refutation", counting)
+        monkeypatch.setattr(renyi, "power_sum_refutation", counting)
         code, out = run(capsys, "catalyst", "search", "--x", *argv, "--json")
         assert code == 1
         assert json.loads(out)["result"] == result

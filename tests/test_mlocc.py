@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trumpkit import mlocc, specvec
+from trumpkit import mlocc, renyi, specvec
 from trumpkit import (ProbVec, classify_usefulness, corollary4_k_bound,
                       in_Mk, is_generalized_interior, is_interior_of_M,
                       lemma3_k_condition, majorizes, make_probvec,
@@ -141,14 +141,14 @@ class TestInMkPreDecision:
             ProbVec([F(3, 10), F(3, 10)])
 
     def test_failed_endpoint_names_the_test(self):
-        assert mlocc._failed_endpoint(self.EARLY_X, self.HOLD_Y) == (
+        assert renyi._failed_endpoint(self.EARLY_X, self.HOLD_Y) == (
             "x_1 <= y_1")
-        assert mlocc._failed_endpoint(self.LATE_X, self.HOLD_Y) == (
+        assert renyi._failed_endpoint(self.LATE_X, self.HOLD_Y) == (
             "x_n >= y_n")
-        assert mlocc._failed_endpoint(self.HOLD_X, self.HOLD_Y) is None
+        assert renyi._failed_endpoint(self.HOLD_X, self.HOLD_Y) is None
         half, tilted = fv("0.5", "0.5"), fv("0.6", "0.4")
-        assert mlocc._failed_endpoint(tilted, half) == "x_1 <= y_1"
-        assert mlocc._failed_endpoint(half, tilted) is None
+        assert renyi._failed_endpoint(tilted, half) == "x_1 <= y_1"
+        assert renyi._failed_endpoint(half, tilted) is None
 
     def test_errors_before_shortcuts(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -182,13 +182,16 @@ class TestPowerSumRefutationInMk:
         assert is_interior_of_M(self.MID_X, self.MID_Y, 3) == "not_member"
 
     def test_decided_pairs_never_refute(self, monkeypatch):
-        monkeypatch.setattr(mlocc, "power_sum_refutation", self.refuse)
+        monkeypatch.setattr(renyi, "power_sum_refutation", self.refuse)
         pre = TestInMkPreDecision
         assert in_Mk(pre.HOLD_X, pre.HOLD_Y, 40)
         assert not in_Mk(pre.EARLY_X, pre.HOLD_Y, 40)
         assert not in_Mk(pre.LATE_X, pre.HOLD_Y, 40)
         for x in (pre.HOLD_X, pre.EARLY_X, pre.LATE_X):
             assert scan_Mk(x, pre.HOLD_Y, 5).refuting_order is None
+        # the patch bites on a pair that reaches the power sums
+        with pytest.raises(AssertionError, match="called"):
+            in_Mk(self.MID_X, self.MID_Y, 2)
 
 
 class TestSumOfMembersInMk:

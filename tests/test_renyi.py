@@ -12,7 +12,7 @@ from trumpkit import (DEFAULT_ALPHA_GRID, majorizes,
                       make_probvec, power_sum_refutation, r_filter,
                       r_properties_check, renyi, renyi_entropy,
                       spectrum_tensor, tensor_power_spectrum)
-from trumpkit.renyi import NEG_INF, POS_INF, _power_sum
+from trumpkit.renyi import NEG_INF, POS_INF, _first_excess, _power_terms
 
 from conftest import (power_sum, power_sum_refutes, random_majorized_below,
                       random_rational_vec)
@@ -257,8 +257,11 @@ def test_walk_settles_majorized_pairs(pair, grid):
     x, y = pair
     assert majorizes(x, y).holds
     got = r_filter(x, y, grid)
-    with mock.patch.object(renyi, "_verdict", lambda *a: "fails"):
+    walked = []
+    with mock.patch.object(renyi, "_verdict",
+                           lambda *a: walked.append(a) or "fails"):
         loop = r_filter(x, y, grid)
+    assert walked  # the patch reached r_filter's walk
     assert got.status == "no_violation_found"
     assert ((got.mode, got.grid_used, got.float_alphas_used)
             == (loop.mode, loop.grid_used, loop.float_alphas_used))
@@ -277,22 +280,34 @@ def test_majorized_pair_evaluates_no_order(monkeypatch, x, y):
     monkeypatch.setattr(renyi, "_dips", refuse)
     for grid in [None] + BENCH_GRIDS:
         assert r_filter(x, y, grid).status == "no_violation_found"
+    # the patch bites on a pair the walk fails
+    with pytest.raises(AssertionError, match="evaluated an order"):
+        r_filter(PAPER_X, PAPER_Y)
 
 
-def integer_power_sum(x, a):
-    """The integer power sum of the Renyi filter, as a Fraction."""
-    return F(*_power_sum(x, a))
+def excess(x, y, a):
+    """Is P_a(x) > P_a(y) at one integer order a, by the comparer?"""
+    tx, ty = _power_terms(x, a < 0), _power_terms(y, a < 0)
+    return _first_excess(tx, ty, abs(a), abs(a)) is not None
 
 
 class TestPowerSums:
     def test_exact_values(self):
-        assert integer_power_sum(fv("0.5", "0.5"), 2) == F(1, 2)
-        assert integer_power_sum(PAPER_Y, -1) == F(2) + F(4) + F(4)
+        # P_2 of (1/2, 1/2) is 1/2 with or without a zero tail; P_-1 of
+        # PAPER_Y is 2 + 4 + 4 = 10, and of (2/5, 3/10, 3/10) 55/6
+        half, third = fv("0.5", "0.5"), fv("0.4", "0.3", "0.3")
+        assert not excess(half, fv("0.5", "0.5", "0"), 2)
+        assert not excess(fv("0.5", "0.5", "0"), half, 2)
+        assert excess(PAPER_Y, third, -1)
+        assert not excess(third, PAPER_Y, -1)
+        assert not excess(PAPER_Y, fv("0.5", "0.25", "0.25"), -1)
         rng = random.Random(131)
         for _ in range(30):
             x = random_rational_vec(rng, rng.randint(1, 5))
-            for a in (*range(-8, 0), *range(1, 9)):
-                assert integer_power_sum(x, a) == power_sum(x, a), (x, a)
+            y = random_rational_vec(rng, rng.randint(1, 5))
+            for a in range(-8, 9):
+                want = power_sum(x, a) > power_sum(y, a)
+                assert excess(x, y, a) == want, (x, y, a)
 
     def test_equality_by_power_sums(self):
         assert r_properties_check(PAPER_Y, PAPER_Y)["exactly_equal"]
@@ -305,8 +320,8 @@ class TestPowerSums:
             n = rng.randint(2, 4)
             x = random_rational_vec(rng, n)
             y = random_rational_vec(rng, n)
-            same = all(integer_power_sum(x, a) == integer_power_sum(y, a)
-                       for a in range(1, n + 1))
+            same = not any(excess(x, y, a) or excess(y, x, a)
+                           for a in range(1, n + 1))
             assert same == (x == y)
 
 
@@ -420,3 +435,48 @@ class TestPowerSumRefutation:
                 assert not any(power_sum_refutes(x, y, a)
                                for a in range(2, order))
         assert {2, 0} <= orders and min(orders) < 0
+
+
+@st.composite
+def equal_length_pairs(draw):
+    """x and y of one length up to 6, zero tails and ties common; y is x
+    now and then."""
+    n = draw(st.integers(1, 6))
+    parts = st.lists(st.one_of(st.integers(0, 6), st.integers(1900, 2100)),
+                     min_size=n, max_size=n).filter(any)
+    x = draw(parts)
+    y = draw(st.one_of(parts, st.just(x)))
+    return (make_probvec(x, normalize=True), make_probvec(y, normalize=True))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(equal_length_pairs())
+@example((MID_X, MID_Y))
+@example((NEG_X, NEG_Y))
+@example((ZERO_X, ZERO_Y))
+@example((PAPER_X, PAPER_Y))
+def test_one_comparer_and_one_count_rule(pair):
+    # the comparer against Fraction power sums at every order -8..8, one
+    # order at a time and as the runs power_sum_refutation takes
+    x, y = pair
+    for a in range(-8, 9):
+        assert excess(x, y, a) == (power_sum(x, a) > power_sum(y, a)), a
+    for recip, first in ((False, 2), (True, 1)):
+        got = _first_excess(_power_terms(x, recip), _power_terms(y, recip),
+                            first, 8)
+        orders = range(first, 9) if not recip else range(-first, -9, -1)
+        assert got == next((abs(a) for a in orders
+                            if power_sum(x, a) > power_sum(y, a)), None)
+    # power_sum_refutation is the first order of its list where _dips holds:
+    # 2..8, then 0 on fewer nonzero entries or -1..-8 on equally many
+    dx, dy = power_sum(x, 0), power_sum(y, 0)  # the nonzero counts
+    orders = list(range(2, 9))
+    if dx < dy:
+        orders.append(0)
+    elif dx == dy:
+        orders += range(-1, -9, -1)
+    assert power_sum_refutation(x, y) == next(
+        (a for a in orders if renyi._dips(x, y, a)), None)
+    # the head endpoint test is the order +inf
+    head = renyi._failed_endpoint(x, y) == "x_1 <= y_1"
+    assert head == renyi._dips(x, y, POS_INF) == (x.entries[0] > y.entries[0])
