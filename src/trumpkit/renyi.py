@@ -234,13 +234,13 @@ def _failed_endpoint(x: ProbVec, y: ProbVec) -> Optional[str]:
     """The endpoint test that x -> y fails, "x_1 <= y_1" or "x_n >= y_n",
     or None.  Each is necessary at every k and with every catalyst.
 
-    The head test is _dips at +inf, which reads specvec._ends.  The tail
-    test reads _ends too, not _dips at -inf: x_n >= y_n counts zero
-    entries (x_n = 0 < y_n fails it), while -inf compares the smallest
-    nonzero ones."""
-    if _dips(x, y, POS_INF):
+    Both read one specvec._ends.  The head test is _dips at +inf; the
+    tail test is not _dips at -inf: x_n >= y_n counts zero entries
+    (x_n = 0 < y_n fails it), while -inf compares the smallest nonzero
+    ones."""
+    (x1, y1), (xn, yn) = _ends(x, y)
+    if y1 < x1:
         return "x_1 <= y_1"
-    xn, yn = _ends(x, y)[1]
     if xn < yn:
         return "x_n >= y_n"
     return None
@@ -274,9 +274,10 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
     majorized by y's (both prefix sums reach 1 at d); t^a is convex on
     t > 0 for a < 0, so P_a(x) <= P_a(y), that is S_a(x) >= S_a(y), at
     every negative order, and x's smallest nonzero entry is at least
-    y's, which is -inf.  Pairs the walk fails run the orders one by one.
-    Every grid order is read (for float_alphas_used) before the walk, so
-    a grid the orders would refuse, such as one holding nan, raises on a
+    y's, which is -inf.  Pairs the walk fails run the orders one by one,
+    all but order 0, which only the count test above can fail.  Every
+    grid order is read (for float_alphas_used) before the walk, so a
+    grid the orders would refuse, such as one holding nan, raises on a
     walked pair too.
     """
     _check_dims(x, y)
@@ -294,7 +295,8 @@ def r_filter(x: ProbVec, y: ProbVec, grid=None) -> RFilterVerdict:
     float_used = any(float(a) != int(a) for a in alphas if not math.isinf(a))
     if _verdict(x, y) == "fails":  # a majorized pair has no dip (above)
         for a in alphas:
-            if _dips(x, y, a):
+            # order 0 dips only where mode is None, which returned above
+            if a != 0 and _dips(x, y, a):
                 return RFilterVerdict("violated", violating_alpha=float(a),
                                       mode=mode, grid_used=tuple(alphas),
                                       float_alphas_used=float_used)

@@ -248,16 +248,17 @@ def fresh(*vecs):
 
 
 class TestOneSpectrumPerVector:
-    # a vector's spectrum is built by the one Fraction -> integer pass
-    # (specvec._numerators) when the vector is built, and never in a query
+    # a vector's spectrum is built by the one parsed-entries -> integer
+    # pass (specvec._numerators) when the vector is built, and never in a
+    # query; each pass is recorded as the Fractions of the pairs it got
     @staticmethod
     def counting_builds(monkeypatch):
         built = []
         real = specvec._numerators
 
-        def counting(values):
-            built.append(values)
-            return real(values)
+        def counting(pairs):
+            built.append(tuple(F(n, d) for n, d in pairs))
+            return real(pairs)
         monkeypatch.setattr(specvec, "_numerators", counting)
         return built
 

@@ -34,15 +34,16 @@ def fresh(*vecs):
 
 
 def counting_builds(monkeypatch):
-    """The values of every Fraction -> integer pass from now on: a
-    vector's spectrum is built by one (specvec._numerators) when the
-    vector is built, and never in a query."""
+    """The entries, as Fractions, of every parsed-entries -> integer pass
+    from now on: a vector's spectrum is built by one
+    (specvec._numerators) when the vector is built, and never in a
+    query."""
     built = []
     real = specvec._numerators
 
-    def counting(values):
-        built.append(values)
-        return real(values)
+    def counting(pairs):
+        built.append(tuple(F(n, d) for n, d in pairs))
+        return real(pairs)
     monkeypatch.setattr(specvec, "_numerators", counting)
     return built
 

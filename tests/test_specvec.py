@@ -4,9 +4,10 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trumpkit import (ProbVec, make_probvec, pad_to, spectrum_tensor,
@@ -105,6 +106,159 @@ class TestOneValidation:
         make_probvec(["0.5", "0.5"])
         make_probvec([1, 1], normalize=True)
         assert seen == [False, False, True]
+
+
+def fraction_state(raws, normalize=False):
+    """Reference for the state (_int_vals, _counts, _scale) that
+    ProbVec(raws), or make_probvec(raws, normalize=True), builds: each
+    entry read by Fraction(raw), a zero denominator reported in the
+    library's words; none negative, not all zero; the numerators over
+    the lcm of the reduced denominators, summing to it, or, normalized,
+    divided by their gcd over their sum."""
+    vals = []
+    for raw in raws:
+        try:
+            vals.append(Fraction(raw))
+        except ZeroDivisionError:
+            raise ValueError("entry %r has a zero denominator"
+                             % (raw,)) from None
+    if not vals:
+        raise ValueError("empty input")
+    for v in vals:
+        if v < 0:
+            raise ValueError("negative entry %s" % (v,))
+    scale = math.lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (scale // v.denominator) for v in vals]
+    if not any(nums):
+        raise ValueError("zero total mass")
+    if normalize:
+        g = math.gcd(*nums)
+        nums = [u // g for u in nums]
+        scale = sum(nums)
+    elif sum(nums) != scale:
+        raise ValueError("entries sum to %s, not 1 (pass normalize=True "
+                         "to rescale)" % (F(sum(nums), scale),))
+    counts = Counter(nums)
+    vals = sorted(counts, reverse=True)
+    return vals, [counts[v] for v in vals], scale
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=40)
+SIGN = st.sampled_from(["", "+", "-"])
+ZEROS = st.text("0", max_size=3)
+# the plain literals _parse reads to integers itself: signs, leading
+# zeros, long digit runs, 0/d, unreduced and zero denominators
+PLAIN = st.one_of(
+    st.builds("{}{}{}".format, SIGN, ZEROS, DIGITS),
+    st.builds("{}{}{}/{}{}".format, SIGN, ZEROS, DIGITS, ZEROS, DIGITS),
+    st.builds("{}{}{}.{}".format, SIGN, ZEROS, DIGITS, DIGITS),
+    st.builds("{}{}/{}".format, SIGN, st.integers(0, 10 ** 6),
+              st.integers(0, 9)),
+    st.builds(lambda n, d, k: "%d/%d" % (n * k, d * k),
+              st.integers(-9, 9), st.integers(1, 9), st.integers(1, 99)))
+
+
+def decimal(v, places):
+    """v >= 0, whose denominator divides 10**places, as "whole.frac"."""
+    whole, frac = divmod(v.numerator * 10 ** places // v.denominator,
+                         10 ** places)
+    return "%d.%s" % (whole, str(frac).zfill(places))
+
+
+@st.composite
+def rendered_vectors(draw, normalize):
+    """Entries each kept as a Fraction or written in a drawn form: p/q,
+    p/q times k/k, with a sign and leading zeros, an int or an integer
+    literal, a decimal with trailing zeros.  A probability vector unless
+    normalize, when nonnegative entries not all zero are drawn."""
+    weights = draw(st.lists(st.integers(0, 10 ** 4), min_size=1,
+                            max_size=8).filter(any))
+    total = draw(st.integers(1, 10 ** 4)) if normalize else sum(weights)
+    raws = []
+    for w in weights:
+        v = F(w, total)
+        k = draw(st.integers(1, 50))
+        forms = [v, str(v), "+0" + str(v),
+                 "%d/%d" % (v.numerator * k, v.denominator * k)]
+        if v.denominator == 1:
+            forms += [v.numerator, "00" + str(v)]
+        places = next((m for m in range(7) if 10 ** m % v.denominator == 0),
+                      None)
+        if places is not None:
+            forms.append(decimal(v, places + 1 + k % 4))
+        raws.append(draw(st.sampled_from(forms)))
+    return raws
+
+
+class TestParse:
+    # a plain literal is read straight to integers, every other string
+    # by Fraction(raw), and either way the pair, the vector's state and
+    # every error are what reading each entry by Fraction gives
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(PLAIN)
+    # past int's digit limit, in one part or only in both together
+    @example("1" * 5000)
+    @example("-" + "1" * 4301 + "/3")
+    @example("1/" + "1" * 4301)
+    @example("0." + "1" * 4301)
+    @example("9" * 3000 + "." + "9" * 3000)
+    def test_plain_literal_pair_is_fractions_value(self, raw):
+        try:
+            want = Fraction(raw)
+        except ZeroDivisionError:
+            want = (ValueError, "entry %r has a zero denominator" % (raw,))
+        except ValueError as exc:  # past int's digit limit
+            want = (ValueError, str(exc))
+        else:
+            # read without building a Fraction, to a pair of its value
+            def refuse(*a):
+                raise AssertionError("built a Fraction")
+            with mock.patch.object(specvec, "Fraction", refuse):
+                n, d = specvec._parse(raw)
+            assert type(n) is int and type(d) is int and d > 0
+            assert F(n, d) == want
+            return
+        assert outcome(specvec._parse, raw) == want
+
+    @pytest.mark.parametrize("raw", [
+        "1e-1", " 0.4 ", "1_0/2_0", "1.2.3", "1/ 2", "+.5", ".5", "5.",
+        "2.5E+1", "\u0663/\u0664", "\u0660.\u0665", "\uff11\uff12", "1/0",
+        "-3/0", "0/0", "abc", "", "/5", "1/-2", "1.5/2", "nan", "inf",
+        "0x10", "--1", "+", ".", "1__0", "1/2\n", "\t3"])
+    def test_other_strings_read_by_fraction(self, raw):
+        try:
+            f = Fraction(raw)
+        except ZeroDivisionError:
+            want = (ValueError, "entry %r has a zero denominator" % (raw,))
+        except ValueError as exc:
+            want = (ValueError, str(exc))
+        else:
+            want = (f.numerator, f.denominator)
+        assert outcome(specvec._parse, raw) == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rendered_vectors(normalize=False))
+    def test_vector_state_is_the_fraction_routes(self, raws):
+        want = fraction_state(raws)
+        assert state(ProbVec(raws)) == state(make_probvec(raws)) == want
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(rendered_vectors(normalize=True), st.lists(PLAIN, max_size=2))
+    def test_normalized_state_is_the_fraction_routes(self, raws, extra):
+        # the extra plain literals bring negative entries and zero
+        # denominators, whose errors must read alike too
+        raws = raws + extra
+        assert (outcome(lambda: state(make_probvec(raws, normalize=True)))
+                == outcome(fraction_state, raws, True))
 
 
 class TestJsonNumbers:
