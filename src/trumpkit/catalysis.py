@@ -135,6 +135,13 @@ def build_catalyst_thm1(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
     if not in_Mk(x, y, k):
         raise ValueError("precondition fails: x^(x)%d not majorized by "
                          "y^(x)%d" % (k, k))
+    return _thm1_catalyst(x, y, k)
+
+
+def _thm1_catalyst(x: ProbVec, y: ProbVec, k: int) -> CatalystCert:
+    """build_catalyst_thm1 without its premise check, for a k >= 1 that a
+    scan (mlocc.scan_Mk) has already found to be a member, so the k-sweep
+    does not run twice.  The certificate is still verified."""
     c = _mixed_power_catalyst(_powers(x, k - 1), _powers(y, k - 1))
     dim_ok = c.dim == k * x.dim ** (k - 1)
     verified = _product_majorizes(x, y, c)

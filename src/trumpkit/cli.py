@@ -21,34 +21,25 @@ from .majorize import majorizes
 from .specvec import load_vector
 
 
-def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="trumpkit",
-        description="Decision toolkit for single-copy, multiple-copy and "
-                    "catalyst-assisted entanglement transformations.")
-    sub = p.add_subparsers(dest="command", required=True)
+def _common(sp, need_x=True):
+    if need_x:
+        sp.add_argument("--x", required=True, metavar="FILE",
+                        help="source vector file")
+    sp.add_argument("--y", required=True, metavar="FILE",
+                    help="target vector file")
+    sp.add_argument("--json", action="store_true", dest="as_json",
+                    help="machine-readable output")
 
-    def common(sp, need_x=True, need_y=True):
-        if need_x:
-            sp.add_argument("--x", required=True, metavar="FILE",
-                            help="source vector file")
-        if need_y:
-            sp.add_argument("--y", required=True, metavar="FILE",
-                            help="target vector file")
-        sp.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable output")
 
-    sp = sub.add_parser("majorize", help="single-copy convertibility")
-    common(sp)
-
-    sp = sub.add_parser("mlocc", help="multiple-copy scan over k")
-    common(sp)
+def _mlocc_args(sp):
+    _common(sp)
     sp.add_argument("--k-max", type=int, default=8)
 
-    sp = sub.add_parser("catalyst", help="catalyst construction/search")
+
+def _catalyst_args(sp):
     sp.add_argument("action",
                     choices=["build", "combine", "lift", "search", "scan"])
-    common(sp)
+    _common(sp)
     sp.add_argument("--c", metavar="FILE", help="catalyst vector file "
                     "(combine/lift/scan)")
     sp.add_argument("--k", type=int, default=None,
@@ -62,16 +53,15 @@ def _build_parser():
     sp.add_argument("--transcript", action="store_true",
                     help="print the verification transcript")
 
-    sp = sub.add_parser("classify",
-                        help="is more than one copy ever useful for y?")
-    common(sp, need_x=False)
 
-    sp = sub.add_parser("rfilter", help="Renyi-entropy dominance filter")
-    common(sp)
+def _classify_args(sp):
+    _common(sp, need_x=False)
+
+
+def _rfilter_args(sp):
+    _common(sp)
     sp.add_argument("--alpha-grid", default=None,
                     help="comma-separated orders overriding the default")
-
-    return p
 
 
 def _emit(payload, as_json):
@@ -119,8 +109,7 @@ def cmd_catalyst(args) -> int:
     x = load_vector(args.x)
     y = load_vector(args.y)
     if args.action == "build":
-        k = args.k
-        if k is None:
+        if args.k is None:
             scan = mlocc.scan_Mk(x, y, args.k_max)
             if scan.short_circuited:
                 test = renyi._failed_endpoint(x, y)
@@ -137,7 +126,9 @@ def cmd_catalyst(args) -> int:
                 _emit({"error": "no multi-copy witness within k_max=%d"
                        % args.k_max}, args.as_json)
                 return 1
-        cert = catalysis.build_catalyst_thm1(x, y, k)
+            cert = catalysis._thm1_catalyst(x, y, k)
+        else:
+            cert = catalysis.build_catalyst_thm1(x, y, args.k)
     elif args.action == "combine":
         if args.c is None or args.k is None:
             raise ValueError("combine requires --c and --k")
@@ -205,19 +196,51 @@ def cmd_rfilter(args) -> int:
     return 0 if not verdict.violated else 1
 
 
-_DISPATCH = {
-    "majorize": cmd_majorize,
-    "mlocc": cmd_mlocc,
-    "catalyst": cmd_catalyst,
-    "classify": cmd_classify,
-    "rfilter": cmd_rfilter,
+# name -> (help line, the function that adds its arguments, the command),
+# in the order of the usage line's choice list
+_SUBCOMMANDS = {
+    "majorize": ("single-copy convertibility", _common, cmd_majorize),
+    "mlocc": ("multiple-copy scan over k", _mlocc_args, cmd_mlocc),
+    "catalyst": ("catalyst construction/search", _catalyst_args,
+                 cmd_catalyst),
+    "classify": ("is more than one copy ever useful for y?", _classify_args,
+                 cmd_classify),
+    "rfilter": ("Renyi-entropy dominance filter", _rfilter_args,
+                cmd_rfilter),
 }
 
 
+def _build_parser(argv=None):
+    """The parser for argv (sys.argv[1:] when None).
+
+    All five subcommands are registered, so usage lines, help and
+    invalid-choice errors are those of the full parser, but only the one
+    that argparse dispatches to gets its arguments: the first token of
+    argv that does not start with "-".  That token is the subcommand
+    because the top-level parser has no option that takes a value; a
+    token that argparse reads as a positional although it starts with
+    "-" ("-1", "-") comes first and is rejected as an invalid choice
+    before any subcommand parses.  Nothing is kept between calls.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = next((a for a in argv if not a.startswith("-")), None)
+    p = argparse.ArgumentParser(
+        prog="trumpkit",
+        description="Decision toolkit for single-copy, multiple-copy and "
+                    "catalyst-assisted entanglement transformations.")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(sp)
+    return p
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
-from trumpkit import catalysis, make_probvec, renyi
+from trumpkit import catalysis, cli, make_probvec, mlocc, renyi
 from trumpkit.cli import main
 from trumpkit.specvec import load_vector
 
@@ -151,6 +153,30 @@ class TestCatalystCommand:
                      "--c", Z, "--n-copies", "3", "--json")
         full = brute_tensor_power(load_vector(Z), 3)
         assert json.loads(out)["catalyst"] == [str(v) for v in full]
+
+    def test_build_sweeps_once(self, capsys, monkeypatch):
+        calls = []
+        real = mlocc._sweep
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return real(*args, **kwargs)
+        monkeypatch.setattr(mlocc, "_sweep", counting)
+        code, out = run(capsys, "catalyst", "build", "--x", X, "--y", Y,
+                        "--k-max", "4", "--json")
+        assert code == 0
+        assert calls == [4]
+        cert = json.loads(out)
+        assert cert["verified"]
+        assert cert["source"] == "thm1_construction(k=3)"
+
+    def test_build_at_a_non_member_k_exit_two(self, capsys):
+        code = main(["catalyst", "build", "--x", X, "--y", Y, "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: precondition fails: x^(x)2 not "
+                                "majorized by y^(x)2\n")
 
     def test_combine_bad_premise_exit_two(self, capsys):
         code, _ = run(capsys, "catalyst", "combine", "--x", X, "--y", Y,
@@ -393,3 +419,57 @@ class TestVectorFiles:
             main(["majorize", "--x", X, "--y", Y, *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+_shipped_parser = cli._build_parser
+
+
+def _full_parser(argv=None):
+    """The reference parser: all five subcommands with their arguments,
+    from cli._SUBCOMMANDS."""
+    parser = _shipped_parser([])  # no subcommand named: none has arguments
+    sub = next(a for a in parser._actions if a.dest == "command")
+    for name, (_, add_arguments, _) in cli._SUBCOMMANDS.items():
+        add_arguments(sub.choices[name])
+    return parser
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserSurface:
+    """main with the per-call parser answers as the full parser does."""
+
+    FILES = ["--x", X, "--y", Y]
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["-h", "majorize"],
+        *([cmd, "-h"] for cmd in cli._SUBCOMMANDS),
+        ["foo"], ["-1"], ["--json"],
+        ["--", "majorize", *FILES], ["--bogus", "majorize", *FILES],
+        ["majorize", *FILES, "--bogus"], ["majorize", "mlocc", *FILES],
+        ["catalyst", "frob", *FILES], ["mlocc", "--k-max", "x", *FILES],
+        ["classify", "--x", X, "--y", Y], ["rfilter", "--x", X],
+        ["--json", "mlocc", *FILES, "--k-max", "2"],
+        ["catalyst", "scan", *FILES, "--c", ZP, "--m-max", "2", "--json"]])
+    def test_same_bytes_as_the_full_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        shipped = _outcome(argv)
+        monkeypatch.setattr(cli, "_build_parser", _full_parser)
+        assert _outcome(argv) == shipped
+
+    def test_only_the_dispatched_subcommand_gets_arguments(self):
+        parser = cli._build_parser(["--bogus", "rfilter", "--x", "mlocc"])
+        sub = next(a for a in parser._actions if a.dest == "command")
+        have = {name: [a.dest for a in sp._actions if a.dest != "help"]
+                for name, sp in sub.choices.items()}
+        assert have == {"majorize": [], "mlocc": [], "catalyst": [],
+                        "classify": [], "rfilter": ["x", "y", "as_json",
+                                                    "alpha_grid"]}

@@ -1,6 +1,6 @@
-"""Golden CLI outputs: stdout, stderr and exit code of six decision
+"""Golden CLI outputs: stdout, stderr and exit code of nine decision
 commands, plain and --json, on every ordered pair of equal-length corpus
-files (45 pairs, 540 runs), against the snapshot in cli_golden.json.
+files (45 pairs, 810 runs), against the snapshot in cli_golden.json.
 
 A change that means to alter an answer regenerates the snapshot and shows
 the difference in review:
@@ -18,9 +18,15 @@ from trumpkit.cli import main
 from conftest import CORPUS
 
 SNAPSHOT = Path(__file__).resolve().parent / "cli_golden.json"
+# a corpus file name in a command is passed as its path
 COMMANDS = [("majorize",), ("mlocc",), ("catalyst", "search", "--budget", "0"),
-            ("catalyst", "build"), ("rfilter",),
-            ("rfilter", "--alpha-grid=-3,-1,0.5,3,5,7")]
+            ("catalyst", "build"),
+            ("catalyst", "lift", "--c", "z_0.6_0.4.json", "--n-copies", "2"),
+            ("catalyst", "combine", "--c", "zprime_0.55_0.45.json",
+             "--k", "3"),
+            ("catalyst", "scan", "--c", "zprime_0.55_0.45.json",
+             "--m-max", "4"),
+            ("rfilter",), ("rfilter", "--alpha-grid=-3,-1,0.5,3,5,7")]
 
 
 def runs():
@@ -33,8 +39,10 @@ def runs():
             if size[x] != size[y]:
                 continue
             for cmd in COMMANDS:
+                args = [str(CORPUS / a) if a.endswith(".json") else a
+                        for a in cmd]
                 for fmt in ((), ("--json",)):
-                    argv = [*cmd, "--x", str(x), "--y", str(y), *fmt]
+                    argv = [*args, "--x", str(x), "--y", str(y), *fmt]
                     key = " ".join([*cmd, x.name, y.name, *fmt])
                     yield key, argv
 
@@ -49,7 +57,7 @@ def outcome(argv):
 def test_cli_outputs_match_the_snapshot():
     want = json.loads(SNAPSHOT.read_text())
     got = {key: outcome(argv) for key, argv in runs()}
-    assert len(got) == 540
+    assert len(got) == 810
     assert got.keys() == want.keys()
     for key in want:
         assert got[key] == want[key], key
