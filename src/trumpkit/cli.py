@@ -213,24 +213,34 @@ _SUBCOMMANDS = {
 def _build_parser(argv=None):
     """The parser for argv (sys.argv[1:] when None).
 
-    All five subcommands are registered, so usage lines, help and
-    invalid-choice errors are those of the full parser, but only the one
-    that argparse dispatches to gets its arguments: the first token of
-    argv that does not start with "-".  That token is the subcommand
-    because the top-level parser has no option that takes a value; a
-    token that argparse reads as a positional although it starts with
-    "-" ("-1", "-") comes first and is rejected as an invalid choice
-    before any subcommand parses.  Nothing is kept between calls.
+    When argv starts with a subcommand, only that one is registered: no
+    top-level option comes before it, so argparse can dispatch nowhere
+    else.  The metavar then spells out all five choices, so the usage
+    line of an "unrecognized arguments" error is the full parser's.
+    Every other argv registers all five and no metavar, since a metavar
+    would rename the group in the "required: command" and invalid-choice
+    errors.  Only the subcommand that argparse dispatches to gets its
+    arguments: the first token of argv that does not start with "-".
+    That token is the subcommand because the top-level parser has no
+    option that takes a value; a token that argparse reads as a
+    positional although it starts with "-" ("-1", "-") comes first and
+    is rejected as an invalid choice before any subcommand parses.
+    Nothing is kept between calls.
     """
     if argv is None:
         argv = sys.argv[1:]
     command = next((a for a in argv if not a.startswith("-")), None)
+    alone = bool(argv) and argv[0] in _SUBCOMMANDS
     p = argparse.ArgumentParser(
         prog="trumpkit",
         description="Decision toolkit for single-copy, multiple-copy and "
                     "catalyst-assisted entanglement transformations.")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(_SUBCOMMANDS) if alone else None)
     for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
+        if alone and name != command:
+            continue
         sp = sub.add_parser(name, help=help_line)
         if name == command:
             add_arguments(sp)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -425,12 +426,13 @@ _shipped_parser = cli._build_parser
 
 
 def _full_parser(argv=None):
-    """The reference parser: all five subcommands with their arguments,
-    from cli._SUBCOMMANDS."""
-    parser = _shipped_parser([])  # no subcommand named: none has arguments
-    sub = next(a for a in parser._actions if a.dest == "command")
-    for name, (_, add_arguments, _) in cli._SUBCOMMANDS.items():
-        add_arguments(sub.choices[name])
+    """The reference parser: all five subcommands of cli._SUBCOMMANDS with
+    their arguments and no metavar, built without cli._build_parser."""
+    parser = argparse.ArgumentParser(
+        prog="trumpkit", description=_shipped_parser([]).description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in cli._SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
@@ -458,12 +460,37 @@ class TestParserSurface:
         ["catalyst", "frob", *FILES], ["mlocc", "--k-max", "x", *FILES],
         ["classify", "--x", X, "--y", Y], ["rfilter", "--x", X],
         ["--json", "mlocc", *FILES, "--k-max", "2"],
-        ["catalyst", "scan", *FILES, "--c", ZP, "--m-max", "2", "--json"]])
+        ["catalyst", "scan", *FILES, "--c", ZP, "--m-max", "2", "--json"],
+        # a leading subcommand is the only one registered: its help, its
+        # own errors and the top-level usage line of unrecognized arguments
+        ["majorize", *FILES, "--he"], ["majorize"], ["catalyst", *FILES],
+        ["mlocc", *FILES, "--k-max"], ["classify", "--y", Y, "stray"],
+        ["catalyst", "build", *FILES, "--bogus", "--json"],
+        ["rfilter", *FILES, "--alpha-grid=-2"]])
     def test_same_bytes_as_the_full_parser(self, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         shipped = _outcome(argv)
         monkeypatch.setattr(cli, "_build_parser", _full_parser)
         assert _outcome(argv) == shipped
+
+    @pytest.mark.parametrize("argv, built", [
+        (["majorize", *FILES], 1), (["mlocc", *FILES, "--k-max", "2"], 1),
+        (["catalyst", "build", *FILES, "--k-max", "2"], 1),
+        (["classify", "--y", Y], 1), (["rfilter", *FILES], 1),
+        ([], 5), (["-h"], 5), (["foo"], 5),
+        (["--json", "mlocc", *FILES, "--k-max", "2"], 5)])
+    def test_a_leading_subcommand_builds_one_subparser(self, monkeypatch,
+                                                       argv, built):
+        add_parser = argparse._SubParsersAction.add_parser
+        names = []
+
+        def counting(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                            counting)
+        _outcome(argv)
+        assert names == (argv[:1] if built == 1 else list(cli._SUBCOMMANDS))
 
     def test_only_the_dispatched_subcommand_gets_arguments(self):
         parser = cli._build_parser(["--bogus", "rfilter", "--x", "mlocc"])
