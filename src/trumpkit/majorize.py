@@ -18,8 +18,8 @@ used for tensor powers.  Three exact integer tests decide them:
   sx (x) sc against sy (x) sc, as catalyst checks need, from one signed
   multiset of product values, without building either product;
 * the end walk (_ends_refute) can only refute: it reads k-th powers
-  lazily from both ends, within a work budget, and answers True when it
-  finds a violation there, without building either power.
+  lazily from both ends, within a read budget it is handed, and answers
+  True when it finds a violation there, without building either power.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .specvec import (_READ_COST, ProbVec, _add_products, _check_dims,
-                      _ends, _power_blocks)
+from .specvec import (ProbVec, _add_products, _check_dims, _ends,
+                      _power_blocks)
 
 
 class MajReport(NamedTuple):
@@ -184,19 +184,11 @@ def _verdict(sx: ProbVec, sy: ProbVec, report: bool = False):
                      zero_segment=zero_segment)
 
 
-# The end walk spends at most 1 / _END_WALK_SHARE of the work it may
-# spare.  On failing k the first violation mostly sits within a few
-# percent of the blocks at one end (12% at p90 on 212 failing k of 78 mid
-# pairs, k = 4..16), and the share falls as k grows.  On multicopy
-# benchmark rounds, shares of 1/4 and 1/2 cut the mean query time alike
-# and a share of 1 cut it less.
-_END_WALK_SHARE = 2
-
-
-def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, work: int) -> bool:
+def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, reads: int) -> bool:
     """Does x^(x)k fail to be majorized by y^(x)k, as seen from either end
     of the sorted powers?  True proves it; False only says that no
-    violation was found within the budget.  Neither power is built.
+    violation was found within reads compositions.  Neither power is
+    built.
 
     Both powers stream lazily (specvec._power_blocks), x's numerators
     times D_y and y's times D_x, so that all values share one scale.  From
@@ -207,19 +199,18 @@ def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, work: int) -> bool:
     e_(N-j)(x) > e_(N-j)(y).  Between two breakpoints of either stream
     the gap is linear, so the breakpoints suffice.  The two ends take a
     breakpoint each in turn until one finds a violation, one runs through
-    the whole power, or the compositions read cost more than
-    1 / _END_WALK_SHARE of work, the estimated block products of the
-    growth of both powers that the walk may spare.  sx and sy must carry
-    equal counts, as the one-copy walk checks.
+    the whole power, or more than reads compositions have been read; the
+    caller sets that budget (mlocc._sweep, from the growth the walk may
+    spare).  sx and sy must carry equal counts, as the one-copy walk
+    checks.
     """
-    budget = work // (_READ_COST * _END_WALK_SHARE)
     ends = (_excess_steps(_power_blocks(sx, k, True, sy._scale),
                           _power_blocks(sy, k, True, sx._scale)),
             _excess_steps(_power_blocks(sy, k, False, sx._scale),
                           _power_blocks(sx, k, False, sy._scale)))
     read = 0
     try:
-        while read <= budget:
+        while read <= reads:
             for end in ends:
                 read += next(end)
     except StopIteration as stop:

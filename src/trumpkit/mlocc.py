@@ -16,10 +16,27 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Dict, NamedTuple, Optional
 
-from .majorize import _END_WALK_SHARE, _ends_refute, _verdict
+from .majorize import _ends_refute, _verdict
 from .renyi import _exclusion
-from .specvec import (_CHAIN_MAX_K, ProbVec, _check_dims, _ends,
-                      _enumeration_cost, _from_counts, _grow, _growth_cost)
+from .specvec import (_READ_COST, ProbVec, _check_dims, _ends,
+                      _enumeration_cost, _from_counts, _grow, _growth_plan)
+
+# The k-sweep's work policy.  specvec only estimates work (_growth_plan,
+# _enumeration_cost, _READ_COST); _sweep alone sets, converts and spends
+# budgets, by the two constants below.
+
+# The end walk (_sweep, rule 3) runs only past this k: powers up to it
+# grow by the cheap chain (specvec._grow), which leaves the walk little
+# to spare.
+_CHAIN_MAX_K = 3
+
+# The end walk spends at most 1 / _END_WALK_SHARE of the work it may
+# spare.  On failing k the first violation mostly sits within a few
+# percent of the blocks at one end (12% at p90 on 212 failing k of 78 mid
+# pairs, k = 4..16), and the share falls as k grows.  On multicopy
+# benchmark rounds, shares of 1/4 and 1/2 cut the mean query time alike
+# and a share of 1 cut it less.
+_END_WALK_SHARE = 2
 
 
 class MloccScan(NamedTuple):
@@ -115,8 +132,10 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
          members;
       3. 'fails' when no k has converted yet, k > _CHAIN_MAX_K and a walk
          from both ends of the lazily streamed k-th powers finds a
-         violation within 1 / _END_WALK_SHARE of the work of growing them
-         from the last powers grown (majorize._ends_refute: from the top
+         violation within its read budget: 1 / _END_WALK_SHARE of the
+         estimated work of growing them from the last powers grown
+         (specvec._growth_plan), at specvec._READ_COST block products
+         per composition read (majorize._ends_refute: from the top
          a prefix excess of x; from the bottom a suffix deficit of x,
          which is the prefix excess e_(N-j)(x) > e_(N-j)(y) because both
          powers hold N = n^k entries of equal total mass).  Only 'fails'
@@ -150,6 +169,12 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
     budgets = ([_enumeration_cost(len(b._counts), k_max) for b in bases]
                if last_only else None)
     spent = [0, 0]
+
+    def growth(k):
+        """Each side's estimated block products of growing S_k from the
+        powers held (specvec._growth_plan, whose build _grow runs)."""
+        return [_growth_plan(b, s, grown, k)[0] for b, s in zip(bases, held)]
+
     mask = (1 << (k_max + 1)) - 1
     # bit k set: k is a sum of members (bit 0: the empty sum) / strict / a
     # strict plus a sum of members
@@ -185,14 +210,13 @@ def _sweep(x: ProbVec, y: ProbVec, verdict: str, k_max: int,
             continue
         costs = None
         if last_only and k < k_max:
-            costs = [_growth_cost(b, s, grown, k)
-                     for b, s in zip(bases, held)]
+            costs = growth(k)
             if any(s + c > b for s, c, b in zip(spent, costs, budgets)):
                 k, costs = k_max, None
         if sums == 1 and k > _CHAIN_MAX_K:
-            costs = costs or [_growth_cost(b, s, grown, k)
-                              for b, s in zip(bases, held)]
-            if _ends_refute(*bases, k, sum(costs)):
+            costs = costs or growth(k)
+            reads = sum(costs) // (_READ_COST * _END_WALK_SHARE)
+            if _ends_refute(*bases, k, reads):
                 spent = [s + c // _END_WALK_SHARE
                          for s, c in zip(spent, costs)]
                 verdict = "fails"

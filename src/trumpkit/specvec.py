@@ -15,7 +15,6 @@ import heapq
 import json
 import math
 import re
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
@@ -336,32 +335,25 @@ def spectrum_direct_sum(parts) -> ProbVec:
 
 
 # A chain step multiplies d * |S_(k-1)| block pairs; enumerating S_k
-# visits C(d+k-1, d-1) compositions, each about this many times dearer
-# (measured on 3-5 distinct values, k up to 40: the two break even near 3).
+# visits C(d+k-1, d-1) compositions, each about this many times dearer.
+# Measured once, when the chain was first weighed against the enumeration
+# and before the end walk existed: on 3-5 distinct values, k up to 40, the
+# two break even near 3.  The roadmap's one measured cost model for the
+# sweep re-measures it.
 _COMPOSITION_COST = 3
 
 # A composition read by the end walk (majorize._ends_refute, over
-# _power_blocks) costs about this many block products: 1.8-2.8 us
-# against 0.2-0.4 us a product, on 3-5 distinct values at k = 12-60.
+# _power_blocks) costs about this many block products.  Measured once,
+# when the end walk was added: 1.8-2.8 us against 0.2-0.4 us a product,
+# on 3-5 distinct values at k = 12-60.  The roadmap's one measured cost
+# model for the sweep re-measures it.
 _READ_COST = 8
-
-
-# The k-sweep tries its end walk (mlocc._sweep, rule 3) only past this k:
-# powers up to it grow by the cheap chain (_grow), which leaves the walk
-# little to spare.
-_CHAIN_MAX_K = 3
 
 
 def _enumeration_cost(d: int, k: int) -> int:
     """Estimated work of enumerating S_k over d distinct values, in the
     unit of one block product of a chain step."""
     return _COMPOSITION_COST * math.comb(d + k - 1, d - 1)
-
-
-def _walk_too_deep(d: int) -> bool:
-    """Would enumerating over d distinct values (one recursion level
-    each) come near the interpreter's recursion limit?"""
-    return d > sys.getrecursionlimit() // 2
 
 
 def tensor_powers(x: ProbVec, k_max: int):
@@ -386,28 +378,27 @@ def _chain_cost(base: ProbVec, s: ProbVec, j: int, k: int) -> int:
             // math.comb(d + j - 1, d - 1))
 
 
-def _growth_cost(base: ProbVec, s: ProbVec, j: int, k: int) -> int:
-    """Estimated block products of growing S_k from s = S_j: the cheaper
-    of the chain and one enumeration of S_k."""
-    return min(_chain_cost(base, s, j, k),
-               _enumeration_cost(len(base._counts), k))
+def _growth_plan(base: ProbVec, s: ProbVec, j: int, k: int):
+    """How _grow builds S_k from s = S_j, and at what estimated price in
+    block products: (price, True) to enumerate S_k once where the chain
+    would cost more (_chain_cost against _enumeration_cost), else
+    (price, False) to chain; a tie chains, as False < True."""
+    return min((_chain_cost(base, s, j, k), False),
+               (_enumeration_cost(len(base._counts), k), True))
 
 
 def _grow(base: ProbVec, s: ProbVec, j: int, k: int) -> ProbVec:
     """S_k, the k-th power of base, given s = S_j, j <= k.
 
     S_k is the chain of k - j steps spectrum_tensor(S_i, base), integer
-    numerators over the scale D^k, unless that chain would cost more than
-    enumerating S_k once (_chain_cost against _enumeration_cost, d being
-    the number of distinct values of base; both are properties of the
+    numerators over the scale D^k, unless _growth_plan prices that chain
+    above enumerating S_k once (both estimates are properties of the
     input, not settings).  Where products of the values rarely collide,
     S_i grows as fast as the compositions and the enumeration wins.  A
-    single step costs d * |s| exactly, and from s = base the chain is
-    cheaper exactly for k <= 3 when d >= 2.  With d near the recursion
-    limit every power chains."""
-    d = len(base._counts)
-    if (not _walk_too_deep(d)
-            and _chain_cost(base, s, j, k) > _enumeration_cost(d, k)):
+    single step costs d * |s| exactly, d being the number of distinct
+    values of base, and from s = base the chain is cheaper exactly for
+    k <= 3 when d >= 2."""
+    if _growth_plan(base, s, j, k)[1]:
         return _enumerate(base, k)
     for _ in range(j, k):
         s = spectrum_tensor(s, base)
@@ -435,10 +426,11 @@ def _enumerate(base: ProbVec, k: int) -> ProbVec:
     gives the value prod p_i^a_i / D^k with count
     multinomial(k; a) * prod m_i^a_i; the counts sum to n^k.  Values and
     counts are running products over precomputed power tables, and the
-    recursion takes one level per distinct value.  At d = 2 the k + 1
+    compositions are walked with an explicit stack, so any number of
+    distinct values is enumerated without recursion.  At d = 2 the k + 1
     blocks p_1^a p_2^(k-a), a = k..0, are distinct and already in order,
     so they are written straight into the state; a zero p_2 leaves two,
-    p_1^k and 0.
+    p_1^k and 0.  At d = 1 the power is the one block p_1^k.
     """
     nums, mults = base._int_vals, base._counts
     scale = base._scale ** k
@@ -455,12 +447,18 @@ def _enumerate(base: ProbVec, k: int) -> ProbVec:
             vals = [p1[k], 0]
             counts = [m1[k], base.total_count ** k - m1[k]]
         return object.__new__(ProbVec)._set(vals, counts, scale)
-    merged, tails = {}, {}
-
-    def walk(i, r, v, c):
+    if len(nums) == 1:
+        return object.__new__(ProbVec)._set([pw[0][k]], [mw[0][k]], scale)
+    merged, tails, last = {}, {}, len(nums) - 2
+    get = merged.get
+    # (i, r, v, c): the exponents of the values before i are set, with
+    # value v and count c, and r units are left for the values from i on
+    stack = [(0, k, 1, 1)]
+    while stack:
+        i, r, v, c = stack.pop()
         if not r:  # every later exponent is 0
-            merged[v] = merged.get(v, 0) + c
-        elif i == len(nums) - 2:
+            merged[v] = get(v, 0) + c
+        elif i == last:
             # the last two values share the remainder r as (a, r - a)
             tail = tails.get(r)
             if tail is None:
@@ -470,16 +468,11 @@ def _enumerate(base: ProbVec, k: int) -> ProbVec:
                     for a in range(r + 1)]
             for tv, tc in tail:
                 key = v * tv
-                merged[key] = merged.get(key, 0) + c * tc
+                merged[key] = get(key, 0) + c * tc
         else:
-            for a in range(r + 1):
-                walk(i + 1, r - a, v * pw[i][a],
-                     c * math.comb(r, a) * mw[i][a])
-
-    if len(nums) == 1:
-        merged[pw[0][k]] = mw[0][k]
-    else:
-        walk(0, k, pw[0][0], 1)
+            p, m = pw[i], mw[i]
+            stack += [(i + 1, r - a, v * p[a], c * math.comb(r, a) * m[a])
+                      for a in range(r + 1)]
     return _from_counts(merged, scale)
 
 

@@ -849,10 +849,11 @@ def test_lazy_streams_drain_to_the_power_spectrum(case, factor):
     assert sum(r for *_, r in top) == sum(r for *_, r in bottom) == reads
 
 
-def enumeration_work(sx, sy, k):
-    """Estimated work of enumerating both k-th powers: a budget under
-    which an end walk at k may spare that enumeration."""
-    return sum(specvec._enumeration_cost(len(s._counts), k) for s in (sx, sy))
+def enumeration_reads(sx, sy, k):
+    """The read budget the sweep hands an end walk at k that may spare
+    enumerating both k-th powers."""
+    work = sum(specvec._enumeration_cost(len(s._counts), k) for s in (sx, sy))
+    return work // (specvec._READ_COST * mlocc._END_WALK_SHARE)
 
 
 # fails at every k up to 60, first from the top after a few compositions
@@ -872,7 +873,7 @@ def test_end_walk_fails_agree_with_brute(case):
     x, y, k = case
     holds = brute_majorizes(brute_tensor_power(x, k),
                             brute_tensor_power(y, k))[0]
-    assert not (_ends_refute(x, y, k, enumeration_work(x, y, k)) and holds)
+    assert not (_ends_refute(x, y, k, enumeration_reads(x, y, k)) and holds)
     assert _ends_refute(x, y, k, 10 ** 12) == (not holds)
 
 
@@ -887,7 +888,7 @@ def test_end_walk_fails_agree_on_mid_pairs(case):
     if x.dim ** k <= 4096:
         assert holds == brute_majorizes(brute_tensor_power(x, k),
                                         brute_tensor_power(y, k))[0]
-    if _ends_refute(x, y, k, enumeration_work(x, y, k)):
+    if _ends_refute(x, y, k, enumeration_reads(x, y, k)):
         assert not holds
 
 
@@ -897,7 +898,7 @@ def test_census_pair_needs_no_large_power(monkeypatch):
     real = specvec._grow
 
     def chain_only(base, s, j, k):
-        if k > specvec._CHAIN_MAX_K:
+        if k > mlocc._CHAIN_MAX_K:
             raise AssertionError("grew power %d" % k)
         return real(base, s, j, k)
 
@@ -909,6 +910,34 @@ def test_census_pair_needs_no_large_power(monkeypatch):
     scan = scan_Mk(*CENSUS, 60)
     assert scan.results == {k: "fails" for k in range(1, 61)}
     assert scan.first_success is None and scan.refuting_order is None
+
+
+def test_end_walk_gets_the_spared_growth_as_reads(monkeypatch):
+    # each end walk is handed both sides' estimated growth of S_k from
+    # the powers last grown, over the price of a read and the walk's share
+    held = {}  # base -> (j, S_j), the last power grown
+    calls = []
+    real_grow, real_refute = mlocc._grow, mlocc._ends_refute
+
+    def grow(base, s, j, k):
+        s = real_grow(base, s, j, k)
+        held[id(base)] = k, s
+        return s
+
+    def refute(sx, sy, k, reads):
+        work = 0
+        for b in sx, sy:
+            j, s = held.get(id(b), (1, b))
+            work += specvec._growth_plan(b, s, j, k)[0]
+        calls.append((k, reads, work))
+        return real_refute(sx, sy, k, reads)
+    monkeypatch.setattr(mlocc, "_grow", grow)
+    monkeypatch.setattr(mlocc, "_ends_refute", refute)
+    assert not in_Mk(*CENSUS, 60)
+    # k = 4..30, then straight to 60 past k / 2 with no member found
+    assert [k for k, _, _ in calls] == [*range(4, 31), 60]
+    for k, reads, work in calls:
+        assert reads == work // (specvec._READ_COST * mlocc._END_WALK_SHARE)
 
 
 def test_verdict_only_callers_build_no_report():

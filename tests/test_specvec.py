@@ -363,15 +363,17 @@ class TestTensorPowerSpectrum:
         assert s.total_mass() == 1
 
     def test_more_distinct_values_than_the_recursion_limit(self):
-        # the enumeration recurses once per distinct value; past the limit
-        # the power is the chain of spectrum_tensor steps
+        # from S_1 the chain of d * |S_1| = d^2 block products is priced
+        # below 3 * C(d + 1, 2) compositions, so S_2 is one
+        # spectrum_tensor step; the enumeration walks its compositions
+        # with an explicit stack, so it builds S_2 too, at any d
         d = 1200
         x = make_probvec([F(i) for i in range(1, d + 1)], normalize=True)
-        s = tensor_power_spectrum(x, 2)
         want = spectrum_tensor(x, x)
-        assert (s._int_vals, s._counts, s._scale) == (
-            want._int_vals, want._counts, want._scale)
-        assert s.total_count == d ** 2
+        for s in tensor_power_spectrum(x, 2), specvec._enumerate(x, 2):
+            assert (s._int_vals, s._counts, s._scale) == (
+                want._int_vals, want._counts, want._scale)
+        assert want.total_count == d ** 2
 
 
 class TestPrefixMass:
@@ -533,8 +535,7 @@ class TestPadTo:
 
 class TestTensorPowerSpectrumOneCopy:
     def test_many_distinct_values_need_no_enumeration(self):
-        # one recursion level per distinct value would exceed the default
-        # recursion limit here
+        # k = 1 is x itself: nothing is chained or enumerated
         x = make_probvec([F(i) for i in range(1, 1201)], normalize=True)
         s = tensor_power_spectrum(x, 1)
         assert s is x
