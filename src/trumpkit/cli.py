@@ -5,11 +5,16 @@ Exit codes are uniform across subcommands: 0 = positive verdict
 2 = input error.  All vectors are JSON arrays of exact literals: strings
 ("0.4", "2/5") or JSON numbers, each number read as the decimal it is
 written as (0.4 is 2/5), so every comparison is an exact rational one.
+
+A process has one argparse parser: the first main call builds it, and
+every later call in the process only parses.  A one-shot process
+(``python -m trumpkit.cli``) pays for that one build.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import heapq
 import json
 import sys
@@ -210,45 +215,24 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv=None):
-    """The parser for argv (sys.argv[1:] when None).
-
-    When argv starts with a subcommand, only that one is registered: no
-    top-level option comes before it, so argparse can dispatch nowhere
-    else.  The metavar then spells out all five choices, so the usage
-    line of an "unrecognized arguments" error is the full parser's.
-    Every other argv registers all five and no metavar, since a metavar
-    would rename the group in the "required: command" and invalid-choice
-    errors.  Only the subcommand that argparse dispatches to gets its
-    arguments: the first token of argv that does not start with "-".
-    That token is the subcommand because the top-level parser has no
-    option that takes a value; a token that argparse reads as a
-    positional although it starts with "-" ("-1", "-") comes first and
-    is rejected as an invalid choice before any subcommand parses.
-    Nothing is kept between calls.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    command = next((a for a in argv if not a.startswith("-")), None)
-    alone = bool(argv) and argv[0] in _SUBCOMMANDS
+@functools.cache
+def _parser():
+    """The parser of all five subcommands with all their arguments, built
+    once per process.  argparse reads the terminal width when it formats
+    help or an error, not when it builds, so the cached parser prints what
+    a fresh one would."""
     p = argparse.ArgumentParser(
         prog="trumpkit",
         description="Decision toolkit for single-copy, multiple-copy and "
                     "catalyst-assisted entanglement transformations.")
-    sub = p.add_subparsers(
-        dest="command", required=True,
-        metavar="{%s}" % ",".join(_SUBCOMMANDS) if alone else None)
+    sub = p.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
-        if alone and name != command:
-            continue
-        sp = sub.add_parser(name, help=help_line)
-        if name == command:
-            add_arguments(sp)
+        add_arguments(sub.add_parser(name, help=help_line))
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _SUBCOMMANDS[args.command][2](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

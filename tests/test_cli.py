@@ -422,14 +422,14 @@ class TestVectorFiles:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-_shipped_parser = cli._build_parser
+_shipped_parser = cli._parser
 
 
-def _full_parser(argv=None):
+def _full_parser():
     """The reference parser: all five subcommands of cli._SUBCOMMANDS with
-    their arguments and no metavar, built without cli._build_parser."""
+    their arguments, built fresh on every call, without cli._parser."""
     parser = argparse.ArgumentParser(
-        prog="trumpkit", description=_shipped_parser([]).description)
+        prog="trumpkit", description=_shipped_parser().description)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in cli._SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_line))
@@ -447,7 +447,8 @@ def _outcome(argv):
 
 
 class TestParserSurface:
-    """main with the per-call parser answers as the full parser does."""
+    """main with the parser cached per process answers as a fresh full
+    parser does."""
 
     FILES = ["--x", X, "--y", Y]
 
@@ -461,26 +462,27 @@ class TestParserSurface:
         ["classify", "--x", X, "--y", Y], ["rfilter", "--x", X],
         ["--json", "mlocc", *FILES, "--k-max", "2"],
         ["catalyst", "scan", *FILES, "--c", ZP, "--m-max", "2", "--json"],
-        # a leading subcommand is the only one registered: its help, its
-        # own errors and the top-level usage line of unrecognized arguments
+        # a leading subcommand: its help, its own errors and the
+        # top-level usage line of unrecognized arguments
         ["majorize", *FILES, "--he"], ["majorize"], ["catalyst", *FILES],
         ["mlocc", *FILES, "--k-max"], ["classify", "--y", Y, "stray"],
         ["catalyst", "build", *FILES, "--bogus", "--json"],
         ["rfilter", *FILES, "--alpha-grid=-2"]])
     def test_same_bytes_as_the_full_parser(self, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
-        shipped = _outcome(argv)
-        monkeypatch.setattr(cli, "_build_parser", _full_parser)
-        assert _outcome(argv) == shipped
+        cli._parser.cache_clear()
+        built = _outcome(argv)
+        cached = _outcome(argv)
+        monkeypatch.setattr(cli, "_parser", _full_parser)
+        assert _outcome(argv) == built == cached
 
-    @pytest.mark.parametrize("argv, built", [
-        (["majorize", *FILES], 1), (["mlocc", *FILES, "--k-max", "2"], 1),
-        (["catalyst", "build", *FILES, "--k-max", "2"], 1),
-        (["classify", "--y", Y], 1), (["rfilter", *FILES], 1),
-        ([], 5), (["-h"], 5), (["foo"], 5),
-        (["--json", "mlocc", *FILES, "--k-max", "2"], 5)])
-    def test_a_leading_subcommand_builds_one_subparser(self, monkeypatch,
-                                                       argv, built):
+    CALLS = [["majorize", *FILES], ["mlocc", *FILES, "--k-max", "2"],
+             ["catalyst", "build", *FILES, "--k-max", "2"],
+             ["classify", "--y", Y], ["rfilter", *FILES], [], ["-h"],
+             ["foo"], ["--json", "mlocc", *FILES, "--k-max", "2"]]
+
+    @pytest.mark.parametrize("first", CALLS)
+    def test_one_process_builds_five_subparsers(self, monkeypatch, first):
         add_parser = argparse._SubParsersAction.add_parser
         names = []
 
@@ -489,14 +491,21 @@ class TestParserSurface:
             return add_parser(self, name, **kwargs)
         monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
                             counting)
-        _outcome(argv)
-        assert names == (argv[:1] if built == 1 else list(cli._SUBCOMMANDS))
+        cli._parser.cache_clear()
+        for argv in [first, *self.CALLS]:
+            _outcome(argv)
+        assert names == list(cli._SUBCOMMANDS)
 
-    def test_only_the_dispatched_subcommand_gets_arguments(self):
-        parser = cli._build_parser(["--bogus", "rfilter", "--x", "mlocc"])
-        sub = next(a for a in parser._actions if a.dest == "command")
-        have = {name: [a.dest for a in sp._actions if a.dest != "help"]
-                for name, sp in sub.choices.items()}
-        assert have == {"majorize": [], "mlocc": [], "catalyst": [],
-                        "classify": [], "rfilter": ["x", "y", "as_json",
-                                                    "alpha_grid"]}
+    @pytest.mark.parametrize("argv", [["-h"], ["catalyst", "-h"],
+                                      ["mlocc", *FILES, "--k-max"]])
+    def test_a_new_width_rewraps_the_cached_parser(self, monkeypatch, argv):
+        cli._parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = _outcome(argv)
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = _outcome(argv)
+        assert narrow != wide
+        monkeypatch.setattr(cli, "_parser", _full_parser)
+        assert _outcome(argv) == narrow
+        monkeypatch.setenv("COLUMNS", "200")
+        assert _outcome(argv) == wide
