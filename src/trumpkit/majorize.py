@@ -4,28 +4,32 @@ Standard majorization on sorted probability vectors, its strict-interior
 and generalized-interior refinements, and the compressed-spectrum variant
 used for tensor powers.  Three exact integer tests decide them:
 
-* the position walk (_verdict) compares prefix sums at x's breakpoints
-  only: between two of them e_l(sx) is linear and e_l(sy) concave in l,
-  so the gap e_l(sy) - e_l(sx) is concave there, its minimum sits at an
-  end, and a zero inside forces zeros at both ends.  Only an interval
-  that fails at its right end, or is tight at both, is stepped through
-  at every breakpoint of either vector, for the report's detail.
-  spectrum_majorizes and majorizes build the full report -- verdict,
-  equality positions, first violation.  in_Mk, scan_Mk and
-  search_catalyst read only the bare verdict, for which the walk builds
-  no report or Fraction;
+* the bare walk (_verdict) gives 'fails', 'boundary' or
+  'strict_interior' in one pass over x's blocks with a pointer into y's,
+  comparing prefix sums at x's breakpoints only: between two of them
+  e_l(sx) is linear and e_l(sy) concave in l, so the gap
+  e_l(sy) - e_l(sx) is concave there, its minimum sits at an end, and a
+  zero inside forces zeros at both ends.  in_Mk, scan_Mk,
+  search_catalyst, r_filter and the interior tests read it, and it
+  builds no report or Fraction;
+* the union walk (_steps) runs two block streams, lists or lazy, one
+  breakpoint of either per step.  spectrum_majorizes and majorizes build
+  the full report from it over the state lists -- verdict, equality
+  positions, first violation -- and the end walk (_ends_refute) runs it
+  over k-th powers read lazily from both ends of the sorted powers,
+  within a read budget it is handed.  The end walk can only refute: it
+  answers True when it finds a violation there, without building either
+  power;
 * the value pass (_product_majorizes) gives the bare verdict for products
   sx (x) sc against sy (x) sc, as catalyst checks need, from one signed
-  multiset of product values, without building either product;
-* the end walk (_ends_refute) can only refute: it reads k-th powers
-  lazily from both ends, within a read budget it is handed, and answers
-  True when it finds a violation there, without building either power.
+  multiset of product values, without building either product.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 from .specvec import (ProbVec, _add_products, _check_dims, _ends,
@@ -98,46 +102,61 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
 
 
 def spectrum_majorizes(sx: ProbVec, sy: ProbVec) -> MajReport:
-    """Majorization evaluated only at breakpoints, with its full report
-    (see _verdict); majorizes() checks the dimensions first and widens
-    the report to every equality position."""
-    return _verdict(sx, sy, True)
+    """Majorization evaluated only at breakpoints, with its full report;
+    majorizes() checks the dimensions first and widens the report to
+    every equality position.
 
-
-def _verdict(sx: ProbVec, sy: ProbVec, report: bool = False):
-    """The walk behind spectrum_majorizes: 'fails', 'boundary' or
-    'strict_interior', and with report set the MajReport instead.  The
-    bare verdict builds no report, set or Fraction.
-
-    It steps through x's blocks with a pointer into y's and compares the
-    integer prefix masses, over one common scale, at x's breakpoints
-    only.  Between two of them e_l(sx) is linear and e_l(sy) concave, so
-    the gap e_l(sy) - e_l(sx) is concave: its minimum over the interval
-    sits at an end, and a zero inside forces zeros at both ends.  So the
-    first x-interval whose right end fails holds the first violation, and
-    every equality and zero segment lies in an interval tight at both
-    ends or in that failing one.  Only there does the walk step through
-    the union of both breakpoint sets, from the state at the interval's
-    left end: for the first violation, and for the equalities and zero
-    segments that the report lists and the verdict reads.
+    The union walk (_steps) runs over both state lists, x's numerators
+    times D_y and y's times D_x, and stops at every breakpoint of either
+    vector: a zero of the gap there is an equality, zeros at both ends
+    of a step longer than one entry a zero segment, and the failing step
+    holds the first violation (_fail_report).
     """
-    if sx.total_count != sy.total_count:
-        raise ValueError("total_count mismatch: %d vs %d"
-                         % (sx.total_count, sy.total_count))
+    _check_counts(sx.total_count, sy.total_count)
+    total = sx.total_count
+    equalities = []
+    zero_segment = False
+    tight = True  # the gap is zero at the last breakpoint
+    for _, l, ex, ey, vx, vy, step in _steps(_state(sx, sy._scale),
+                                             _state(sy, sx._scale)):
+        if ex > ey:
+            return _fail_report(sx._scale * sy._scale, equalities,
+                                zero_segment, l, ex, ey, vx, vy)
+        eq = ex == ey
+        if eq and l < total:
+            equalities.append(l)
+        # zero at both ends of a segment: identically zero on it
+        zero_segment |= eq and tight and step > 1
+        tight = eq
+    verdict = ("boundary" if equalities or zero_segment
+               else "strict_interior")
+    return MajReport(verdict, frozenset(equalities),
+                     zero_segment=zero_segment)
+
+
+def _verdict(sx: ProbVec, sy: ProbVec) -> str:
+    """The bare verdict of spectrum_majorizes: 'fails', 'boundary' or
+    'strict_interior', with no report, set or Fraction built.
+
+    One pass steps through x's blocks with a pointer into y's and
+    compares the integer prefix masses, over one common scale, at x's
+    breakpoints only.  Between two of them e_l(sx) is linear and e_l(sy)
+    concave, so the gap e_l(sy) - e_l(sx) is concave: its minimum over
+    the interval sits at an end, and a zero inside forces zeros at both
+    ends.  So the first violation lies in the first interval whose right
+    end fails, and an interior equality needs a tight x-breakpoint l < N,
+    or a tight interval with no such breakpoint: the first one, ending at
+    N, so x is uniform.  The gap is zero inside it only if it is linear
+    there, that is when the interval lies inside y's first block.
+    """
+    _check_counts(sx.total_count, sy.total_count)
     scale = math.lcm(sx._scale, sy._scale)
     mx, my = scale // sx._scale, scale // sy._scale
     total = sx.total_count
     yv, yc = sy._int_vals, sy._counts
     j = ry = vy = l = ex = ey = 0
-    equalities = []
-    zero_segment = False
-    tight = True  # the gap is zero at l
+    verdict = "strict_interior"
     for vx, cx in zip(sx._int_vals, sx._counts):
-        vx *= mx
-        j0 = j
-        ry0 = ry
-        vy0 = vy
-        ey0 = ey
         need = cx
         while ry < need:
             ey += vy * ry
@@ -145,43 +164,13 @@ def _verdict(sx: ProbVec, sy: ProbVec, report: bool = False):
             vy, ry, j = yv[j] * my, yc[j], j + 1
         ey += vy * need
         ry -= need
-        ex_hi = ex + vx * cx
-        if ex_hi < ey or ex_hi == ey and (cx == 1 or not tight):
-            l += cx
-            ex = ex_hi
-            tight = ex == ey
-            if tight and l < total:
-                equalities.append(l)
-            continue
-        if not report and ex_hi > ey:
+        ex += vx * mx * cx
+        l += cx
+        if ex > ey:
             return "fails"
-        # the right end fails, or both ends are tight: the union detail
-        j, ry, vy, ey = j0, ry0, vy0, ey0
-        hi = l + cx
-        while l < hi:
-            if not ry:
-                vy, ry, j = yv[j] * my, yc[j], j + 1
-            step = hi - l if hi - l < ry else ry
-            l += step
-            ex += vx * step
-            ey += vy * step
-            if ex > ey:
-                return _fail_report(scale, equalities, zero_segment,
-                                    l - step, l, ex - vx * step,
-                                    ey - vy * step, vx, vy)
-            eq = ex == ey
-            if eq and l < total:
-                equalities.append(l)
-            # zero at both ends of a segment: identically zero on it
-            zero_segment |= eq and tight and step > 1
-            tight = eq
-            ry -= step
-    verdict = ("boundary" if equalities or zero_segment
-               else "strict_interior")
-    if not report:
-        return verdict
-    return MajReport(verdict, frozenset(equalities),
-                     zero_segment=zero_segment)
+        if ex == ey and (l < total or cx > 1 and j == 1):
+            verdict = "boundary"
+    return verdict
 
 
 def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, reads: int) -> bool:
@@ -191,57 +180,71 @@ def _ends_refute(sx: ProbVec, sy: ProbVec, k: int, reads: int) -> bool:
     built.
 
     Both powers stream lazily (specvec._power_blocks), x's numerators
-    times D_y and y's times D_x, so that all values share one scale.  From
-    the top, a prefix excess e_l(x) > e_l(y) is a violation.  From the
-    bottom, a suffix deficit is one: with N = n^k entries and equal total
-    masses M, the last j entries of x hold M - e_(N-j)(x), so
-    M - e_(N-j)(x) < M - e_(N-j)(y) is the prefix excess
-    e_(N-j)(x) > e_(N-j)(y).  Between two breakpoints of either stream
-    the gap is linear, so the breakpoints suffice.  The two ends take a
-    breakpoint each in turn until one finds a violation, one runs through
-    the whole power, or more than reads compositions have been read; the
-    caller sets that budget (mlocc._sweep, from the growth the walk may
-    spare).  sx and sy must carry equal counts, as the one-copy walk
-    checks.
+    times D_y and y's times D_x, so that all values share one scale, and
+    the union walk (_steps) runs over each end.  From the top, a prefix
+    excess e_l(x) > e_l(y) is a violation.  From the bottom, a suffix
+    deficit is one: with N = n^k entries and equal total masses M, the
+    last j entries of x hold M - e_(N-j)(x), so M - e_(N-j)(x) <
+    M - e_(N-j)(y) is the prefix excess e_(N-j)(x) > e_(N-j)(y).  Between
+    two breakpoints of either stream the gap is linear, so the
+    breakpoints suffice.  The two ends take a breakpoint each in turn
+    until one finds a violation, one runs through the whole power, or
+    more than reads compositions have been read; the caller sets that
+    budget (mlocc._sweep, from the growth the walk may spare).  sx and
+    sy must carry equal counts, as the one-copy walk checks.
     """
-    ends = (_excess_steps(_power_blocks(sx, k, True, sy._scale),
-                          _power_blocks(sy, k, True, sx._scale)),
-            _excess_steps(_power_blocks(sy, k, False, sx._scale),
-                          _power_blocks(sx, k, False, sy._scale)))
+    ends = (_steps(_power_blocks(sx, k, True, sy._scale),
+                   _power_blocks(sy, k, True, sx._scale)),
+            _steps(_power_blocks(sy, k, False, sx._scale),
+                   _power_blocks(sx, k, False, sy._scale)))
     read = 0
-    try:
-        while read <= reads:
-            for end in ends:
-                read += next(end)
-    except StopIteration as stop:
-        return stop.value
+    while read <= reads:
+        for end in ends:
+            step = next(end, None)
+            if step is None:
+                return False
+            if step[2] > step[3]:
+                return True
+            read += step[0]
     return False
 
 
-def _excess_steps(u, w):
-    """Walk two block streams of equal total count from their start, one
-    breakpoint per step: yield the compositions read by each step, and
-    return True at the first prefix excess of u over w, False when both
-    streams run out."""
-    ru = rw = eu = ew = 0
-    while True:
-        read = 0
-        if not ru:
-            block = next(u, None)
-            if block is None:
-                return False
-            vu, ru, read = block
-        if not rw:
-            vw, rw, n = next(w)
-            read += n
-        step = ru if ru < rw else rw
-        eu += vu * step
-        ew += vw * step
-        if eu > ew:
-            return True
-        ru -= step
-        rw -= step
-        yield read
+def _steps(u, w):
+    """The union walk: run two streams of (numerator, count, reads)
+    blocks with equal total counts from their start, one breakpoint of
+    either per step, and yield (reads, l, e_u, e_w, v_u, v_w, step) at
+    each: the compositions the step read, its right end l, both prefix
+    masses there, both block numerators over the step and its length.
+    The first step with e_u > e_w is the last one yielded.
+    """
+    l = eu = ew = rw = 0
+    for vu, ru, read in u:
+        while ru:
+            if not rw:
+                vw, rw, n = next(w)
+                read += n
+            step = ru if ru < rw else rw
+            l += step
+            eu += vu * step
+            ew += vw * step
+            yield read, l, eu, ew, vu, vw, step
+            if eu > ew:
+                return
+            read = 0
+            ru -= step
+            rw -= step
+
+
+def _state(s: ProbVec, factor: int):
+    """s's blocks as a stream for _steps, numerators times factor, with
+    nothing read."""
+    return zip([v * factor for v in s._int_vals], s._counts, repeat(0))
+
+
+def _check_counts(nx: int, ny: int) -> None:
+    """Raise unless two walked vectors hold equal total counts."""
+    if nx != ny:
+        raise ValueError("total_count mismatch: %d vs %d" % (nx, ny))
 
 
 def _product_majorizes(sx: ProbVec, sy: ProbVec, sc: ProbVec) -> bool:
@@ -270,9 +273,8 @@ def _product_majorizes(sx: ProbVec, sy: ProbVec, sc: ProbVec) -> bool:
     as spectrum_majorizes on the products would, when their total counts
     differ.
     """
-    nx, ny = sx.total_count * sc.total_count, sy.total_count * sc.total_count
-    if nx != ny:
-        raise ValueError("total_count mismatch: %d vs %d" % (nx, ny))
+    _check_counts(sx.total_count * sc.total_count,
+                  sy.total_count * sc.total_count)
     delta = {}
     _add_products(delta, sx, sc, sy._scale, -1)
     _add_products(delta, sy, sc, sx._scale, 1)
@@ -286,25 +288,21 @@ def _product_majorizes(sx: ProbVec, sy: ProbVec, sc: ProbVec) -> bool:
     return True
 
 
-def _fail_report(scale, equalities, zero_segment, lo, hi, ex_lo, ey_lo,
-                 vx, vy):
-    """Locate the least integer l in (lo, hi] with e_l(sx) > e_l(sy).
+def _fail_report(scale, equalities, zero_segment, l, ex, ey, vx, vy):
+    """The report of a walk whose step ending at l fails, with the least
+    violating position.
 
-    On the segment the difference is linear with slope vx - vy (the block
-    numerators), so the crossing point solves exactly in integer
-    arithmetic; fall back to the breakpoint itself if the slope
-    degenerates.  Only the reported prefix masses become Fractions.
+    On the step the excess e(sx) - e(sy) is linear with slope vx - vy
+    (the block numerators), and the walk reached the step's left end with
+    no excess, so vx > vy and the excess falls to at most 0 within the
+    step: the last (excess - 1) // slope positions before l hold none,
+    and the one before them is the first violation.  Only the reported
+    prefix masses become Fractions.
     """
-    slope = vx - vy
-    if slope > 0:
-        # the walk reached lo, so the gap there is at most 0
-        l = min(lo + (ey_lo - ex_lo) // slope + 1, hi)
-    else:
-        l = hi
-    ex = Fraction(ex_lo + vx * (l - lo), scale)
-    ey = Fraction(ey_lo + vy * (l - lo), scale)
-    return MajReport("fails", frozenset(equalities), (l, ex, ey),
-                     zero_segment)
+    back = (ex - ey - 1) // (vx - vy)
+    return MajReport("fails", frozenset(equalities),
+                     (l - back, Fraction(ex - vx * back, scale),
+                      Fraction(ey - vy * back, scale)), zero_segment)
 
 
 def is_interior(x: ProbVec, y: ProbVec) -> bool:

@@ -17,9 +17,11 @@ catalysts against an expanded n-copy check, and the value pass that
 checks catalysts (x (x) c majorized by y (x) c, neither product built)
 against the walk on built products and the brute Fraction walk, the
 lazy block streams of a power against its spectrum, the end walk's
-refutations against brute walks and the full walk, the position walk's
-report against the brute Fraction walk field by field, the callers
-of its bare verdict, which build no report, the two-value enumeration
+refutations against brute walks and the full walk, the union walk over
+lazy streams against the same walk over built powers, the end walk's
+least refuting read budgets, pinned, the report walk against the brute
+Fraction walk field by field, the callers of the bare verdict, which
+build no report, the two-value enumeration
 against the chain, the catalyst search on integer spectra against a
 loop that builds every candidate as a ProbVec, and the unit total mass
 that every builder keeps, pickled and copied too."""
@@ -405,10 +407,10 @@ def test_spectrum_of_matches_distinct_blocks(x):
 
 
 @st.composite
-def pair_and_big_k(draw):
-    """Same-dimension x, y and a k with n^k <= 4096, often tied,
-    zero-tailed, equal or uniform."""
-    n = draw(st.integers(1, 6))
+def pair_and_big_k(draw, max_n=6):
+    """Same-dimension x, y (n <= max_n) and a k with n^k <= 4096, often
+    tied, zero-tailed, equal or uniform."""
+    n = draw(st.integers(1, max_n))
     k = draw(st.integers(1, {1: 12, 2: 12, 3: 7, 4: 6, 5: 5, 6: 4}[n]))
     x = draw(parts(n))
     y = draw(st.one_of(parts(n), st.just(x), st.just([1] * n)))
@@ -890,6 +892,56 @@ def test_end_walk_fails_agree_on_mid_pairs(case):
                                         brute_tensor_power(y, k))[0]
     if _ends_refute(x, y, k, enumeration_reads(x, y, k)):
         assert not holds
+
+
+@PROPS
+@given(pair_and_big_k(max_n=5))
+@example((*CENSUS, 5))
+@example((*PAPER, 2))
+@example((vec([1, 1]), vec([1, 1]), 3))
+def test_union_walk_is_one_walk_over_lists_and_streams(case):
+    # the end walk's lazy top streams and the report's state lists of the
+    # built powers step through the same breakpoints with the same masses
+    x, y, k = case
+    sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
+    lazy = list(majorize._steps(_power_blocks(x, k, True, y._scale),
+                                _power_blocks(y, k, True, x._scale)))
+    built = list(majorize._steps(majorize._state(sx, y._scale ** k),
+                                 majorize._state(sy, x._scale ** k)))
+    assert [s[1:4] for s in lazy] == [s[1:4] for s in built]
+    _, l, ex, ey, _, _, step = built[-1]
+    assert all(s[2] <= s[3] for s in built[:-1])
+    fv = spectrum_majorizes(sx, sy).first_violation
+    if fv is None:
+        assert l == sx.total_count and ex == ey
+    else:
+        assert ex > ey and l - step < fv[0] <= l
+
+
+def least_refuting_reads(x, y, k):
+    """The least read budget at which the end walk refutes k, or None
+    when no budget does."""
+    hi = 10 ** 6  # past every power bisected here, so the walk is whole
+    if not _ends_refute(x, y, k, hi):
+        return None
+    lo = -1  # more reads only walk further, so refuting is monotone
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _ends_refute(x, y, k, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("case, least", [((*CENSUS, 16), 8),
+                                         ((*UNDECIDED, 4), 7),
+                                         ((*UNDECIDED, 8), 11),
+                                         ((*PAPER, 4), None)])
+def test_end_walk_refutes_at_pinned_budgets(case, least):
+    # the sweep hands each end walk a budget, so these least budgets pin
+    # the sweep's decisions as well as the walk's reads
+    assert least_refuting_reads(*case) == least
 
 
 def test_census_pair_needs_no_large_power(monkeypatch):
