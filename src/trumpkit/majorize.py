@@ -293,11 +293,11 @@ def _fail_report(scale, equalities, zero_segment, l, ex, ey, vx, vy):
     violating position.
 
     On the step the excess e(sx) - e(sy) is linear with slope vx - vy
-    (the block numerators), and the walk reached the step's left end with
-    no excess, so vx > vy and the excess falls to at most 0 within the
-    step: the last (excess - 1) // slope positions before l hold none,
-    and the one before them is the first violation.  Only the reported
-    prefix masses become Fractions.
+    (the block numerators).  The walk reached the step's left end with no
+    excess and fails at l, so vx > vy, and the crossing lies within the
+    step: the excess stays positive for back = (excess - 1) // slope
+    positions before l, and l - back is the first violation.  Only the
+    reported prefix masses become Fractions.
     """
     back = (ex - ey - 1) // (vx - vy)
     return MajReport("fails", frozenset(equalities),

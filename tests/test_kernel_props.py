@@ -21,10 +21,10 @@ refutations against brute walks and the full walk, the union walk over
 lazy streams against the same walk over built powers, the end walk's
 least refuting read budgets, pinned, the report walk against the brute
 Fraction walk field by field, the callers of the bare verdict, which
-build no report, the two-value enumeration
-against the chain, the catalyst search on integer spectra against a
-loop that builds every candidate as a ProbVec, and the unit total mass
-that every builder keeps, pickled and copied too."""
+build no report, the two-value enumeration against the chain, the
+catalyst search on integer spectra against a loop that builds every
+candidate as a ProbVec, and the unit total mass that every builder
+keeps, pickled and copied too."""
 
 import copy
 import math
