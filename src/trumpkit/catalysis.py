@@ -274,15 +274,13 @@ def search_catalyst(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     is excluded (_exclusion: a failed endpoint test or a refuting power
     sum), None comes back without a trial, since then no catalyst of any
     dimension exists."""
-    found = _search(x, y, dim_c, budget, seed)
-    return found if isinstance(found, CatalystCert) else None
+    return _search(x, y, dim_c, budget, seed)[0]
 
 
-def _search(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
-            seed: int) -> Union[CatalystCert, str, int, None]:
-    """search_catalyst's answer, with the reason in place of None when the
-    pair is excluded: the _exclusion label or order, which the CLI
-    reports."""
+def _search(x: ProbVec, y: ProbVec, dim_c: int, budget: int, seed: int):
+    """search_catalyst's answer, paired with the reason that excludes the
+    pair (the _exclusion label or order, which the CLI reports), else
+    None."""
     if dim_c < 1:
         raise ValueError("dim_c must be >= 1")
     if budget < 0:
@@ -291,11 +289,11 @@ def _search(x: ProbVec, y: ProbVec, dim_c: int, budget: int,
     if _verdict(x, y) == "fails":
         reason = _exclusion(x, y)
         if reason is not None:
-            return reason
+            return None, reason
     trials = 1 if dim_c == 1 else budget
     for comp in islice(_candidates(dim_c, seed), trials):
         c = _normalized(comp)
         if _product_majorizes(x, y, c):
             return CatalystCert(c, "search(seed=%d, dim=%d)" % (seed, dim_c),
-                                True)
-    return None
+                                True), None
+    return None, None

@@ -6,6 +6,15 @@ Exit codes are uniform across subcommands: 0 = positive verdict
 ("0.4", "2/5") or JSON numbers, each number read as the decimal it is
 written as (0.4 is 2/5), so every comparison is an exact rational one.
 
+Every command is a function (x, y, args) -> (payload, holds) of the
+loaded --x (None for classify, which takes none) and --y.  main is the
+one exit: it loads the vectors, runs the command, prints the payload
+once, as JSON or as "key: value" lines, and returns 0 if it holds, else
+1; an input error on the way prints "error: ..." to stderr and returns
+2.  The catalyst actions sit in one table (_ACTIONS), and the reason the
+library hands over when it excludes a pair (mlocc._scan,
+catalysis._search) is worded from one table (_EXCLUSIONS).
+
 A process has one argparse parser: the first main call builds it, and
 every later call in the process only parses.  A one-shot process
 (``python -m trumpkit.cli``) pays for that one build.
@@ -42,8 +51,7 @@ def _mlocc_args(sp):
 
 
 def _catalyst_args(sp):
-    sp.add_argument("action",
-                    choices=["build", "combine", "lift", "search", "scan"])
+    sp.add_argument("action", choices=list(_ACTIONS))
     _common(sp)
     sp.add_argument("--c", metavar="FILE", help="catalyst vector file "
                     "(combine/lift/scan)")
@@ -90,86 +98,22 @@ def _leading_prefix_masses(s, sc, count):
     return [Fraction(e, scale) for e in accumulate(islice(entries, count))]
 
 
-def cmd_majorize(args) -> int:
-    x = load_vector(args.x)
-    y = load_vector(args.y)
+def cmd_majorize(x, y, args):
     rep = majorizes(x, y)
-    _emit(rep.to_json(), args.as_json)
-    return 0 if rep.holds else 1
+    return rep.to_json(), rep.holds
 
 
-def cmd_mlocc(args) -> int:
-    x = load_vector(args.x)
-    y = load_vector(args.y)
-    scan = mlocc.scan_Mk(x, y, args.k_max)
+def cmd_mlocc(x, y, args):
+    scan, reason = mlocc._scan(x, y, args.k_max)
     payload = scan.to_json()
     if scan.first_success is None:
-        excluded = scan.short_circuited or scan.refuting_order is not None
-        payload["flag"] = "not_member" if excluded else "unknown"
-    _emit(payload, args.as_json)
-    return 0 if scan.first_success is not None else 1
+        payload["flag"] = "unknown" if reason is None else "not_member"
+    return payload, scan.first_success is not None
 
 
-def cmd_catalyst(args) -> int:
-    x = load_vector(args.x)
-    y = load_vector(args.y)
-    if args.action == "build":
-        if args.k is None:
-            scan = mlocc.scan_Mk(x, y, args.k_max)
-            if scan.short_circuited:
-                test = renyi._failed_endpoint(x, y)
-                _emit({"error": "no k exists: the endpoint test fails "
-                       "(%s)" % test, "failed_endpoint": test}, args.as_json)
-                return 1
-            if scan.refuting_order is not None:
-                _emit({"error": "no k exists: the power sum of order %d "
-                       "refutes every k" % scan.refuting_order,
-                       "refuting_order": scan.refuting_order}, args.as_json)
-                return 1
-            k = scan.first_success
-            if k is None:
-                _emit({"error": "no multi-copy witness within k_max=%d"
-                       % args.k_max}, args.as_json)
-                return 1
-            cert = catalysis._thm1_catalyst(x, y, k)
-        else:
-            cert = catalysis.build_catalyst_thm1(x, y, args.k)
-    elif args.action == "combine":
-        if args.c is None or args.k is None:
-            raise ValueError("combine requires --c and --k")
-        cp = load_vector(args.c)
-        cert = catalysis.combine_catalysts(x, y, args.k, cp)
-    elif args.action == "lift":
-        if args.c is None:
-            raise ValueError("lift requires --c")
-        c = load_vector(args.c)
-        cert = catalysis.lift_catalyst(x, y, c, args.n_copies)
-    elif args.action == "search":
-        cert = catalysis._search(x, y, args.dim_c, args.budget, args.seed)
-        if isinstance(cert, str):
-            _emit({"result": "none", "failed_endpoint": cert,
-                   "note": "no catalyst of any dimension exists: the "
-                           "endpoint test %s fails" % cert}, args.as_json)
-            return 1
-        if isinstance(cert, int):
-            _emit({"result": "none", "refuting_order": cert,
-                   "note": "no catalyst of any dimension exists: the "
-                           "power sum of order %d refutes the pair"
-                           % cert}, args.as_json)
-            return 1
-        if cert is None:
-            _emit({"result": "absent",
-                   "note": "no catalyst found within budget; absence is "
-                           "not a proof of nonexistence"}, args.as_json)
-            return 1
-    else:  # scan
-        if args.c is None:
-            raise ValueError("scan requires --c")
-        c = load_vector(args.c)
-        result = catalysis.multicopy_catalyst_scan(x, y, c, args.m_max)
-        _emit({str(m): ok for m, ok in sorted(result.items())},
-              args.as_json)
-        return 0 if any(result.values()) else 1
+def _certificate(cert, x, y, args):
+    """A certificate's payload and verdict; with --transcript, the payload
+    also lists the leading prefix masses of x (x) c and y (x) c."""
     payload = cert.to_json()
     if args.transcript:
         sc = catalysis.reduce_catalyst(cert.catalyst)
@@ -179,27 +123,94 @@ def cmd_catalyst(args) -> int:
         payload["transcript"] = [
             {"l": l, "ex": str(a), "ey": str(b)}
             for l, (a, b) in enumerate(zip(ex, ey), 1)]
-    _emit(payload, args.as_json)
-    return 0 if cert.verified else 1
+    return payload, cert.verified
 
 
-def cmd_classify(args) -> int:
-    y = load_vector(args.y)
-    verdict = mlocc.classify_usefulness(y)
-    _emit(verdict.to_json(), args.as_json)
-    return 0
+# the kind of an exclusion reason (renyi._exclusion: a label string or an
+# order int) -> its JSON key, and how catalyst build and catalyst search
+# word it
+_EXCLUSIONS = {
+    str: ("failed_endpoint", "the endpoint test fails (%s)",
+          "the endpoint test %s fails"),
+    int: ("refuting_order", "the power sum of order %d refutes every k",
+          "the power sum of order %d refutes the pair"),
+}
 
 
-def cmd_rfilter(args) -> int:
-    x = load_vector(args.x)
-    y = load_vector(args.y)
+def _catalyst_build(x, y, args):
+    if args.k is not None:
+        cert = catalysis.build_catalyst_thm1(x, y, args.k)
+        return _certificate(cert, x, y, args)
+    scan, reason = mlocc._scan(x, y, args.k_max)
+    if reason is not None:
+        key, phrase, _ = _EXCLUSIONS[type(reason)]
+        return {"error": "no k exists: " + phrase % reason,
+                key: reason}, False
+    if scan.first_success is None:
+        return {"error": "no multi-copy witness within k_max=%d"
+                % args.k_max}, False
+    cert = catalysis._thm1_catalyst(x, y, scan.first_success)
+    return _certificate(cert, x, y, args)
+
+
+def _catalyst_combine(x, y, args):
+    if args.c is None or args.k is None:
+        raise ValueError("combine requires --c and --k")
+    cert = catalysis.combine_catalysts(x, y, args.k, load_vector(args.c))
+    return _certificate(cert, x, y, args)
+
+
+def _catalyst_lift(x, y, args):
+    if args.c is None:
+        raise ValueError("lift requires --c")
+    cert = catalysis.lift_catalyst(x, y, load_vector(args.c), args.n_copies)
+    return _certificate(cert, x, y, args)
+
+
+def _catalyst_search(x, y, args):
+    cert, reason = catalysis._search(x, y, args.dim_c, args.budget,
+                                     args.seed)
+    if cert is not None:
+        return _certificate(cert, x, y, args)
+    if reason is None:
+        return {"result": "absent",
+                "note": "no catalyst found within budget; absence is "
+                        "not a proof of nonexistence"}, False
+    key, _, phrase = _EXCLUSIONS[type(reason)]
+    return {"result": "none", key: reason,
+            "note": "no catalyst of any dimension exists: " + phrase
+            % reason}, False
+
+
+def _catalyst_scan(x, y, args):
+    if args.c is None:
+        raise ValueError("scan requires --c")
+    result = catalysis.multicopy_catalyst_scan(x, y, load_vector(args.c),
+                                               args.m_max)
+    return ({str(m): ok for m, ok in sorted(result.items())},
+            any(result.values()))
+
+
+def cmd_catalyst(x, y, args):
+    return _ACTIONS[args.action](x, y, args)
+
+
+def cmd_classify(x, y, args):
+    return mlocc.classify_usefulness(y).to_json(), True
+
+
+def cmd_rfilter(x, y, args):
     grid = args.alpha_grid
     if grid is not None:  # an empty grid is r_filter's error, not the default
         grid = tuple(float(a) for a in grid.split(",")) if grid else ()
     verdict = renyi.r_filter(x, y, grid)
-    _emit(verdict.to_json(), args.as_json)
-    return 0 if not verdict.violated else 1
+    return verdict.to_json(), not verdict.violated
 
+
+# catalyst action -> its command, in the order of the action choice list
+_ACTIONS = {"build": _catalyst_build, "combine": _catalyst_combine,
+            "lift": _catalyst_lift, "search": _catalyst_search,
+            "scan": _catalyst_scan}
 
 # name -> (help line, the function that adds its arguments, the command),
 # in the order of the usage line's choice list
@@ -234,10 +245,14 @@ def _parser():
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _SUBCOMMANDS[args.command][2](args)
+        x = load_vector(args.x) if "x" in args else None
+        payload, holds = _SUBCOMMANDS[args.command][2](
+            x, load_vector(args.y), args)
+        _emit(payload, args.as_json)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    return 0 if holds else 1
 
 
 if __name__ == "__main__":

@@ -238,6 +238,13 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
     short_circuited when an endpoint test fails, refuting_order when a
     power sum refutes the pair.  Otherwise the k-sweep (_sweep) settles
     every k > 1, from smaller k where its rules allow."""
+    return _scan(x, y, k_max)[0]
+
+
+def _scan(x: ProbVec, y: ProbVec, k_max: int):
+    """scan_Mk's scan, paired with the reason that excludes the pair at
+    every k (_exclusion: the failed endpoint label or the refuting
+    order), else None.  is_interior_of_M and the CLI read the reason."""
     _check_dims(x, y)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -247,10 +254,10 @@ def scan_Mk(x: ProbVec, y: ProbVec, k_max: int) -> MloccScan:
         endpoint = isinstance(reason, str)
         return MloccScan(x, y, k_max,
                          dict.fromkeys(range(1, k_max + 1), "fails"), None,
-                         endpoint, None if endpoint else reason)
+                         endpoint, None if endpoint else reason), reason
     results = _sweep(x, y, verdict, k_max)
     first = next((k for k, v in results.items() if v != "fails"), None)
-    return MloccScan(x, y, k_max, results, first)
+    return MloccScan(x, y, k_max, results, first), None
 
 
 def lemma3_k_condition(y: ProbVec, d: int, k: int) -> bool:
@@ -296,8 +303,8 @@ def is_interior_of_M(x: ProbVec, y: ProbVec, k_max: int) -> str:
     'interior' / 'boundary' once membership is found (endpoints decide),
     'not_member' when the endpoint filter or a power sum excludes x at
     every k, else 'unknown'."""
-    scan = scan_Mk(x, y, k_max)
-    if scan.short_circuited or scan.refuting_order is not None:
+    scan, reason = _scan(x, y, k_max)
+    if reason is not None:
         return "not_member"
     if scan.first_success is None:
         return "unknown"

@@ -239,6 +239,26 @@ class TestPowerSumRefutationCommands:
         assert json.loads(out)["result"] == result
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("x, y, asked, key", [
+        (HEAD_X, HEAD_Y, "_failed_endpoint", "failed_endpoint"),
+        (MID_X, MID_Y, "power_sum_refutation", "refuting_order")],
+        ids=["endpoint", "power_sum"])
+    def test_build_asks_for_the_reason_once(self, capsys, monkeypatch, x, y,
+                                            asked, key):
+        # the scan hands its reason over; the CLI does not derive it again
+        calls = []
+        real = getattr(renyi, asked)
+
+        def counting(sx, sy):
+            calls.append((sx, sy))
+            return real(sx, sy)
+        monkeypatch.setattr(renyi, asked, counting)
+        code, out = run(capsys, "catalyst", "build", "--x", x, "--y", y,
+                        "--json")
+        assert code == 1
+        assert key in json.loads(out)
+        assert len(calls) == 1
+
     def test_search_absence_stays_heuristic(self, capsys):
         code, out = run(capsys, "catalyst", "search", "--x", X, "--y", Y,
                         "--dim-c", "2", "--budget", "3", "--json")

@@ -1,6 +1,7 @@
 """The result records, pinned: repr, immutability, equality, hashing, JSON
-and pickling for all six types, and a fresh import of trumpkit, which
-builds them, that pulls in none of the heavy standard-library modules."""
+and pickling for all six types; the input checks of the constructors and
+scans that build them; and a fresh import of trumpkit, which builds
+them, that pulls in none of the heavy standard-library modules."""
 
 import os
 import pickle
@@ -12,8 +13,11 @@ from pathlib import Path
 import pytest
 
 import trumpkit
-from trumpkit import (LiftedCatalyst, classify_usefulness, lift_catalyst,
-                      majorizes, make_probvec, r_filter, scan_Mk)
+from trumpkit import (LiftedCatalyst, build_catalyst_thm1,
+                      check_overlap_chain, classify_usefulness,
+                      combine_catalysts, lemma3_k_condition, lift_catalyst,
+                      majorizes, make_probvec, multicopy_catalyst_scan,
+                      r_filter, scan_Mk)
 
 
 def fv(*args):
@@ -106,6 +110,42 @@ def test_record_behaviour(build, field, text, as_json, hashable):
         assert "_spectrum" not in text and rec._spectrum is not None
         with pytest.raises(TypeError):
             len(rec)
+
+
+# a call, and the error it raises or the value it returns
+INPUT_CHECKS = [
+    pytest.param(lambda: build_catalyst_thm1(X, Y, 0),
+                 ValueError("k must be >= 1"), id="build_catalyst_thm1-k0"),
+    pytest.param(lambda: combine_catalysts(X, Y, 0, Z),
+                 ValueError("k must be >= 1"), id="combine_catalysts-k0"),
+    pytest.param(lambda: lift_catalyst(X, Y, Z, 0),
+                 ValueError("n_copies must be >= 1"), id="lift_catalyst-n0"),
+    pytest.param(lambda: multicopy_catalyst_scan(X, Y, Z, 0),
+                 ValueError("m_max must be >= 1"),
+                 id="multicopy_catalyst_scan-m0"),
+    pytest.param(lambda: scan_Mk(X, Y, 0), ValueError("k_max must be >= 1"),
+                 id="scan_Mk-k0"),
+    pytest.param(lambda: lemma3_k_condition(Y, 2, 0),
+                 ValueError("k must be >= 1"), id="lemma3_k_condition-k0"),
+    pytest.param(lambda: check_overlap_chain([]), ValueError("empty chain"),
+                 id="check_overlap_chain-empty"),
+    pytest.param(lambda: setattr(X, "dim", 5),
+                 AttributeError("ProbVec is immutable"), id="ProbVec-set"),
+    # LiftedCatalyst.__eq__ answers NotImplemented to a non-vector, so
+    # Python falls back to identity instead of reading other.dim
+    pytest.param(lambda: LiftedCatalyst(Z, 2) == "text", False,
+                 id="LiftedCatalyst-eq-text"),
+]
+
+
+@pytest.mark.parametrize("call, want", INPUT_CHECKS)
+def test_input_checks(call, want):
+    if isinstance(want, Exception):
+        with pytest.raises(type(want)) as info:
+            call()
+        assert str(info.value) == str(want)
+    else:
+        assert call() is want
 
 
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
