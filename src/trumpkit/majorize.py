@@ -13,13 +13,15 @@ used for tensor powers.  Three exact integer tests decide them:
   search_catalyst, r_filter and the interior tests read it, and it
   builds no report or Fraction;
 * the union walk (_steps) runs two block streams, lists or lazy, one
-  breakpoint of either per step.  spectrum_majorizes and majorizes build
-  the full report from it over the state lists -- verdict, equality
-  positions, first violation -- and the end walk (_ends_refute) runs it
-  over k-th powers read lazily from both ends of the sorted powers,
-  within a read budget it is handed.  The end walk can only refute: it
-  answers True when it finds a violation there, without building either
-  power;
+  breakpoint of either per step.  majorizes and spectrum_majorizes read
+  their whole report from one such walk over the state lists (_report)
+  -- verdict, equality positions, zero segments, first violation -- and
+  never walk either vector again: majorizes lists every equality
+  position, spectrum_majorizes only breakpoints.  The end walk
+  (_ends_refute) runs it over k-th powers read lazily from both ends of
+  the sorted powers, within a read budget it is handed.  It can only
+  refute: it answers True when it finds a violation there, without
+  building either power;
 * the value pass (_product_majorizes) gives the bare verdict for products
   sx (x) sc against sy (x) sc, as catalyst checks need, from one signed
   multiset of product values, without building either product.
@@ -43,10 +45,13 @@ class MajReport(NamedTuple):
       strict_interior -- every interior prefix inequality strict
       boundary        -- x majorized by y, some interior equality
       fails           -- some prefix sum of x exceeds y's
-    equality_indices: prefix positions l (1 <= l < n) with e_l(x) = e_l(y);
-      for spectra these are breakpoint positions, and zero_segment marks a
-      whole segment of equalities between two breakpoints.
+    equality_indices: prefix positions l (1 <= l < n) with e_l(x) = e_l(y),
+      before the first violation; majorizes lists every one,
+      spectrum_majorizes only those at breakpoints of either vector.
     first_violation: (l, e_l(x), e_l(y)) at the least violating l.
+    zero_segment: the walk crossed a whole segment of equalities, two or
+      more positions between two breakpoints of either vector; both
+      functions set it alike.
     """
     verdict: str
     equality_indices: frozenset = frozenset()
@@ -75,42 +80,35 @@ def majorizes(x: ProbVec, y: ProbVec) -> MajReport:
     """Compare x against y: does y majorize x (x ~ convertible to y)?
 
     Dimensions must already match; padding with zeros is the caller's
-    explicit act (see pad_to) since it changes the answer.  The spectrum
-    walk decides; its report is then widened to every equality position:
-    those inside a zero segment, and the one just before a violation.
+    explicit act (see pad_to) since it changes the answer.  The report
+    lists every equality position before the first violation, read from
+    the one union walk (_report) as it goes.
     """
     _check_dims(x, y)
-    rep = spectrum_majorizes(x, y)
-    equalities = set(rep.equality_indices)
-    if rep.zero_segment:
-        # a segment with both ends tight is zero all along; n is always
-        # tight (equal masses), and a failing segment never ends there
-        tight = equalities | {0, x.dim}
-        bps = sorted({0, *x.breakpoints(), *y.breakpoints()})
-        equalities.update(l for lo, hi in zip(bps, bps[1:])
-                          if lo in tight and hi in tight
-                          for l in range(lo + 1, hi))
-    fv = rep.first_violation
-    if fv is not None:
-        # the gap is linear on the failing segment, so before l it can
-        # be zero only at l - 1, which need not be a breakpoint
-        l = fv[0]
-        if l > 1 and (x._prefix(l - 1) * y._scale
-                      == y._prefix(l - 1) * x._scale):
-            equalities.add(l - 1)
-    return MajReport(rep.verdict, frozenset(equalities), fv)
+    return _report(x, y, True)
 
 
 def spectrum_majorizes(sx: ProbVec, sy: ProbVec) -> MajReport:
-    """Majorization evaluated only at breakpoints, with its full report;
-    majorizes() checks the dimensions first and widens the report to
-    every equality position.
+    """Majorization evaluated only at breakpoints, with its full report:
+    the equality positions listed are breakpoints of either vector, and
+    zero_segment marks a whole segment of equalities between two of
+    them.  Powers take this form, where one such segment can hold n^k
+    positions; majorizes() lists every position instead.
+    """
+    return _report(sx, sy, False)
 
-    The union walk (_steps) runs over both state lists, x's numerators
-    times D_y and y's times D_x, and stops at every breakpoint of either
-    vector: a zero of the gap there is an equality, zeros at both ends
-    of a step longer than one entry a zero segment, and the failing step
-    holds the first violation (_fail_report).
+
+def _report(sx: ProbVec, sy: ProbVec, every: bool) -> MajReport:
+    """The report of majorizes (every) or spectrum_majorizes, from one
+    union walk and nothing else.
+
+    _steps runs over both state lists, x's numerators times D_y and y's
+    times D_x, and stops at every breakpoint of either vector.  A zero
+    of the gap there is an equality.  A step longer than one entry with
+    zeros at both ends is a zero segment: the gap is linear on a step, so
+    it is zero all along, and with every set its interior positions are
+    equalities too.  The failing step holds the first violation and, with
+    every set, the one equality inside it (_fail_report).
     """
     _check_counts(sx.total_count, sy.total_count)
     total = sx.total_count
@@ -121,12 +119,15 @@ def spectrum_majorizes(sx: ProbVec, sy: ProbVec) -> MajReport:
                                              _state(sy, sx._scale)):
         if ex > ey:
             return _fail_report(sx._scale * sy._scale, equalities,
-                                zero_segment, l, ex, ey, vx, vy)
+                                zero_segment, l, ex, ey, vx, vy,
+                                step if every else 1)
         eq = ex == ey
+        if eq and tight and step > 1:
+            zero_segment = True
+            if every:
+                equalities.extend(range(l - step + 1, l))
         if eq and l < total:
             equalities.append(l)
-        # zero at both ends of a segment: identically zero on it
-        zero_segment |= eq and tight and step > 1
         tight = eq
     verdict = ("boundary" if equalities or zero_segment
                else "strict_interior")
@@ -288,18 +289,25 @@ def _product_majorizes(sx: ProbVec, sy: ProbVec, sc: ProbVec) -> bool:
     return True
 
 
-def _fail_report(scale, equalities, zero_segment, l, ex, ey, vx, vy):
+def _fail_report(scale, equalities, zero_segment, l, ex, ey, vx, vy,
+                 span):
     """The report of a walk whose step ending at l fails, with the least
-    violating position.
+    violating position; span is the step's length when the report lists
+    every equality position (majorizes), else 1.
 
     On the step the excess e(sx) - e(sy) is linear with slope vx - vy
     (the block numerators).  The walk reached the step's left end with no
     excess and fails at l, so vx > vy, and the crossing lies within the
     step: the excess stays positive for back = (excess - 1) // slope
-    positions before l, and l - back is the first violation.  Only the
-    reported prefix masses become Fractions.
+    positions before l, and l - back is the first violation.  Before it
+    the excess is nonpositive, and zero only at l - back - 1, exactly
+    when excess = slope * (back + 1); that position is an equality when
+    it lies inside the step, off every breakpoint.  Only the reported
+    prefix masses become Fractions.
     """
     back = (ex - ey - 1) // (vx - vy)
+    if back + 1 < span and ex - ey == (vx - vy) * (back + 1):
+        equalities.append(l - back - 1)
     return MajReport("fails", frozenset(equalities),
                      (l - back, Fraction(ex - vx * back, scale),
                       Fraction(ey - vy * back, scale)), zero_segment)

@@ -108,14 +108,13 @@ class ProbVec:
                         self._scale)
 
     def prefix_mass(self, l: int):
-        """e_l: mass of the l largest entries, blockwise."""
-        return Fraction(self._prefix(l), self._scale)
-
-    def _prefix(self, l: int) -> int:
-        """The numerator of e_l over the scale."""
-        l = int(l)
-        if not 0 <= l <= self._total:
-            raise ValueError("prefix position out of range")
+        """e_l: mass of the l largest entries, blockwise.  l must be an
+        int from 0 to dim; a float, str or bool raises ValueError rather
+        than being truncated."""
+        if (isinstance(l, bool) or not isinstance(l, int)
+                or not 0 <= l <= self._total):
+            raise ValueError("prefix position must be an int from 0 to %d, "
+                             "not %r" % (self._total, l))
         num = 0
         for v, c in zip(self._int_vals, self._counts):
             if not l:  # all l positions are taken
@@ -123,7 +122,7 @@ class ProbVec:
             take = c if c < l else l
             num += v * take
             l -= take
-        return num
+        return Fraction(num, self._scale)
 
     def breakpoints(self):
         """Cumulative count boundaries (excluding 0)."""

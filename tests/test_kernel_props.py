@@ -186,6 +186,7 @@ def walk_case(draw):
 @example((vec([1, 1, 1, 1]), vec([4, 3, 2, 1]), 2))
 @example((vec([3, 3, 3, 1, 0]), vec([3, 3, 2, 2, 0]), 1))
 @example((vec([3, 3, 1, 1]), vec([3, 3, 2, 0]), 2))
+@example((vec([3, 3, 2, 2]), vec([3, 3, 2, 2]), 1))
 def test_walk_report_matches_brute_field_by_field(case):
     x, y, k = case
     sx, sy = tensor_power_spectrum(x, k), tensor_power_spectrum(y, k)
@@ -208,6 +209,7 @@ def test_walk_report_matches_brute_field_by_field(case):
         full = majorizes(x, y)
         assert (full.verdict, full.equality_indices,
                 full.first_violation) == (verdict, equalities, first)
+        assert full.zero_segment == rep.zero_segment
 
 
 def test_exact_kernel_makes_fractions_only_for_reports(monkeypatch):

@@ -8,6 +8,7 @@ from trumpkit import (ProbVec, check_direct_sum_interior_condition,
                       is_interior, majorizes, make_probvec,
                       spectrum_majorizes, spectrum_tensor,
                       tensor_power_spectrum)
+from trumpkit import majorize
 from trumpkit.specvec import spectrum_direct_sum
 
 from conftest import (brute_majorizes, brute_strict_interior,
@@ -23,6 +24,21 @@ def fv(*args):
 
 PAPER_X = ("0.4", "0.4", "0.1", "0.1")
 PAPER_Y = ("0.5", "0.25", "0.25", "0")
+# l = 1 lies inside both tied blocks, off every breakpoint
+ZERO_SEGMENT = (("0.3", "0.3", "0.3", "0.1"), ("0.3", "0.3", "0.2", "0.2"))
+# the gap is zero at l = 3, inside the failing segment (2, 4]
+EQUALITY_BEFORE = (["1/4"] * 4 + ["0"] * 4,
+                   ("3/8", "1/4", "1/8", "1/8", "1/8", "0", "0", "0"))
+TIED = (("0.3", "0.3", "0.2", "0.2"),) * 2
+
+
+class _Passes(list):
+    """A state list that counts the passes made over it."""
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
 
 
 class TestMajorizes:
@@ -63,19 +79,50 @@ class TestMajorizes:
             ProbVec([F(3, 10)] * 2)
 
     def test_zero_segment_before_violation(self):
-        # l = 1 lies inside both tied blocks, off every breakpoint
-        rep = majorizes(fv("0.3", "0.3", "0.3", "0.1"),
-                        fv("0.3", "0.3", "0.2", "0.2"))
+        rep = majorizes(*(fv(*v) for v in ZERO_SEGMENT))
         assert rep.equality_indices == frozenset({1, 2})
         assert rep.first_violation == (3, F(9, 10), F(4, 5))
 
     def test_equality_just_before_violation(self):
-        # the gap is zero at l = 3, inside the failing segment (2, 4]
-        x = fv(*["1/4"] * 4 + ["0"] * 4)
-        y = fv("3/8", "1/4", "1/8", "1/8", "1/8", "0", "0", "0")
-        rep = majorizes(x, y)
+        rep = majorizes(*(fv(*v) for v in EQUALITY_BEFORE))
         assert rep.equality_indices == frozenset({3})
         assert rep.first_violation == (4, F(1), F(7, 8))
+
+    @pytest.mark.parametrize("pair", [ZERO_SEGMENT, EQUALITY_BEFORE, TIED],
+                             ids=["zero_segment", "equality_before", "tied"])
+    def test_report_is_one_union_walk(self, monkeypatch, pair):
+        # the whole report, equalities off the breakpoints included, comes
+        # from one _steps walk: each state list is read once, and neither
+        # breakpoints nor prefix masses are asked for
+        x, y = (fv(*v) for v in pair)
+        lists = []
+        for v in (x, y):
+            for name in ("_int_vals", "_counts"):
+                lists.append(_Passes(getattr(v, name)))
+                object.__setattr__(v, name, lists[-1])
+        walks = []
+        steps = majorize._steps
+
+        def counted(u, w):
+            walks.append(1)
+            return steps(u, w)
+
+        def forbidden(*args):
+            raise AssertionError("second pass over a vector")
+
+        monkeypatch.setattr(majorize, "_steps", counted)
+        monkeypatch.setattr(ProbVec, "breakpoints", forbidden)
+        monkeypatch.setattr(ProbVec, "prefix_mass", forbidden)
+        rep = majorizes(x, y)
+        assert rep.equality_indices  # each pair has an equality to find
+        assert len(walks) == 1
+        assert [l.passes for l in lists] == [1, 1, 1, 1]
+
+    def test_zero_segment_reported_alike(self):
+        # both reports say what the walk saw: a tied head block of two
+        x, y = (fv(*v) for v in TIED)
+        assert majorizes(x, y).zero_segment is True
+        assert spectrum_majorizes(x, y).zero_segment is True
 
     def test_verdict_iff_violation(self):
         rng = random.Random(29)

@@ -395,6 +395,14 @@ class TestPrefixMass:
         with pytest.raises(ValueError):
             s.prefix_mass(2)
 
+    @pytest.mark.parametrize("l", [2.9, 2.0, "3", True, None],
+                             ids=repr)
+    def test_non_integer_position(self, l):
+        # refused, not truncated: int(2.9) would read e_2
+        s = fv("0.4", "0.3", "0.2", "0.1")
+        with pytest.raises(ValueError, match="must be an int"):
+            s.prefix_mass(l)
+
     def test_monotone_and_concave(self):
         rng = random.Random(17)
         for _ in range(10):
