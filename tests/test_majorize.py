@@ -118,12 +118,6 @@ class TestMajorizes:
         assert len(walks) == 1
         assert [l.passes for l in lists] == [1, 1, 1, 1]
 
-    def test_zero_segment_reported_alike(self):
-        # both reports say what the walk saw: a tied head block of two
-        x, y = (fv(*v) for v in TIED)
-        assert majorizes(x, y).zero_segment is True
-        assert spectrum_majorizes(x, y).zero_segment is True
-
     def test_verdict_iff_violation(self):
         rng = random.Random(29)
         for _ in range(50):
